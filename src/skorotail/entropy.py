@@ -175,7 +175,8 @@ def covering_number(grid: SemiDistanceGrid, epsilon: float, method: str = "auto"
         exact=exact,
         covers_continuum=continuum,
     )
-    assert res.verify(grid)
+    if not res.verify(grid):
+        raise RuntimeError(f"{res.count} centers fail to cover the grid at epsilon={epsilon}")
     return res
 
 

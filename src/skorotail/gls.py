@@ -45,6 +45,8 @@ __all__ = [
 # log-mgf values beyond this are treated as an effective loss of the
 # exponential-moment property on the requested grid
 LOG_MGF_CAP = 700.0
+# chord slopes closer than this, relative to the table's slope scale, are one node
+SLOPE_MERGE_RTOL = 1e-7
 
 
 def lp_norm(draws: np.ndarray, p: float) -> float:
@@ -340,6 +342,10 @@ def young_fenchel(
 
     When ``u`` is omitted the conjugate is evaluated at the table's chord
     slopes, on which the double transform reproduces a convex table exactly.
+    Slopes within ``SLOPE_MERGE_RTOL * (max|u| + max|f| / max|x|)`` of the
+    last kept one are merged into it (the largest slope is always kept): the
+    conjugate values carry rounding of order eps * (max|x| max|u| + max|f|),
+    so difference quotients between closer nodes are noise.
     Returns (u, conjugate values); the output is convex in u.
     """
     x = np.asarray(x, dtype=float)
@@ -352,6 +358,13 @@ def young_fenchel(
         raise ValueError("f must be finite on its grid")
     if u is None:
         u = np.unique(np.diff(f) / np.diff(x))
+        tol = SLOPE_MERGE_RTOL * (np.abs(u).max() + np.abs(f).max() / np.abs(x).max())
+        kept = [u[0]]
+        for slope in u[1:]:
+            if slope - kept[-1] > tol:
+                kept.append(slope)
+        kept[-1] = u[-1]
+        u = np.array(kept)
     else:
         u = np.asarray(u, dtype=float)
     return u, conjugate_at(x, f, u)

@@ -14,7 +14,9 @@ of (inputs, seed).
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -101,7 +103,6 @@ class SimConfig:
     h_grid: tuple[float, ...] = (0.05, 0.1)
     confidence: float = 0.99
     triple_stride: Optional[int] = None  # None: 1 up to 64 grid points, else 4
-    block_size: int = 2048
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -242,11 +243,58 @@ class MomentTable:
         return lambda p: np.interp(p, self.p_grid, self.values)
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _triple_sums(vs, ps, s_indices, arms, powers) -> np.ndarray:
+    """Max over the middle indices ``s_indices`` of the per-pair mean of
+    min(|x(s)-x(r)|, |x(t)-x(s)|)^p, as a (k, k, P) array indexed (r, t, p).
+
+    ``arms`` are two (block, k) and ``powers`` two flat float32 workspaces of
+    at least block * max_s (s+1)(k-s) cells; every intermediate is written
+    into them, so the call allocates only its per-pair float64 sums.
+    """
+    m, k = vs.shape
+    a_buf, b_buf = arms
+    c_buf, p_buf = powers
+    block = a_buf.shape[0]
+    best = np.zeros((k, k, ps.size))
+    for si in s_indices:
+        nr, nt = si + 1, k - si
+        sums = np.zeros((nr, nt, ps.size))
+        for lo in range(0, m, block):
+            rows = vs[lo : lo + block]
+            r = rows.shape[0]
+            a = np.subtract(rows[:, :nr], rows[:, si : si + 1], out=a_buf[:r, :nr])
+            np.abs(a, out=a)
+            b = np.subtract(rows[:, si:], rows[:, si : si + 1], out=b_buf[:r, :nt])
+            np.abs(b, out=b)
+            # a, b >= 0, so min(a^p, b^p) = min(a, b)^p: one minimum per block
+            c = np.minimum(a[:, :, None], b[:, None, :],
+                           out=c_buf[: r * nr * nt].reshape(r, nr, nt))
+            pw = p_buf[: r * nr * nt].reshape(r, nr, nt)
+            cur, prev = c, 1.0
+            for pi, p in enumerate(ps):
+                if p == 2.0 * prev:
+                    np.multiply(cur, cur, out=pw)
+                else:
+                    np.power(c, np.float32(p), out=pw)
+                cur, prev = pw, p
+                sums[:, :, pi] += pw.sum(axis=0, dtype=np.float64)
+        np.maximum(best[:nr, si:], sums / m, out=best[:nr, si:])
+    return best
+
+
 def estimate_triple_moments(
     bundle: PathBundle,
     p_grid=None,
     stride: Optional[int] = None,
-    block_size: int = 2048,
+    block_size: int = 512,
 ) -> MomentTable:
     """Monte Carlo estimate of sup over triples r <= s <= t of the p-norm of
     min(|x(s)-x(r)|, |x(t)-x(s)|), with the per-pair sup over s kept for
@@ -255,14 +303,24 @@ def estimate_triple_moments(
     Triples are enumerated over every ``stride``-th grid point (endpoints
     always kept); the default keeps the full grid up to 64 points and thins
     by 4 beyond.  Powers are taken after scaling by the largest increment, so
-    arbitrary moment orders stay inside floating range; the reduction runs in
-    float32 blocks with float64 accumulation.
+    arbitrary moment orders stay inside floating range.
+
+    For each middle point s the paths are reduced in float32 blocks of
+    ``block_size`` rows with float64 accumulation.  The minimum of the two
+    arms is taken once per block; each order p is the square of the previous
+    one when p doubles it (the default grid 2, 4, ..., 32 needs squarings
+    only) and ``min ** p`` otherwise.  The middle points are dealt out
+    round-robin to a thread pool with one worker per available CPU, each
+    writing into workspaces allocated here; the per-s means combine by
+    maximum, so the result is byte-identical for any number of workers.
     """
     t = bundle.times
     v = bundle.values
     m, n = v.shape
     if m == 0:
         raise ValueError("empty path collection")
+    if block_size < 1:
+        raise ValueError("block_size must be positive")
     if p_grid is None:
         p_grid = _default_p_grid()
     ps = np.asarray(p_grid, dtype=float)
@@ -276,21 +334,22 @@ def estimate_triple_moments(
         return MomentTable(ps, np.zeros(ps.size), t[idx], np.zeros((k, k)), zero)
 
     vs = (v[:, idx] / scale).astype(np.float32)
-    best = np.zeros((k, k, ps.size))  # max over s of mean (scaled min)^p
-    for si in range(k):
-        a_full = np.abs(vs[:, : si + 1] - vs[:, si : si + 1])  # (m, nr)
-        b_full = np.abs(vs[:, si:] - vs[:, si : si + 1])  # (m, nt)
-        sums = np.zeros((si + 1, k - si, ps.size))
-        for lo in range(0, m, block_size):
-            a = a_full[lo : lo + block_size]
-            b = b_full[lo : lo + block_size]
-            for pi, p in enumerate(ps):
-                ap = a**np.float32(p)
-                bp = b**np.float32(p)
-                buf = np.minimum(ap[:, :, None], bp[:, None, :])
-                sums[:, :, pi] += buf.sum(axis=0, dtype=np.float64)
-        means = sums / m
-        np.maximum(best[: si + 1, si:, :], means, out=best[: si + 1, si:, :])
+    block = min(block_size, m)
+    cells = block * ((k + 1) // 2) * (k // 2 + 1)  # block * max_s (s+1)(k-s)
+    workers = min(_worker_count(), k)
+    with ThreadPoolExecutor(workers) as pool:
+        # interleaved middle points balance the per-s cost (s+1)(k-s)
+        futures = [
+            pool.submit(
+                _triple_sums, vs, ps, range(w, k, workers),
+                (np.empty((block, k), np.float32), np.empty((block, k), np.float32)),
+                (np.empty(cells, np.float32), np.empty(cells, np.float32)),
+            )
+            for w in range(workers)
+        ]
+        best = futures[0].result()  # max over s of mean (scaled min)^p
+        for future in futures[1:]:
+            np.maximum(best, future.result(), out=best)
     # symmetrize: best currently holds (r, t) with r <= t
     rho = scale * best ** (1.0 / ps[None, None, :])
     iu = np.triu_indices(k, 1)
@@ -321,12 +380,12 @@ def uniform_triple_moments(tables: Sequence[MomentTable]) -> MomentTable:
 
 
 def fit_g_envelope(pair_times: np.ndarray, w: np.ndarray) -> GFunction:
-    """Monotone envelope G with G(0) = 0 dominating a pair distance:
+    """Least monotone envelope G with G(0) = 0 dominating a pair distance:
     w(r,t) <= G(t) - G(r) for all grid pairs, certified exhaustively.
 
-    Greedy seeding spreads each pair's requirement evenly over the steps it
-    spans; upward correction sweeps then rescale any still-violated span.
-    Raising increments can only help other pairs, so two sweeps suffice.
+    G is the longest-path value G(j) = max_{i<j} G(i) + w(i,j) in the DAG of
+    grid points; every admissible envelope is at least this at each point,
+    and w >= 0 makes it nondecreasing.
     """
     t = np.asarray(pair_times, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -335,29 +394,11 @@ def fit_g_envelope(pair_times: np.ndarray, w: np.ndarray) -> GFunction:
         raise ValueError("w must be square and match pair_times")
     if np.any(w < 0) or np.max(np.abs(w - w.T)) > 1e-9:
         raise ValueError("w must be symmetric and nonnegative")
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k) if w[a, b] > 0]
-    g = np.zeros(k - 1)
-    for a, b in pairs:
-        need = w[a, b] / (b - a)
-        np.maximum(g[a:b], need, out=g[a:b])
-    for _ in range(4):
-        cum = np.concatenate([[0.0], np.cumsum(g)])
-        fixed = False
-        for a, b in pairs:
-            have = cum[b] - cum[a]
-            needed = w[a, b]
-            if have < needed * (1 - 1e-12):
-                if have <= 0:
-                    g[a:b] = needed / (b - a)
-                else:
-                    g[a:b] *= needed / have
-                cum = np.concatenate([[0.0], np.cumsum(g)])
-                fixed = True
-        if not fixed:
-            break
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("pair grid must span [0,1]")
-    values = np.concatenate([[0.0], np.cumsum(g)])
+    values = np.zeros(k)
+    for j in range(1, k):
+        values[j] = np.max(values[:j] + w[:j, j])
     diffs = values[None, :] - values[:, None]
     upper = w[np.triu_indices(k, 1)]
     have = diffs[np.triu_indices(k, 1)]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skorotail import entropy
 from skorotail.entropy import (
     SemiDistanceGrid,
     covering_number,
@@ -89,6 +90,12 @@ class TestCoveringNumber:
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
             covering_number(EUCLID, 0.0)
+
+    def test_failed_cover_raises(self, monkeypatch):
+        # an explicit error, so the check survives python -O
+        monkeypatch.setattr(entropy, "_interval_sweep", lambda times, within: ([0], True))
+        with pytest.raises(RuntimeError, match="fail to cover"):
+            covering_number(EUCLID, 0.25, method="interval")
 
     def test_method_choices(self):
         assert covering_number(EUCLID, 0.25, method="interval").count == 2

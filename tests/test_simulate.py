@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import beta as beta_dist
 
+from skorotail import simulate
 from skorotail.bounds import TailCurve, moment_global_bound
 from skorotail.paths import GFunction
 from skorotail.simulate import (
@@ -25,6 +26,44 @@ from skorotail.simulate import (
 )
 
 CP_SPEC = ProcessSpec("compound-poisson", rate=5.0, jump_scale=1.0, grid_size=32)
+
+
+def least_envelope_lp(w, cost):
+    """G minimizing ``cost`` over the step increments G(i+1) - G(i) >= 0
+    subject to G(b) - G(a) >= w(a, b), by linear programming."""
+    k = w.shape[0]
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    A = np.zeros((len(pairs), k - 1))
+    rhs = np.zeros(len(pairs))
+    for i, (a, b) in enumerate(pairs):
+        A[i, a:b] = -1.0
+        rhs[i] = -w[a, b]
+    res = linprog(cost, A_ub=A, b_ub=rhs, bounds=[(0, None)] * (k - 1), method="highs")
+    assert res.status == 0
+    return np.concatenate([[0.0], np.cumsum(res.x)])
+
+
+def check_against_enumeration(n, m, p_grid, stride=None, block_size=512):
+    """The kernel against a float64 loop over every triple of the strided grid."""
+    rng = np.random.default_rng(8)
+    times = np.linspace(0, 1, n)
+    vals = rng.normal(size=(m, n)).cumsum(axis=1)
+    vals -= vals[:, :1]
+    t = estimate_triple_moments(PathBundle(times, vals), p_grid=np.array(p_grid),
+                                stride=stride, block_size=block_size)
+    x = vals[:, np.unique(np.r_[np.arange(0, n, stride or 1), n - 1])]
+    k = x.shape[1]
+    raw = np.zeros((k, k, len(p_grid)))
+    for s in range(k):
+        for r in range(s + 1):
+            for tt in range(s, k):
+                d = np.minimum(np.abs(x[:, s] - x[:, r]), np.abs(x[:, tt] - x[:, s]))
+                for j, p in enumerate(p_grid):
+                    norm = np.mean(d**p) ** (1 / p)
+                    raw[r, tt, j] = raw[tt, r, j] = max(raw[r, tt, j], norm)
+    assert t.pair_times.size == k
+    assert t.raw_moments == pytest.approx(raw, rel=1e-5, abs=1e-12)
+    assert t.values == pytest.approx(raw.reshape(-1, len(p_grid)).max(axis=0), rel=1e-5)
 
 
 class TestProcessSpec:
@@ -114,22 +153,33 @@ class TestEstimateTripleMoments:
         assert np.all(np.diff(t.values) >= 0)
 
     def test_matches_direct_enumeration_small(self):
-        rng = np.random.default_rng(8)
-        times = np.linspace(0, 1, 6)
-        vals = rng.normal(size=(300, 6)).cumsum(axis=1)
-        vals -= vals[:, :1]
-        b = PathBundle(times, vals)
-        t = estimate_triple_moments(b, p_grid=np.array([2.0, 4.0]))
-        # direct reference: loop all triples in float64
-        best = np.zeros(2)
-        for s in range(6):
-            for r in range(s + 1):
-                for tt in range(s, 6):
-                    d = np.minimum(np.abs(vals[:, s] - vals[:, r]),
-                                   np.abs(vals[:, tt] - vals[:, s]))
-                    for k, p in enumerate((2.0, 4.0)):
-                        best[k] = max(best[k], np.mean(d**p) ** (1 / p))
-        assert t.values == pytest.approx(best, rel=1e-5)
+        check_against_enumeration(n=6, m=300, p_grid=(2.0, 4.0))  # m below one block
+
+    @pytest.mark.parametrize("n, m, p_grid, stride, block_size", [
+        (6, 300, (2.0, 3.0, 5.0, 7.5), None, 128),  # no doubling; 300 = 2*128 + 44
+        (8, 200, (2.0, 3.0, 6.0, 12.0), None, 64),  # squaring after a general power
+        (96, 60, (2.0, 4.0, 8.0), 4, 16),
+    ])
+    def test_matches_direct_enumeration_blocked(self, n, m, p_grid, stride, block_size):
+        check_against_enumeration(n, m, p_grid, stride, block_size)
+
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_worker_count_does_not_change_output(self, monkeypatch, workers):
+        b = generate_paths(CP_SPEC, SimConfig(n_paths=700, seed=14))
+        ps = np.array([2.0, 3.0, 6.0])
+
+        def run(count):
+            monkeypatch.setattr(simulate, "_worker_count", lambda: count)
+            return estimate_triple_moments(b, ps, block_size=256)
+
+        one, many = run(1), run(workers)
+        for field in ("values", "raw_moments", "pair_norms"):
+            assert getattr(one, field).tobytes() == getattr(many, field).tobytes(), field
+
+    def test_block_size_validated(self):
+        b = generate_paths(CP_SPEC, SimConfig(n_paths=10, seed=0))
+        with pytest.raises(ValueError, match="block_size"):
+            estimate_triple_moments(b, block_size=0)
 
     def test_nested_monte_carlo_oracle_at_maximizing_triple(self):
         spec = ProcessSpec("compound-poisson", rate=5.0, jump_scale=1.0, grid_size=16)
@@ -211,16 +261,18 @@ class TestFitGEnvelope:
         iu = np.triu_indices(8, 1)
         have = (g.values[None, :] - g.values[:, None])[iu]
         assert np.all(w[iu] <= have + 1e-9)
-        # minimal G(1) by linear programming over step increments
-        pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
-        A = np.zeros((len(pairs), 7))
-        rhs = np.zeros(len(pairs))
-        for i, (a, b) in enumerate(pairs):
-            A[i, a:b] = -1.0
-            rhs[i] = -w[a, b]
-        res = linprog(np.ones(7), A_ub=A, b_ub=rhs, bounds=[(0, None)] * 7,
-                      method="highs")
-        assert g.total <= 2.0 * res.fun + 1e-9
+        assert g.total == pytest.approx(least_envelope_lp(w, np.ones(7))[-1], rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.0, 0.9))
+    def test_pointwise_least_against_lp(self, seed, k, sparsity):
+        rng = np.random.default_rng(seed)
+        w = np.triu(rng.uniform(0, 2, (k, k)) * (rng.uniform(size=(k, k)) >= sparsity), 1)
+        w = w + w.T
+        g = fit_g_envelope(np.linspace(0, 1, k), w)
+        # the pointwise least envelope is the unique minimizer of sum_j G(j)
+        lp = least_envelope_lp(w, np.arange(k - 1, 0, -1.0))
+        assert g.values == pytest.approx(lp, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 12))
