@@ -4,7 +4,7 @@ Layers: ``paths`` (step paths, triple-minimum statistics, moduli),
 ``gls`` (moment/exponential-moment norms and convex conjugation),
 ``entropy`` (covering numbers), ``bounds`` (every tail-bound evaluator),
 ``simulate`` (seeded processes, estimation, domination reports),
-``cli`` (command-line front end).
+``pipeline`` (simulate -> estimate -> bound -> check), ``cli`` (front end).
 """
 
 from .bounds import (

@@ -64,7 +64,6 @@ __all__ = [
     "rosenthal_constant",
     "clt_bounds",
     "clt_exp_envelope",
-    "CltEnvelopes",
 ]
 
 ROSENTHAL_FACTOR = 0.6535
@@ -443,21 +442,19 @@ def _nu_table(nu, b: float, p_grid) -> tuple[np.ndarray, np.ndarray]:
     return ps, vals
 
 
-def _min_over_p(u: np.ndarray, ps: np.ndarray, log_coef: np.ndarray, extra) -> TailCurve:
-    """Pointwise min over p of exp(p*(log_coef - ln u) + extra(p)); clamped."""
+def _moment_curve(ps, coef, g: GFunction, h, u: np.ndarray, label: str) -> TailCurve:
+    """Pointwise inf over p of (coef(p) G(1) / u)^p, times the module factor
+    2 omega_G(2h)^(p-1) when a span h is given; clamped."""
+    g1 = g.total
+    om = None if h is None else g.modulus(2 * h)
+    if g1 == 0.0 or om == 0.0:
+        return _zero_curve(u, label)
     with np.errstate(divide="ignore"):
+        log_coef = np.log(coef * g1)
         log_terms = ps[:, None] * (log_coef[:, None] - np.log(u)[None, :])
-    if extra is not None:
-        log_terms = log_terms + extra[:, None]
-    j = np.argmin(log_terms, axis=0)
-    log_best = log_terms[j, np.arange(u.size)]
-    raw = np.exp(log_best)
-    return TailCurve(
-        thresholds=u,
-        probs=np.clip(raw, 0.0, 1.0),
-        raw=raw,
-        params=ps[j],
-    )
+    if om is not None:
+        log_terms = log_terms + (math.log(2.0) + (ps - 1.0) * math.log(om))[:, None]
+    return _curve_from_log(u, log_terms, ps, label)
 
 
 def moment_global_bound(nu, g: GFunction, u_grid, b: float = np.inf, p_grid=None) -> TailCurve:
@@ -467,14 +464,7 @@ def moment_global_bound(nu, g: GFunction, u_grid, b: float = np.inf, p_grid=None
     object with ``p_grid`` and ``values`` attributes (a moment table).
     """
     ps, vals = _nu_table(nu, b, p_grid)
-    u = _u_grid(u_grid)
-    g1 = g.total
-    if g1 == 0.0:
-        return _zero_curve(u, "moment-global")
-    with np.errstate(divide="ignore"):
-        log_coef = np.log(3.0 * vals * g1)
-    curve = _min_over_p(u, ps, log_coef, None)
-    return TailCurve(u, curve.probs, raw=curve.raw, params=curve.params, label="moment-global")
+    return _moment_curve(ps, 3.0 * vals, g, None, _u_grid(u_grid), "moment-global")
 
 
 def moment_module_bound(
@@ -484,16 +474,7 @@ def moment_module_bound(
     if not 0.0 < h <= 0.5:
         raise ValueError("h must lie in (0, 1/2]")
     ps, vals = _nu_table(nu, b, p_grid)
-    u = _u_grid(u_grid)
-    g1 = g.total
-    om = g.modulus(2 * h)
-    if g1 == 0.0 or om == 0.0:
-        return _zero_curve(u, "moment-module")
-    with np.errstate(divide="ignore"):
-        log_coef = np.log(3.0 * vals * g1)
-    extra = math.log(2.0) + (ps - 1.0) * math.log(om)
-    curve = _min_over_p(u, ps, log_coef, extra)
-    return TailCurve(u, curve.probs, raw=curve.raw, params=curve.params, label="moment-module")
+    return _moment_curve(ps, 3.0 * vals, g, h, _u_grid(u_grid), "moment-module")
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +494,9 @@ def _calibrate(raw: np.ndarray, rate: np.ndarray) -> float:
 @dataclass(frozen=True)
 class ExpEnvelopes:
     """Stretched-exponential envelopes of the moment bounds under
-    nu(p) <= c1 p^m, with numerically calibrated constants."""
+    nu(p) <= c1 p^m (``exp_tail_envelopes``) or of the central-limit bounds
+    under y(p) <= c1 p^(1/m) ln^s p (``clt_exp_envelope``), with numerically
+    calibrated constants."""
 
     u: float
     delta_value: float
@@ -853,36 +836,10 @@ def clt_bounds(
         raise ValueError("h must lie in (0, 1/2]")
     ps, vals = _nu_table(y, b, p_grid)
     u = _u_grid(u_grid)
-    b1 = b_env.total
-    om = b_env.modulus(2 * h)
-    if b1 == 0.0:
-        return _zero_curve(u, "clt-global"), _zero_curve(u, "clt-module")
     kr = np.array([rosenthal_constant(p) for p in ps]) if rosenthal else np.ones_like(ps)
-    with np.errstate(divide="ignore"):
-        log_coef = np.log(3.0 * kr * vals * b1)
-    gcurve = _min_over_p(u, ps, log_coef, None)
-    gcurve = TailCurve(u, gcurve.probs, raw=gcurve.raw, params=gcurve.params, label="clt-global")
-    if om == 0.0:
-        return gcurve, _zero_curve(u, "clt-module")
-    extra = math.log(2.0) + (ps - 1.0) * math.log(om)
-    mcurve = _min_over_p(u, ps, log_coef, extra)
-    mcurve = TailCurve(u, mcurve.probs, raw=mcurve.raw, params=mcurve.params, label="clt-module")
-    return gcurve, mcurve
-
-
-@dataclass(frozen=True)
-class CltEnvelopes:
-    """Stretched-exponential relaxations of the central-limit envelopes under
-    y(p) <= c1 p^(1/m) ln^s p."""
-
-    u: float
-    delta_value: float
-    kappa_value: float
-    c2: float
-    c3: float
-    omega: float
-    delta_in_range: bool
-    kappa_in_range: bool
+    coef = 3.0 * kr * vals
+    return (_moment_curve(ps, coef, b_env, None, u, "clt-global"),
+            _moment_curve(ps, coef, b_env, h, u, "clt-module"))
 
 
 def clt_exp_envelope(
@@ -894,7 +851,7 @@ def clt_exp_envelope(
     u: float,
     p_max: float = 256.0,
     n_cal: int = 60,
-) -> CltEnvelopes:
+) -> ExpEnvelopes:
     """Closed-form-shaped envelopes
 
         exp(-C2 u^(m/(m+1)) |ln u|^(m(s-1)/(m+1)))                  (global)
@@ -911,7 +868,7 @@ def clt_exp_envelope(
     b1 = b_env.total
     om = b_env.modulus(2 * h)
     if b1 == 0.0:
-        return CltEnvelopes(u, 0.0, 0.0, np.inf, np.inf, om, True, True)
+        return ExpEnvelopes(u, 0.0, 0.0, np.inf, np.inf, om, True, True)
 
     def y(p):
         p = np.asarray(p, dtype=float)
@@ -935,7 +892,7 @@ def clt_exp_envelope(
     delta_value = min(1.0, _safe_exp(-c2 * float(rate_global(u))))
 
     if om == 0.0:
-        return CltEnvelopes(u, delta_value, 0.0, c2, np.inf, om, u >= math.e, True)
+        return ExpEnvelopes(u, delta_value, 0.0, c2, np.inf, om, u >= math.e, True)
     threshold = math.e * om * abs(math.log(om)) ** (1 + 1.0 / m) if om < 1 else math.e * om
 
     def rate_module(uu):
@@ -949,7 +906,7 @@ def clt_exp_envelope(
     _, mcurve = clt_bounds(y, b_env, h, u_cal_k, p_grid=p_eval)
     c3 = _calibrate(mcurve.raw * om / 2.0, rate_module(u_cal_k))
     kappa_value = min(1.0, 2.0 / om * _safe_exp(-c3 * float(rate_module(u))))
-    return CltEnvelopes(
+    return ExpEnvelopes(
         u=u,
         delta_value=delta_value,
         kappa_value=kappa_value,

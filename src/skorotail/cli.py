@@ -25,6 +25,7 @@ import numpy as np
 
 from . import bounds as B
 from . import io as tio
+from . import pipeline
 from . import simulate as sim
 from .entropy import SemiDistanceGrid, covering_number, scaled_window_modulus
 from .gls import PsiFunction, young_fenchel
@@ -132,42 +133,17 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory")
 
 
-def _simulate_core(ns):
-    spec = _process_spec(ns)
-    config = _sim_config(ns)
-    bundle = sim.generate_paths(spec, config)
-    table = sim.estimate_triple_moments(
-        bundle, config.p_grid, stride=config.triple_stride
-    )
-    env = sim.fit_g_envelope(table.pair_times, table.pair_norms)
-    dstats = bundle.global_stats()
-    if getattr(ns, "u_grid", None):
-        u_grid = _parse_grid(ns.u_grid)
-    else:
-        u_grid = sim.quantile_u_grid(dstats, config.u_points)
-    tail_d = sim.empirical_tail(bundle, u_grid, config.confidence, "delta", stats=dstats)
-    tails_k = {
-        h: sim.empirical_tail(bundle, u_grid, config.confidence, "kappa", h=h)
-        for h in config.h_grid
-    }
-    return spec, config, bundle, table, env, u_grid, tail_d, tails_k
+def _run_inputs(ns):
+    """The process, run parameters and explicit threshold grid (or None)."""
+    u_grid = _parse_grid(ns.u_grid) if ns.u_grid else None
+    return _process_spec(ns), _sim_config(ns), u_grid
 
 
-def _write_estimation(outdir: Path, table, env, tail_d, tails_k) -> None:
-    tio.write_csv(outdir / "moments.csv", ["p", "nu"], [table.p_grid, table.values])
-    tio.write_matrix(outdir / "pair_norms.csv", table.pair_times, table.pair_norms)
-    tio.write_csv(outdir / "envelope.csv", ["t", "G"], [env.times, env.values])
-    tio.write_csv(
-        outdir / "tail_delta.csv",
-        ["u", "frequency", "upper_confidence"],
-        [tail_d.thresholds, tail_d.freqs, tail_d.upper],
-    )
-    for h, est in tails_k.items():
-        tio.write_csv(
-            outdir / f"tail_kappa_{h:g}.csv",
-            ["u", "frequency", "upper_confidence"],
-            [est.thresholds, est.freqs, est.upper],
-        )
+def _finish(ns, run: pipeline.Run) -> int:
+    if ns.out:
+        run.write(ns.out)
+    print(json.dumps(tio._jsonable(run.report), sort_keys=True))
+    return run.exit_code
 
 
 def cmd_kappa(ns) -> int:
@@ -357,15 +333,17 @@ def cmd_bound(ns) -> int:
 
 def cmd_simulate(ns) -> int:
     ns = _merge_config(ns, {**_SIM_DEFAULTS, "beta_grid": None})
-    spec, config, bundle, table, env, u_grid, tail_d, tails_k = _simulate_core(ns)
+    spec, config, u_grid = _run_inputs(ns)
+    est = pipeline.estimate(spec, config, u_grid)
+    bundle = est.bundle
     summary = {
         "process": spec.kind,
         "n_paths": len(bundle),
         "grid_size": spec.grid_size,
         "seed": config.seed,
-        "nu": {tio.fmt(p): v for p, v in zip(table.p_grid, table.values)},
-        "g_total": env.total,
-        "u_grid": list(u_grid),
+        "nu": {tio.fmt(p): v for p, v in zip(est.table.p_grid, est.table.values)},
+        "g_total": est.envelope.total,
+        "u_grid": list(est.u_grid),
     }
     boundary = None
     if ns.beta_grid:
@@ -380,8 +358,7 @@ def cmd_simulate(ns) -> int:
         }
     if ns.out:
         outdir = Path(ns.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_estimation(outdir, table, env, tail_d, tails_k)
+        est.write(outdir)
         if boundary is not None:
             tio.write_csv(outdir / "boundary.csv", ["beta", "z0", "z1"],
                           [boundary.beta_grid, boundary.z0, boundary.z1])
@@ -399,104 +376,17 @@ def cmd_simulate(ns) -> int:
 
 def cmd_verify(ns) -> int:
     ns = _merge_config(ns, {**_SIM_DEFAULTS, "strict": False})
-    spec, config, bundle, table, env, u_grid, tail_d, tails_k = _simulate_core(ns)
-    bound_d = B.moment_global_bound(table, env, u_grid)
-    reports = [sim.domination_report(bound_d, tail_d, strict=bool(ns.strict),
-                                     label="global")]
-    bound_curves = {"global": bound_d}
-    for h, est in tails_k.items():
-        bk = B.moment_module_bound(table, env, h, u_grid)
-        bound_curves[f"module_h={h:g}"] = bk
-        reports.append(sim.domination_report(bk, est, strict=bool(ns.strict),
-                                             label=f"module_h={h:g}"))
-    overall = all(r.overall_pass for r in reports)
-    report = {
-        "process": spec.kind,
-        "seed": config.seed,
-        "n_paths": len(bundle),
-        "overall_pass": overall,
-        "checks": [r.to_dict() for r in reports],
-    }
-    if ns.out:
-        outdir = Path(ns.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_estimation(outdir, table, env, tail_d, tails_k)
-        for label, curve in bound_curves.items():
-            tio.write_csv(
-                outdir / f"bound_{label.replace('=', '_')}.csv",
-                ["u", "bound", "param"],
-                [curve.thresholds, curve.probs,
-                 np.array([str(p) for p in curve.params])],
-            )
-        tio.write_json(outdir / "report.json", report)
-    print(json.dumps(tio._jsonable(report), sort_keys=True))
-    return 0 if overall else 1
+    return _finish(ns, pipeline.verify(*_run_inputs(ns), strict=bool(ns.strict)))
 
 
 def cmd_clt(ns) -> int:
     ns = _merge_config(ns, {**_SIM_DEFAULTS, "n": "1,4,64", "t_marks": "0.25,0.5,0.75",
                             "strict": False})
-    spec = _process_spec(ns)
-    config = _sim_config(ns)
+    spec, config, u_grid = _run_inputs(ns)
     n_list = [int(x) for x in str(ns.n).split(",")]
-    rng = np.random.default_rng(config.seed)
-    base = sim.generate_paths(spec, config, rng=rng)
-    table = sim.estimate_triple_moments(base, config.p_grid, stride=config.triple_stride)
-    env = sim.fit_g_envelope(table.pair_times, table.pair_norms)
-
-    bundles = {n: sim.partial_sum_paths(spec, n, config, rng=rng) for n in n_list}
-    stats = {n: b.global_stats() for n, b in bundles.items()}
-    if getattr(ns, "u_grid", None):
-        u_grid = _parse_grid(ns.u_grid)
-    else:
-        u_grid = sim.quantile_u_grid(np.concatenate(list(stats.values())), config.u_points)
-    h = config.h_grid[0]
-    gcurve, mcurve = B.clt_bounds(table, env, h, u_grid)
-
-    checks = []
-    for n, b in bundles.items():
-        est = sim.empirical_tail(b, u_grid, config.confidence, "delta", stats=stats[n])
-        rep = sim.domination_report(gcurve, est, strict=bool(ns.strict),
-                                    label=f"global_n={n}")
-        checks.append(rep)
-        est_k = sim.empirical_tail(b, u_grid, config.confidence, "kappa", h=h)
-        checks.append(sim.domination_report(mcurve, est_k, strict=bool(ns.strict),
-                                            label=f"module_n={n}_h={h:g}"))
-
-    from scipy.stats import anderson
-
-    normality = {}
     t_marks = _parse_floats(str(ns.t_marks))
-    n_big = max(n_list)
-    vb = bundles[n_big]
-    for tm in t_marks:
-        col = int(np.searchsorted(vb.times, tm, side="right")) - 1
-        res = anderson(vb.values[:, col], dist="norm")
-        crit_1pct = float(res.critical_values[-1])
-        normality[tio.fmt(tm)] = {
-            "statistic": float(res.statistic),
-            "critical_1pct": crit_1pct,
-            "rejected_at_1pct": bool(res.statistic >= crit_1pct),
-        }
-    overall = all(r.overall_pass for r in checks)
-    report = {
-        "process": spec.kind,
-        "seed": config.seed,
-        "n_list": n_list,
-        "normality_n": n_big,
-        "normality": normality,
-        "overall_pass": overall,
-        "checks": [r.to_dict() for r in checks],
-    }
-    if ns.out:
-        outdir = Path(ns.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        tio.write_csv(outdir / "clt_bounds.csv",
-                      ["u", "global_bound", "module_bound"],
-                      [u_grid, gcurve.probs, mcurve.probs])
-        tio.write_json(outdir / "report.json", report)
-    print(json.dumps(tio._jsonable(report), sort_keys=True))
-    return 0 if overall else 1
+    return _finish(ns, pipeline.clt(spec, config, n_list, t_marks, u_grid,
+                                    strict=bool(ns.strict)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -433,15 +433,17 @@ def moment_tail_equivalence(
     moment_sup = float(ratios[i])
     at_edge = p_grid[i] >= edge_factor * p_grid[-1]
 
-    xs = np.unique(np.abs(sample.draws))
+    # sample.tail just below each distinct |draw| >= e, from one sort: the
+    # atom itself counts, so every tail is at least 1/n
+    d = np.sort(sample.draws)
+    xs = np.unique(np.abs(d))
     xs = xs[xs >= np.e]
-    cs = []
-    for x in xs:
-        u = sample.tail(x * (1 - 1e-12))  # tail just below the atom, includes it
-        if u <= 0:
-            continue
-        cs.append(-np.log(u) * np.log(x) ** (m * s) / x**m)
-    tail_constant = float(min(cs)) if cs else np.inf
+    y = xs * (1 - 1e-12)
+    above = d.size - np.searchsorted(d, y, side="right")
+    below = np.searchsorted(d, -y, side="left")
+    u = np.maximum(above, below) / d.size
+    cs = -np.log(u) * np.log(xs) ** (m * s) / xs**m
+    tail_constant = float(cs.min()) if cs.size else np.inf
     both = np.isfinite(moment_sup) and not at_edge and tail_constant > 0
     return EquivalenceReport(
         m=m,

@@ -18,32 +18,19 @@ import numpy as np
 import pytest
 
 import skorotail.cli as cli
+from skorotail import pipeline
 from skorotail.bounds import (
     BoundUnavailable,
     EmpiricalJointMoment,
     chaining_constant,
-    clt_bounds,
     entropy_series_bound,
     geometric_sequences,
     min_tail_2d,
-    moment_global_bound,
-    moment_module_bound,
 )
 from skorotail.entropy import SemiDistanceGrid, covering_number
 from skorotail.gls import double_conjugate, young_fenchel
 from skorotail.paths import ps_module_matrix, triple_min_sup_matrix
-from skorotail.simulate import (
-    ProcessSpec,
-    SimConfig,
-    boundary_functionals,
-    domination_report,
-    empirical_tail,
-    estimate_triple_moments,
-    fit_g_envelope,
-    generate_paths,
-    partial_sum_paths,
-    quantile_u_grid,
-)
+from skorotail.simulate import ProcessSpec, SimConfig, boundary_functionals, generate_paths
 
 
 def report(num, name, note=""):
@@ -262,26 +249,13 @@ def test_criterion_6_min_tail_domination():
 
 def test_criterion_7_full_domination_pipeline():
     spec = ProcessSpec("compound-poisson", rate=5.0, jump_scale=1.0, grid_size=64)
-    config = SimConfig(n_paths=100_000, seed=20_240_101)
-    bundle = generate_paths(spec, config)
-    table = estimate_triple_moments(bundle, config.p_grid)
-    envelope = fit_g_envelope(table.pair_times, table.pair_norms)
-
-    stats = bundle.global_stats()
-    u_grid = quantile_u_grid(stats, 20)
-    est_delta = empirical_tail(bundle, u_grid, 0.99, "delta", stats=stats)
-    bound_delta = moment_global_bound(table, envelope, u_grid)
-    rep = domination_report(bound_delta, est_delta, strict=True, label="global")
-    assert rep.overall_pass, rep.failures
-
-    notes = [f"global ok ({len(u_grid)} thresholds)"]
-    for h in (0.05, 0.1):
-        est_k = empirical_tail(bundle, u_grid, 0.99, "kappa", h=h)
-        bound_k = moment_module_bound(table, envelope, h, u_grid)
-        rep_k = domination_report(bound_k, est_k, strict=True, label=f"module h={h}")
-        assert rep_k.overall_pass, rep_k.failures
-        notes.append(f"module h={h} ok")
-    report(7, "full domination pipeline", "; ".join(notes))
+    run = pipeline.verify(spec, SimConfig(n_paths=100_000, seed=20_240_101), strict=True)
+    assert [c.label for c in run.checks] == ["global", "module_h=0.05", "module_h=0.1"]
+    for check in run.checks:
+        assert check.overall_pass, (check.label, check.failures)
+    assert run.exit_code == 0
+    report(7, "full domination pipeline",
+           "; ".join(f"{c.label} ok ({c.thresholds.size} thresholds)" for c in run.checks))
 
 
 # ---------------------------------------------------------------------------
@@ -290,35 +264,23 @@ def test_criterion_7_full_domination_pipeline():
 
 
 def test_criterion_8_clt_suite():
-    from scipy.stats import anderson
-
     spec = ProcessSpec("compound-poisson", rate=5.0, jump_scale=1.0, grid_size=64)
     config = SimConfig(n_paths=10_000, seed=31_415)
-    rng = np.random.default_rng(config.seed)
-
-    base = generate_paths(spec, config, rng=rng)
-    table = estimate_triple_moments(base, config.p_grid)
-    envelope = fit_g_envelope(table.pair_times, table.pair_norms)
-
-    bundles = {n: partial_sum_paths(spec, n, config, rng=rng) for n in (1, 4, 64)}
-    stats = {n: b.global_stats() for n, b in bundles.items()}
+    run = pipeline.clt(spec, config, [1, 4, 64], [0.25, 0.5, 0.75], strict=True)
 
     # marginal normality of the n = 64 sums at three interior times, level 1%
-    vb = bundles[64]
-    for tm in (0.25, 0.5, 0.75):
-        col = int(np.searchsorted(vb.times, tm, side="right")) - 1
-        res = anderson(vb.values[:, col], dist="norm")
-        assert res.statistic < res.critical_values[-1], (tm, res.statistic)
+    assert run.report["normality_n"] == 64
+    assert sorted(run.report["normality"]) == ["0.25", "0.5", "0.75"]
+    for tm, res in run.report["normality"].items():
+        assert not res["rejected_at_1pct"], (tm, res)
 
-    # uniform-in-n domination of the global-statistic tails
-    u_grid = quantile_u_grid(np.concatenate(list(stats.values())), 20)
-    gcurve, _ = clt_bounds(table, envelope, 0.05, u_grid)
-    for n, b in bundles.items():
-        est = empirical_tail(b, u_grid, 0.99, "delta", stats=stats[n])
-        rep = domination_report(gcurve, est, strict=True, label=f"n={n}")
-        assert rep.overall_pass, (n, rep.failures)
+    # uniform-in-n domination of the global-statistic and module tails
+    assert len(run.checks) == 6
+    for check in run.checks:
+        assert check.overall_pass, (check.label, check.failures)
 
     # iid-sum moment inequality for symmetric signs at order 4
+    rng = np.random.default_rng(27_182)
     m = 200_000
     measured = []
     for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
@@ -331,7 +293,7 @@ def test_criterion_8_clt_suite():
     assert worst <= 1.8857  # the order-4 constant times the summand norm
     assert worst <= 3.0**0.25 * 1.01  # and in fact essentially 3^(1/4)
     report(8, "central-limit suite",
-           f"normality ok at n=64; domination ok for n in (1,4,64); "
+           f"normality ok at n=64; strict domination ok for n in (1,4,64); "
            f"order-4 sum norm {worst:.4f} <= 1.8857")
 
 

@@ -270,6 +270,23 @@ class TestMomentBounds:
         with pytest.raises(ValueError):
             moment_module_bound(np.sqrt, GFunction.linear(), 0.7, np.array([10.0]))
 
+    def test_raw_and_params_against_stated_formulas(self):
+        ps = np.array([2.0, 3.0, 5.0, 8.0])
+        g, h = GFunction.linear(2.0), 0.1
+        om = g.modulus(2 * h)
+        u = np.logspace(0.5, 2.5, 7)  # crosses the clamp at 1
+        glob = moment_global_bound((ps, np.sqrt(ps)), g, u)
+        mod = moment_module_bound((ps, np.sqrt(ps)), g, h, u)
+        for i, uu in enumerate(u):
+            terms = [(3 * math.sqrt(p) * 2.0 / uu) ** p for p in ps]
+            mterms = [2 * t * om ** (p - 1) for t, p in zip(terms, ps)]
+            for curve, vals in ((glob, terms), (mod, mterms)):
+                k = int(np.argmin(vals))
+                assert curve.raw[i] == pytest.approx(vals[k], rel=1e-12)
+                assert curve.params[i] == ps[k]
+                assert curve.probs[i] == min(1.0, curve.raw[i])
+        assert glob.label == "moment-global" and mod.label == "moment-module"
+
 
 class TestExpEnvelopes:
     def test_linear_growth_constant(self):

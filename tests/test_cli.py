@@ -194,4 +194,4 @@ class TestSimulateVerify:
         assert rc == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["overall_pass"] is True
-        assert "0.5" in rep["normality"]
+        assert set(rep["normality"]["0.5"]) == {"statistic", "pvalue", "rejected_at_1pct"}

@@ -276,6 +276,24 @@ class TestMomentTailEquivalence:
         assert rep.both_finite
         assert 0.1 < rep.tail_constant < 1.0  # near 1/2 up to sampling noise
 
+    @pytest.mark.parametrize("m, s", [(1.0, 0.0), (2.0, 0.0), (1.5, 0.5)])
+    def test_tail_constant_against_per_draw_tail(self, m, s):
+        # ties, negative atoms, a draw exactly at e and one just below it, and
+        # draws exactly at the cut x (1 - 1e-12) below the atoms -5 and 6,
+        # each on the side that decides the tail there
+        cut = 1 - 1e-12
+        draws = np.array([np.e, -np.e, 3.0, 3.0, -3.0, 5.0, -5.0, -5.0, -5.0,
+                          -5.0 * cut, 6.0, 6.0, 6.0 * cut, -7.25, 0.5, -0.1, 2.0,
+                          np.e * (1 - 1e-13)])
+        sample = EmpiricalSample(draws)
+        xs = np.unique(np.abs(draws))
+        cs = [-np.log(u) * np.log(x) ** (m * s) / x**m
+              for x in xs[xs >= np.e] for u in [sample.tail(x * (1 - 1e-12))]]
+        rep = moment_tail_equivalence(sample, m=m, s=s, p_grid=np.array([2.0, 4.0]))
+        # array and scalar powers may differ in the last bit; a miscounted
+        # tie moves the constant by about 1e-12
+        assert rep.tail_constant == pytest.approx(min(cs), rel=1e-14, abs=0)
+
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             moment_tail_equivalence(RADEMACHER, m=0.0)
