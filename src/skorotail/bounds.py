@@ -106,6 +106,11 @@ class TailCurve:
         object.__setattr__(self, "thresholds", u)
         object.__setattr__(self, "probs", np.clip(p, 0.0, 1.0))
 
+    def table(self) -> tuple[list, list]:
+        """CSV header and columns: threshold, bound, achieving parameter."""
+        return ["u", "bound", "param"], [self.thresholds, self.probs,
+                                          np.array([str(p) for p in self.params])]
+
 
 # ---------------------------------------------------------------------------
 # chaining constant
@@ -225,20 +230,31 @@ def _curve_from_log(u, log_terms, params, label) -> TailCurve:
     )
 
 
-def power_global_bound(pairs, g: GFunction, u_grid, mode: str = "closed") -> TailCurve:
-    """K(alpha,beta) u^(-2 beta) (G(1)-G(0))^alpha, minimized over the
-    supplied (alpha, beta) pairs and clamped to [0,1]."""
+def _power_curve(pairs, g: GFunction, h, u_grid, mode: str, label: str) -> TailCurve:
+    """Pointwise min over (alpha, beta) of K(alpha,beta) u^(-2 beta) G(1)^alpha,
+    times the module factor 2 omega_G(2h)^(alpha-1) when a span h is given;
+    clamped."""
     pl = _as_pairs(pairs)
     u = _u_grid(u_grid)
     g1 = g.total
-    if g1 == 0.0:
-        return _zero_curve(u, "power-global")
+    om = None if h is None else g.modulus(2 * h)
+    if g1 == 0.0 or om == 0.0:
+        return _zero_curve(u, label)
     rows = []
     for a, b in pl:
-        rows.append(
-            math.log(chaining_constant(a, b, mode)) + a * math.log(g1) - 2 * b * np.log(u)
-        )
-    return _curve_from_log(u, np.vstack(rows), pl, "power-global")
+        log_k = math.log(chaining_constant(a, b, mode))
+        if om is None:
+            log_c = log_k + a * math.log(g1)
+        else:
+            log_c = math.log(2.0) + log_k + a * math.log(g1) + (a - 1) * math.log(om)
+        rows.append(log_c - 2 * b * np.log(u))
+    return _curve_from_log(u, np.vstack(rows), pl, label)
+
+
+def power_global_bound(pairs, g: GFunction, u_grid, mode: str = "closed") -> TailCurve:
+    """K(alpha,beta) u^(-2 beta) (G(1)-G(0))^alpha, minimized over the
+    supplied (alpha, beta) pairs and clamped to [0,1]."""
+    return _power_curve(pairs, g, None, u_grid, mode, "power-global")
 
 
 def power_module_bound(
@@ -248,22 +264,7 @@ def power_module_bound(
     (omega_G(2h))^(alpha-1), minimized over pairs and clamped."""
     if not 0.0 < h <= 0.5:
         raise ValueError("h must lie in (0, 1/2]")
-    pl = _as_pairs(pairs)
-    u = _u_grid(u_grid)
-    g1 = g.total
-    om = g.modulus(2 * h)
-    if g1 == 0.0 or om == 0.0:
-        return _zero_curve(u, "power-module")
-    rows = []
-    for a, b in pl:
-        rows.append(
-            math.log(2.0)
-            + math.log(chaining_constant(a, b, mode))
-            + a * math.log(g1)
-            + (a - 1) * math.log(om)
-            - 2 * b * np.log(u)
-        )
-    return _curve_from_log(u, np.vstack(rows), pl, "power-module")
+    return _power_curve(pairs, g, h, u_grid, mode, "power-module")
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +589,17 @@ def pair_pseudo_norm(xs, ys, p1: float, p2: float) -> float:
     return joint_moment(xs, ys, p1, p2) ** (1.0 / (p1 + p2))
 
 
+_JOINT_BLOCK = 100_000  # sample rows per block of ``EmpiricalJointMoment.matrix``
+
+
 class EmpiricalJointMoment:
     """Joint absolute moments of a paired sample with a fast grid evaluator."""
 
-    def __init__(self, xs, ys, block: int = 100_000):
+    def __init__(self, xs, ys):
         self.x = np.abs(np.asarray(xs, dtype=float))
         self.y = np.abs(np.asarray(ys, dtype=float))
         if self.x.shape != self.y.shape or self.x.size == 0:
             raise ValueError("xs and ys must be nonempty and equally shaped")
-        self.block = block
 
     def __call__(self, p1: float, p2: float) -> float:
         return joint_moment(self.x, self.y, p1, p2)
@@ -606,9 +609,9 @@ class EmpiricalJointMoment:
         cy = self.y.max() or 1.0
         n = self.x.size
         acc = np.zeros((p1s.size, p2s.size))
-        for lo in range(0, n, self.block):
-            xb = (self.x[lo : lo + self.block] / cx)[:, None] ** p1s[None, :]
-            yb = (self.y[lo : lo + self.block] / cy)[:, None] ** p2s[None, :]
+        for lo in range(0, n, _JOINT_BLOCK):
+            xb = (self.x[lo : lo + _JOINT_BLOCK] / cx)[:, None] ** p1s[None, :]
+            yb = (self.y[lo : lo + _JOINT_BLOCK] / cy)[:, None] ** p2s[None, :]
             acc += xb.T @ yb
         scale = np.outer(cx**p1s, cy**p2s)
         return scale * acc / n

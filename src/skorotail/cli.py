@@ -36,19 +36,24 @@ TWO_JUMP_FIXTURE = SampledPath(
 )
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    """Grid spec: either 'lo:hi:n' (log-spaced) or a comma list."""
-    if ":" in spec:
+def _parse_grid(spec) -> np.ndarray:
+    """Grid spec: 'lo:hi:n' (log-spaced), or anything ``_parse_floats`` reads."""
+    if isinstance(spec, str) and ":" in spec:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
         if lo <= 0 or hi <= lo:
             raise ValueError("log grid needs 0 < lo < hi")
         return np.logspace(np.log10(lo), np.log10(hi), n)
-    return np.array([float(x) for x in spec.split(",")])
+    return np.array(_parse_floats(spec))
 
 
-def _parse_floats(spec: str) -> list[float]:
-    return [float(x) for x in spec.split(",")]
+def _parse_floats(spec) -> list[float]:
+    """A comma list, a number or a list of numbers (flag or JSON config)."""
+    items = spec.split(",") if isinstance(spec, str) else np.atleast_1d(spec).tolist()
+    try:
+        return [float(x) for x in items]
+    except TypeError:
+        raise ValueError(f"expected numbers, got {spec!r}") from None
 
 
 def _g_function(ns) -> GFunction:
@@ -86,9 +91,9 @@ def _sim_config(ns) -> sim.SimConfig:
     return sim.SimConfig(
         n_paths=int(ns.paths),
         seed=int(ns.seed),
-        p_grid=np.array(_parse_floats(ns.p_grid)) if isinstance(ns.p_grid, str) else ns.p_grid,
+        p_grid=np.array(_parse_floats(ns.p_grid)),
         u_points=int(ns.u_points),
-        h_grid=tuple(_parse_floats(ns.h)) if isinstance(ns.h, str) else tuple(ns.h),
+        h_grid=tuple(_parse_floats(ns.h)),
         confidence=float(ns.confidence),
         triple_stride=None if ns.stride in (None, "auto") else int(ns.stride),
     )
@@ -154,14 +159,14 @@ def cmd_kappa(ns) -> int:
     else:
         path = TWO_JUMP_FIXTURE
     if ns.delta_grid is not None:
-        grid = _parse_grid(ns.delta_grid) if isinstance(ns.delta_grid, str) else ns.delta_grid
+        grid = _parse_grid(ns.delta_grid)
         vals = [ps_module(path, d) for d in grid]
         for d, x in zip(grid, vals):
             print(f"{tio.fmt(d)},{tio.fmt(x)}")
         if ns.out:
             tio.write_csv(ns.out, ["delta", "kappa"], [grid, vals])
     elif ns.delta is not None:
-        for d in _parse_floats(str(ns.delta)):
+        for d in _parse_floats(ns.delta):
             print(tio.fmt(ps_module(path, d)))
     else:
         print(tio.fmt(triple_min_sup(path)))
@@ -226,7 +231,7 @@ def cmd_bound(ns) -> int:
         print(tio.fmt(B.rosenthal_constant(float(ns.p))))
     elif name in ("power-global", "power-module"):
         g = _g_function(ns)
-        u = _parse_grid(str(ns.u))
+        u = _parse_grid(ns.u)
         pair = (float(ns.alpha), float(ns.beta))
         if name == "power-global":
             out_curve = B.power_global_bound(pair, g, u, mode=ns.mode)
@@ -234,7 +239,7 @@ def cmd_bound(ns) -> int:
             out_curve = B.power_module_bound(pair, g, float(ns.h), u, mode=ns.mode)
     elif name in ("moment-global", "moment-module"):
         g = _g_function(ns)
-        u = _parse_grid(str(ns.u))
+        u = _parse_grid(ns.u)
         if ns.nu_file:
             nu = tuple(tio.read_two_columns(ns.nu_file))
         else:
@@ -255,20 +260,20 @@ def cmd_bound(ns) -> int:
             pair = B.polynomial_sequences(float(ns.seq_nu))
         else:
             raise ValueError(f"unknown preset {ns.preset!r}")
-        u0 = float(_parse_grid(str(ns.u))[0])
+        u0 = float(_parse_grid(ns.u)[0])
         res = B.entropy_series_bound(covering, lam, pair, u0)
         print(f"value={tio.fmt(res.value)} remainder={tio.fmt(res.remainder)} "
               f"terms={res.terms_used} pair={res.pair_label}")
     elif name == "exp-envelope":
         g = _g_function(ns)
-        u0 = float(_parse_grid(str(ns.u))[0])
+        u0 = float(_parse_grid(ns.u)[0])
         env = B.exp_tail_envelopes(float(ns.c1), float(ns.m), g, float(ns.h), u0)
         print(f"delta={tio.fmt(env.delta_value)} kappa={tio.fmt(env.kappa_value)} "
               f"c2={tio.fmt(env.c2)} c3={tio.fmt(env.c3)} "
               f"delta_in_range={tio.fmt(env.delta_in_range)} "
               f"kappa_in_range={tio.fmt(env.kappa_in_range)}")
     elif name == "min-tail-2d":
-        u0 = float(_parse_grid(str(ns.u))[0])
+        u0 = float(_parse_grid(ns.u)[0])
         v0 = float(ns.v) if ns.v is not None else u0
         # independent uniforms demo moment: E|x|^p1 |y|^p2 = 1/((p1+1)(p2+1))
         moment = lambda p1, p2: 1.0 / ((p1 + 1.0) * (p2 + 1.0))
@@ -281,19 +286,19 @@ def cmd_bound(ns) -> int:
         else:
             a = float(ns.psi_power)
             psi = PsiFunction.from_callable(lambda p: p**a, b=np.inf, p_max=64.0)
-        u0 = float(_parse_grid(str(ns.u))[0])
+        u0 = float(_parse_grid(ns.u)[0])
         res = B.min_tail_fenchel(psi, int(ns.d), u0)
         print(f"value={tio.fmt(res.value)} p={tio.fmt(res.p_star)} "
               f"at_edge={tio.fmt(res.at_edge)}")
     elif name == "pizier":
         a = float(ns.holder)
         d2p = lambda p, x, y: abs(x - y) ** a
-        u0 = float(_parse_grid(str(ns.u))[0])
+        u0 = float(_parse_grid(ns.u)[0])
         val, p_star = B.pizier_min_bound(d2p, float(ns.r), float(ns.mid), float(ns.t), u0)
         print(f"value={tio.fmt(val)} p={tio.fmt(p_star)}")
     elif name == "factored-module":
         v = _g_function(ns)
-        u0 = float(_parse_grid(str(ns.u))[0])
+        u0 = float(_parse_grid(ns.u)[0])
         term = B.factored_module_term(lambda p: 1.0, v, float(ns.l), float(ns.p),
                                       float(ns.h), u0)
         print(f"term={tio.fmt(term)}")
@@ -305,7 +310,7 @@ def cmd_bound(ns) -> int:
         if name == "clt":
             c, m = _parse_floats(ns.nu_power) if ns.nu_power else (1.0, 0.5)
             y = lambda p: c * np.asarray(p, dtype=float) ** m
-            u = _parse_grid(str(ns.u))
+            u = _parse_grid(ns.u)
             gc, mc = B.clt_bounds(y, g, float(ns.h), u, b=float(ns.b),
                                   rosenthal=not ns.rosenthal_off)
             for uu, gg, mm in zip(u, gc.probs, mc.probs):
@@ -314,7 +319,7 @@ def cmd_bound(ns) -> int:
                 tio.write_csv(ns.out, ["u", "global_bound", "module_bound"],
                               [u, gc.probs, mc.probs])
             return 0
-        u0 = float(_parse_grid(str(ns.u))[0])
+        u0 = float(_parse_grid(ns.u)[0])
         env = B.clt_exp_envelope(float(ns.c1), float(ns.m), float(ns.s), g,
                                  float(ns.h), u0)
         print(f"delta={tio.fmt(env.delta_value)} kappa={tio.fmt(env.kappa_value)} "
@@ -325,9 +330,7 @@ def cmd_bound(ns) -> int:
         for uu, pp, par in zip(out_curve.thresholds, out_curve.probs, out_curve.params):
             print(f"{tio.fmt(uu)},{tio.fmt(pp)},{par}")
         if ns.out:
-            tio.write_csv(ns.out, ["u", "bound", "param"],
-                          [out_curve.thresholds, out_curve.probs,
-                           np.array([str(p) for p in out_curve.params])])
+            tio.write_csv(ns.out, *out_curve.table())
     return 0
 
 
@@ -384,7 +387,7 @@ def cmd_clt(ns) -> int:
                             "strict": False})
     spec, config, u_grid = _run_inputs(ns)
     n_list = [int(x) for x in str(ns.n).split(",")]
-    t_marks = _parse_floats(str(ns.t_marks))
+    t_marks = _parse_floats(ns.t_marks)
     return _finish(ns, pipeline.clt(spec, config, n_list, t_marks, u_grid,
                                     strict=bool(ns.strict)))
 

@@ -32,13 +32,22 @@ def fmt(x) -> str:
     return str(x)
 
 
+def _csv_field(s: str) -> str:
+    """A CSV field, quoted (inner quotes doubled) when it holds a comma or a quote."""
+    return '"' + s.replace('"', '""') + '"' if "," in s or '"' in s else s
+
+
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns as CSV with the given header."""
+    """Write equal-length columns as CSV with the given header; a text field
+    holding a comma or a quote is quoted."""
     cols = [np.asarray(c) for c in columns]
     n = cols[0].shape[0]
     if any(c.shape[0] != n for c in cols):
         raise ValueError("columns must have equal length")
-    lines = [",".join(header)]
+    # a formatted number holds no comma or quote: quote text columns once
+    cols = [c if c.dtype.kind in "biuf" else np.array([_csv_field(fmt(x)) for x in c], dtype=object)
+            for c in cols]
+    lines = [",".join(map(_csv_field, header))]
     for i in range(n):
         lines.append(",".join(fmt(c[i]) for c in cols))
     Path(path).write_text("\n".join(lines) + "\n")

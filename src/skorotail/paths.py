@@ -18,7 +18,7 @@ through the step rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,37 +197,25 @@ def ps_module(path: SampledPath, delta: float) -> float:
     return float(ps_module_matrix(path.times, path.values[None, :], delta)[0])
 
 
-def _span_caps(times: np.ndarray, delta: float) -> np.ndarray:
-    """cap[r] = largest index t with times[t] - times[r] <= delta."""
-    n = times.size
-    caps = np.empty(n, dtype=np.int64)
-    for r in range(n):
-        # predicate written as a difference so brute force and fast path agree
-        ok = np.nonzero(times - times[r] <= delta)[0]
-        caps[r] = ok[-1]
-    return caps
-
-
 def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.ndarray:
-    """Vectorized ``ps_module`` over rows of a (m, n) value matrix."""
+    """Vectorized ``ps_module`` over rows of a (m, n) value matrix.
+
+    The admissible triples are exactly the triples inside the span windows
+    [r, cap(r)], cap(r) the last index t with times[t] - times[r] <= delta,
+    so the module is the largest ``triple_min_sup`` over those windows.
+    """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta={delta} outside [0,1]")
     v = np.atleast_2d(np.asarray(values, dtype=float))
     t = np.asarray(times, dtype=float)
-    m, n = v.shape
-    caps = _span_caps(t, delta)
-    best = np.zeros(m)
-    for s in range(n):
-        arm_right = np.abs(v[:, s:] - v[:, s : s + 1])
-        # cummax over t >= s: max |v[t]-v[s]| for t in [s, j]
-        cum = np.maximum.accumulate(arm_right, axis=1)
-        lo = int(np.searchsorted(caps, s))  # first r with caps[r] >= s
-        for r in range(lo, s + 1):
-            c = caps[r]
-            if c < s:
-                continue
-            val = np.minimum(np.abs(v[:, s] - v[:, r]), cum[:, c - s])
-            np.maximum(best, val, out=best)
+    # the brute force's difference predicate; subtraction is monotone, so
+    # each row's admissible indices form a prefix
+    caps = (t[None, :] - t[:, None] <= delta).sum(axis=1) - 1
+    best = np.zeros(v.shape[0])
+    # a window whose cap repeats the previous one nests inside it
+    for r in np.flatnonzero(np.diff(caps, prepend=-1)):
+        left, right = _arm_maxima(v[:, r : caps[r] + 1])
+        np.maximum(best, np.minimum(left, right).max(axis=1), out=best)
     return best
 
 

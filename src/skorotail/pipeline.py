@@ -115,13 +115,7 @@ def verify(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None,
     for h, tail in est.tails_kappa.items():
         checks.append((f"module_h={h:g}",
                        moment_module_bound(est.table, est.envelope, h, u), tail))
-    tables = {
-        f"bound_{label.replace('=', '_')}.csv": (
-            ["u", "bound", "param"],
-            [curve.thresholds, curve.probs, np.array([str(p) for p in curve.params])],
-        )
-        for label, curve, _ in checks
-    }
+    tables = {f"bound_{label.replace('=', '_')}.csv": curve.table() for label, curve, _ in checks}
     report = {"process": spec.kind, "seed": config.seed, "n_paths": len(est.bundle)}
     return _run(report, checks, strict, tables, est)
 

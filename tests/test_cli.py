@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -72,6 +73,26 @@ class TestBound:
         lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "u,bound,param"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("name", ["power-global", "power-module"])
+    def test_power_curve_csv_has_three_fields_per_row(self, name, tmp_path, capsys):
+        out = tmp_path / "bound.csv"
+        assert run(["bound", name, "--u", "1:100:4", "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["u", "bound", "param"]
+        assert len(rows) == 5
+        assert all(len(r) == 3 for r in rows)
+        assert {r[2] for r in rows[1:]} == {"(2.0, 1.0)"}
+
+    def test_write_csv_quotes_text_fields(self, tmp_path):
+        out = tmp_path / "t.csv"
+        text = np.array(["(2.0, 1.0)", 'say "hi"', "plain"])
+        write_csv(out, ["u", "a,b"], [np.array([1.0, 2.5, 3.0]), text])
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows == [["u", "a,b"], ["1", "(2.0, 1.0)"], ["2.5", 'say "hi"'], ["3", "plain"]]
+        assert out.read_text().splitlines()[3] == "3,plain"
 
     def test_entropy_series_divergent_exit_code(self, capsys):
         rc = run(["bound", "entropy-series", "--gamma", "1.0", "--beta", "1",
@@ -157,6 +178,20 @@ class TestSimulateVerify:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_paths"] == 120  # flag wins
         assert summary["seed"] == 9  # config fills the rest
+
+    def test_config_u_grid_list_matches_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u_grid": [1, 2, 3]}))
+        a, b = tmp_path / "cfg_run", tmp_path / "flag_run"
+        assert run(["verify", *SMALL_SIM, "--config", str(cfg), "--out", str(a)]) == 0
+        assert run(["verify", *SMALL_SIM, "--u-grid", "1,2,3", "--out", str(b)]) == 0
+        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+    def test_config_u_grid_non_numeric_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u_grid": ["a"]}))
+        assert run(["verify", *SMALL_SIM, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_boundary_grid_flag(self, tmp_path, capsys):
         out = tmp_path / "bd"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skorotail.paths import (
@@ -12,6 +12,7 @@ from skorotail.paths import (
     ps_module,
     ps_module_brute,
     ps_module_curve,
+    ps_module_matrix,
     triple_min,
     triple_min_sup,
 )
@@ -119,6 +120,71 @@ class TestPsModule:
         curve = ps_module_curve(TWO_JUMP, np.linspace(0.05, 1.0, 20))
         assert isinstance(curve, ModulusCurve)
         assert np.all(np.diff(curve.values) >= 0)
+
+
+def jumps_at(times, a, b):
+    """Path with unit jumps entering at indices a < b: 0, then 1, then 2."""
+    idx = np.arange(times.size)
+    return SampledPath(times, (idx >= a).astype(float) + (idx >= b))
+
+
+class TestExactSpanBoundaries:
+    """Spans equal to one of the grid's own differences sit exactly on the
+    admissibility boundary; times[r] + delta can round to either side of
+    times[t], so only the difference predicate agrees with the brute force."""
+
+    T64 = np.linspace(0.0, 1.0, 64)
+
+    def test_boundary_triple_admitted(self):
+        # the triple (1, 2, 34) spans exactly t[34] - t[1]
+        t = self.T64
+        path, delta = jumps_at(t, 2, 34), t[34] - t[1]
+        assert ps_module(path, delta) == ps_module_brute(path, delta) == 1.0
+
+    def test_triple_past_the_boundary_excluded(self):
+        # the triple (32, 33, 35) spans t[35] - t[32] > t[3] - t[0]
+        t = self.T64
+        path, delta = jumps_at(t, 33, 35), t[3] - t[0]
+        assert ps_module(path, delta) == ps_module_brute(path, delta) == 0.0
+
+    def test_two_jump_paths_on_grid_differences(self):
+        # the module of a two-jump path (a < b) is 1 exactly when its
+        # tightest triple (a-1, a, b) is admissible, else 0; at delta =
+        # t[j] - t[i] the paths whose tightest triple spans j-i or j-i+1
+        # steps decide
+        t = self.T64
+        for i in (0, 1):
+            for j in range(i + 1, 63):
+                ks = [k for k in (j - i, j - i + 1) if k >= 2]
+                ab = [(a, a - 1 + k) for k in ks for a in range(1, 64 - k)]
+                values = np.array([jumps_at(t, a, b).values for a, b in ab])
+                tight = np.array([t[b] - t[a - 1] for a, b in ab])
+                delta = t[j] - t[i]
+                got = ps_module_matrix(t, values, delta)
+                np.testing.assert_array_equal(got, (tight <= delta).astype(float))
+
+
+@st.composite
+def paths_with_pair(draw):
+    path = draw(step_paths())
+    i = draw(st.integers(0, path.n - 1))
+    j = draw(st.integers(i, path.n - 1))
+    return path, i, j
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths_with_pair())
+# here times[2] + (times[4] - times[2]) < times[4]
+@example((SampledPath(np.array([0.0, 0.125, 0.16477170201079053, 0.25, 0.4262995701550149,
+                                0.5, 1.0]), np.zeros(7)), 2, 4))
+def test_module_at_own_pair_differences_matches_brute_force(case):
+    path, i, j = case
+    delta = path.times[j] - path.times[i]
+    assert ps_module(path, delta) == ps_module_brute(path, delta)
+    if j - i >= 2:
+        # a path whose only positive triple spans exactly delta
+        two = jumps_at(path.times, i + 1, j)
+        assert ps_module(two, delta) == ps_module_brute(two, delta) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
