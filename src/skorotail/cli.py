@@ -328,7 +328,7 @@ def cmd_bound(ns) -> int:
         raise ValueError(f"unknown bound name {name!r}")
     if out_curve is not None:
         for uu, pp, par in zip(out_curve.thresholds, out_curve.probs, out_curve.params):
-            print(f"{tio.fmt(uu)},{tio.fmt(pp)},{par}")
+            print(f"{tio.fmt(uu)},{tio.fmt(pp)},{tio._csv_field(str(par))}")
         if ns.out:
             tio.write_csv(ns.out, *out_curve.table())
     return 0
@@ -386,7 +386,10 @@ def cmd_clt(ns) -> int:
     ns = _merge_config(ns, {**_SIM_DEFAULTS, "n": "1,4,64", "t_marks": "0.25,0.5,0.75",
                             "strict": False})
     spec, config, u_grid = _run_inputs(ns)
-    n_list = [int(x) for x in str(ns.n).split(",")]
+    n_list = _parse_floats(ns.n)
+    if not all(x.is_integer() and x >= 1 for x in n_list):
+        raise ValueError(f"n must be positive integers, got {ns.n!r}")
+    n_list = [int(x) for x in n_list]
     t_marks = _parse_floats(ns.t_marks)
     return _finish(ns, pipeline.clt(spec, config, n_list, t_marks, u_grid,
                                     strict=bool(ns.strict)))

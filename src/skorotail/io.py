@@ -1,7 +1,8 @@
 """Text I/O: CSV tables, dense matrices with a time header, JSON reports.
 
 Floats are written with 17 significant digits so repeated runs with the same
-configuration produce byte-identical files.
+configuration produce byte-identical files.  Tables are written in blocks of
+rows, and each distinct float in a block is formatted once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,29 @@ def _csv_field(s: str) -> str:
     return '"' + s.replace('"', '""') + '"' if "," in s or '"' in s else s
 
 
+# cells formatted per block of rows: bounds the text held at once
+_BLOCK_CELLS = 1 << 16
+
+
+def _text(a: np.ndarray) -> np.ndarray:
+    """``fmt`` of every element of ``a``, as an object array of its shape.
+
+    A float array is formatted once per distinct value, found by its 64-bit
+    pattern: float equality would merge 0.0 with -0.0 (texts "0" and "-0").
+    """
+    if a.dtype.kind != "f":
+        return np.array([fmt(x) for x in a.ravel()], dtype=object).reshape(a.shape)
+    bits = a.astype(np.float64).view(np.int64)
+    distinct, where = np.unique(bits.ravel(), return_inverse=True)
+    text = np.array([f"{x:.17g}" for x in distinct.view(np.float64).tolist()], dtype=object)
+    return text[where].reshape(a.shape)
+
+
+def _write_rows(fh, cells: np.ndarray) -> None:
+    """Write a 2-d array of field texts as comma-joined lines."""
+    fh.writelines(",".join(row) + "\n" for row in cells.tolist())
+
+
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length columns as CSV with the given header; a text field
     holding a comma or a quote is quoted."""
@@ -47,10 +71,19 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     # a formatted number holds no comma or quote: quote text columns once
     cols = [c if c.dtype.kind in "biuf" else np.array([_csv_field(fmt(x)) for x in c], dtype=object)
             for c in cols]
-    lines = [",".join(map(_csv_field, header))]
-    for i in range(n):
-        lines.append(",".join(fmt(c[i]) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
+    floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
+    rows = max(1, _BLOCK_CELLS // len(cols))
+    with Path(path).open("w") as fh:
+        fh.write(",".join(map(_csv_field, header)) + "\n")
+        for lo in range(0, n, rows):
+            cells = np.empty((min(rows, n - lo), len(cols)), dtype=object)
+            for j, c in enumerate(cols):
+                if c.dtype.kind != "f":
+                    cells[:, j] = _text(c[lo : lo + rows])
+            if floats:
+                # one pass over the block's floats shares values across columns
+                cells[:, floats] = _text(np.stack([cols[j][lo : lo + rows] for j in floats], 1))
+            _write_rows(fh, cells)
 
 
 def read_two_columns(path) -> tuple[np.ndarray, np.ndarray]:
@@ -77,10 +110,12 @@ def read_two_columns(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_matrix(path, times: np.ndarray, m: np.ndarray) -> None:
     """Dense matrix with a header row of grid times."""
-    lines = [",".join(fmt(t) for t in times)]
-    for row in np.asarray(m):
-        lines.append(",".join(fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    m = np.asarray(m)
+    rows = max(1, _BLOCK_CELLS // max(m.shape[1], 1))
+    with Path(path).open("w") as fh:
+        fh.write(",".join(fmt(t) for t in times) + "\n")
+        for lo in range(0, m.shape[0], rows):
+            _write_rows(fh, _text(m[lo : lo + rows]))
 
 
 def read_matrix(path) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,8 @@ through the step rule.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,19 @@ __all__ = [
     "global_stat_brute",
     "ps_module_brute",
 ]
+
+
+# row blocks per worker in ``ps_module_matrix``: smaller blocks keep each
+# window's temporaries in cache
+_BLOCKS_PER_WORKER = 4
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -203,6 +218,8 @@ def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.
     The admissible triples are exactly the triples inside the span windows
     [r, cap(r)], cap(r) the last index t with times[t] - times[r] <= delta,
     so the module is the largest ``triple_min_sup`` over those windows.
+    Rows are independent: blocks of them go to a thread pool with one worker
+    per available CPU, and the result is the same for any number of workers.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta={delta} outside [0,1]")
@@ -211,10 +228,24 @@ def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.
     # the brute force's difference predicate; subtraction is monotone, so
     # each row's admissible indices form a prefix
     caps = (t[None, :] - t[:, None] <= delta).sum(axis=1) - 1
-    best = np.zeros(v.shape[0])
     # a window whose cap repeats the previous one nests inside it
-    for r in np.flatnonzero(np.diff(caps, prepend=-1)):
-        left, right = _arm_maxima(v[:, r : caps[r] + 1])
+    windows = [(r, caps[r] + 1) for r in np.flatnonzero(np.diff(caps, prepend=-1))]
+    workers = _worker_count()
+    blocks = min(v.shape[0], workers * _BLOCKS_PER_WORKER)
+    if blocks <= 1:
+        return _window_maxima(v, windows)
+    with ThreadPoolExecutor(min(workers, blocks)) as pool:
+        futures = [pool.submit(_window_maxima, rows, windows)
+                   for rows in np.array_split(v, blocks)]
+        return np.concatenate([f.result() for f in futures])
+
+
+def _window_maxima(v: np.ndarray, windows) -> np.ndarray:
+    """Per row of ``v``, the largest triple minimum inside any column window
+    [lo, hi)."""
+    best = np.zeros(v.shape[0])
+    for lo, hi in windows:
+        left, right = _arm_maxima(v[:, lo:hi])
         np.maximum(best, np.minimum(left, right).max(axis=1), out=best)
     return best
 

@@ -14,7 +14,6 @@ of (inputs, seed).
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,7 +23,8 @@ import numpy as np
 from scipy import stats as sps
 
 from .bounds import TailCurve
-from .paths import GFunction, SampledPath, ps_module_matrix, triple_min_sup_matrix
+from .paths import (GFunction, SampledPath, _worker_count, ps_module_matrix,
+                    triple_min_sup_matrix)
 
 __all__ = [
     "ProcessSpec",
@@ -241,14 +241,6 @@ class MomentTable:
     def nu(self):
         """The moment function as a callable (linear interpolation in p)."""
         return lambda p: np.interp(p, self.p_grid, self.values)
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _triple_sums(vs, ps, s_indices, arms, powers) -> np.ndarray:

@@ -1,12 +1,18 @@
 import csv
+import io
 import json
 from pathlib import Path
+from tempfile import TemporaryDirectory
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skorotail import io as tio
 from skorotail.cli import run
-from skorotail.io import read_matrix, read_two_columns, write_csv
+from skorotail.io import read_matrix, read_two_columns, write_csv, write_matrix
 
 
 def read_out(capsys):
@@ -84,6 +90,8 @@ class TestBound:
         assert len(rows) == 5
         assert all(len(r) == 3 for r in rows)
         assert {r[2] for r in rows[1:]} == {"(2.0, 1.0)"}
+        printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert printed == rows[1:]
 
     def test_write_csv_quotes_text_fields(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -220,6 +228,25 @@ class TestSimulateVerify:
                     "--u", "2.7182818"]) == 0
         assert "value=" in read_out(capsys)
 
+    CLT_SMALL = ["--process", "compound-poisson", "--rate", "3", "--grid", "16",
+                 "--paths", "300", "--seed", "2", "--u-points", "5", "--h", "0.1",
+                 "--t-marks", "0.5"]
+
+    def test_clt_config_n_list_matches_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": [1, 4]}))
+        a, b = tmp_path / "cfg_run", tmp_path / "flag_run"
+        assert run(["clt", *self.CLT_SMALL, "--config", str(cfg), "--out", str(a)]) == 0
+        assert run(["clt", *self.CLT_SMALL, "--n", "1,4", "--out", str(b)]) == 0
+        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("n", [[1.5], [0], [4, -1]])
+    def test_clt_config_n_must_be_positive_integers(self, n, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": n}))
+        assert run(["clt", *self.CLT_SMALL, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_clt_subcommand(self, tmp_path, capsys):
         out = tmp_path / "clt"
         rc = run(["clt", "--process", "compound-poisson", "--rate", "3",
@@ -230,3 +257,78 @@ class TestSimulateVerify:
         rep = json.loads((out / "report.json").read_text())
         assert rep["overall_pass"] is True
         assert set(rep["normality"]["0.5"]) == {"statistic", "pvalue", "rejected_at_1pct"}
+
+
+# values that a float-equality or per-column shortcut would get wrong
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 0.1, 1.0, 1e300]
+TEXTS = ["plain", "a,b", 'say "hi"', "(2.0, 1.0)", ""]
+
+
+def reference_csv(header, columns) -> str:
+    """The CSV ``write_csv`` must produce: every value through ``fmt`` on its own."""
+    cols = [np.asarray(c) for c in columns]
+    lines = [",".join(map(tio._csv_field, header))]
+    for i in range(cols[0].shape[0]):
+        lines.append(",".join(tio.fmt(c[i]) if c.dtype.kind in "biuf"
+                              else tio._csv_field(tio.fmt(c[i])) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def reference_matrix(times, m) -> str:
+    lines = [",".join(tio.fmt(t) for t in times)]
+    lines += [",".join(tio.fmt(x) for x in row) for row in np.asarray(m)]
+    return "\n".join(lines) + "\n"
+
+
+floats64 = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 9))
+
+    def col(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    f64 = np.array(col(floats64), dtype=np.float64)
+    columns = [
+        f64,
+        -f64,  # 0.0 next to -0.0, repeats across columns
+        np.array(col(st.sampled_from(SPECIAL[:4])), dtype=np.float64),  # repeats within
+        np.array(col(st.floats(width=32)), dtype=np.float32),
+        np.array(col(st.integers(-(2**62), 2**62)), dtype=np.int64),
+        np.array(col(st.booleans()), dtype=bool),
+        np.array(col(st.sampled_from(TEXTS)), dtype=str),
+    ]
+    order = draw(st.permutations(range(len(columns))))
+    header = [f"c{j}" if j % 3 else f"c,{j}" for j in order]
+    return header, [columns[j] for j in order]
+
+
+class TestWriterMatchesPerValueFormat:
+    """The writers format each distinct float once, in row blocks; the bytes
+    must equal formatting every value separately."""
+
+    @staticmethod
+    def written(write, block_cells, *args) -> str:
+        with TemporaryDirectory() as d, mock.patch.object(tio, "_BLOCK_CELLS", block_cells):
+            out = Path(d) / "out.csv"
+            write(out, *args)
+            return out.read_text()
+
+    @settings(max_examples=150)
+    @given(tables(), st.integers(1, 40))
+    def test_write_csv(self, table, block_cells):
+        header, columns = table
+        got = self.written(write_csv, block_cells, header, columns)
+        assert got == reference_csv(header, columns)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 6), st.integers(1, 6), st.booleans(), st.integers(1, 40), st.data())
+    def test_write_matrix(self, rows, cols, single, block_cells, data):
+        elements = st.floats(width=32) if single else floats64
+        m = np.array(data.draw(st.lists(elements, min_size=rows * cols, max_size=rows * cols)),
+                     dtype=np.float32 if single else np.float64).reshape(rows, cols)
+        times = np.linspace(0.0, 1.0, cols)
+        got = self.written(write_matrix, block_cells, times, m)
+        assert got == reference_matrix(times, m)

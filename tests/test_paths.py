@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skorotail import paths
 from skorotail.paths import (
     GFunction,
     ModulusCurve,
@@ -162,6 +163,21 @@ class TestExactSpanBoundaries:
                 delta = t[j] - t[i]
                 got = ps_module_matrix(t, values, delta)
                 np.testing.assert_array_equal(got, (tight <= delta).astype(float))
+
+    def test_row_pool_changes_no_output(self, monkeypatch):
+        # boundary two-jump paths and random walks; prefixes give m = 0, 1,
+        # fewer rows than blocks, and more
+        t = self.T64
+        rng = np.random.default_rng(3)
+        values = np.vstack([[jumps_at(t, a, b).values for a, b in ((2, 34), (33, 35), (1, 3))],
+                            rng.normal(size=(10, t.size)).cumsum(axis=1)])
+        for delta in (t[34] - t[1], t[3] - t[0], t[9] - t[2]):
+            brute = [ps_module_brute(SampledPath(t, row), delta) for row in values]
+            for workers in (1, 2, 3, 7):
+                monkeypatch.setattr(paths, "_worker_count", lambda: workers)
+                for m in (0, 1, 5, values.shape[0]):
+                    got = ps_module_matrix(t, values[:m], delta)
+                    assert np.array_equal(got, brute[:m]), (delta, workers, m)
 
 
 @st.composite
