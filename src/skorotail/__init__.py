@@ -42,11 +42,9 @@ from .gls import (
 )
 from .paths import (
     GFunction,
-    ModulusCurve,
     SampledPath,
     continuity_modulus,
     ps_module,
-    ps_module_curve,
     triple_min,
     triple_min_sup,
 )

@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import zeta
 
 from .gls import PsiFunction, conjugate_at
@@ -45,7 +46,6 @@ __all__ = [
     "polynomial_sequences",
     "default_sequence_family",
     "entropy_series_bound",
-    "entropy_module_bound",
     "moment_global_bound",
     "moment_module_bound",
     "exp_tail_envelopes",
@@ -58,7 +58,6 @@ __all__ = [
     "min_tail_fenchel",
     "MinTailFenchel",
     "pizier_min_bound",
-    "pizier_sup_bound",
     "factored_module_term",
     "factored_module_bound",
     "rosenthal_constant",
@@ -137,30 +136,18 @@ def chaining_theta_form(alpha: float, beta: float, theta: float) -> float:
 
 
 def _optimize_theta(alpha: float, beta: float) -> tuple[float, float]:
-    """Golden-section minimum of the theta form over its admissible interval."""
+    """Minimum (K, theta*) of the theta form over its admissible interval.
+
+    The derivative of its logarithm vanishes where
+    2 theta - 1 = 2^(1-alpha) theta^(1-2 beta).  The difference of the two
+    sides increases strictly on (2^((1-alpha)/(2 beta)), 1), where it runs
+    from theta - 1 < 0 up to 1 - 2^(1-alpha) > 0, so its root is the
+    unique minimizer.
+    """
     lo = 2 ** ((1 - alpha) / (2 * beta))
-    span = 1.0 - lo
-    grid = lo + span * np.linspace(1e-6, 1 - 1e-6, 400)
-    vals = np.array([chaining_theta_form(alpha, beta, t) for t in grid])
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid.size - 1)]
-    invphi = (math.sqrt(5) - 1) / 2
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc = chaining_theta_form(alpha, beta, c)
-    fd = chaining_theta_form(alpha, beta, d)
-    for _ in range(200):
-        if b - a < 1e-14 * max(1.0, b):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = chaining_theta_form(alpha, beta, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = chaining_theta_form(alpha, beta, d)
-    t_star = 0.5 * (a + b)
+    a = 2 ** (1 - alpha)
+    t_star = brentq(lambda t: 2 * t - 1 - a * t ** (1 - 2 * beta), lo, 1.0, xtol=1e-16)
+    t_star = np.float64(t_star)  # so a K beyond float range is inf, not an error
     return chaining_theta_form(alpha, beta, t_star), t_star
 
 
@@ -169,7 +156,8 @@ def chaining_constant(alpha: float, beta: float, mode: str = "closed") -> float:
 
     ``closed``     evaluates the closed form
                    (1 - 2^((1-alpha)/(4 beta)))^(-2 beta) / (2^((alpha-1)/2) - 1);
-    ``optimized``  minimizes the theta form numerically.
+    ``optimized``  minimizes the theta form at the root of its stationarity
+                   condition (see ``_optimize_theta``).
 
     The two modes come from distinct displayed estimates and do not order
     consistently: the closed form is smaller than the theta-form minimum for
@@ -406,14 +394,6 @@ def entropy_series_bound(
             "within the truncation budget for any supplied sequence pair"
         )
     return best
-
-
-def entropy_module_bound(series: SeriesBound, sigma: float) -> float:
-    """Module bound: series value times the scaled window modulus of the pair
-    function, clamped to [0,1]."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    return min(1.0, series.value * sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -721,12 +701,6 @@ def pizier_min_bound(d2p, r: float, s: float, t: float, u: float, p_grid=None) -
     return min(1.0, math.exp(best)), best_p
 
 
-def pizier_sup_bound(d2p, r: float, t: float, u: float, s_grid, p_grid=None) -> float:
-    """Pair version: sup over intermediate s of the per-triple infimum."""
-    vals = [pizier_min_bound(d2p, r, s, t, u, p_grid)[0] for s in np.asarray(s_grid, dtype=float)]
-    return float(max(vals))
-
-
 # ---------------------------------------------------------------------------
 # factored-distance module bound
 # ---------------------------------------------------------------------------
@@ -769,14 +743,8 @@ def factored_module_term(
 
 
 def factored_module_bound(
-    z: Callable[[float], float],
-    v: GFunction,
-    l: float,
-    b: float,
-    h: float,
-    u: float,
-    n_p: int = 120,
-) -> tuple[float, float]:
+    z: Callable[[float], float], v: GFunction, l: float, b: float, h: float, u: float
+) -> NoReturn:
     """Infimum of ``factored_module_term`` over the stated admissible range
     p in [2, min(b, 1/l)).
 
@@ -791,16 +759,10 @@ def factored_module_bound(
         raise BoundUnavailable(
             f"empty admissible range [2, min(b, 1/l)) = [2, {hi:g}) for l={l:g}, b={b:g}"
         )
-    ps = np.linspace(2.0, hi, n_p, endpoint=False)
-    ps = ps[l * ps > 1.0]
-    if ps.size == 0:
-        raise BoundUnavailable(
-            f"the stated range [2, {hi:g}) contains no order with l*p > 1 "
-            f"for l={l:g}; evaluate factored_module_term at a chosen p instead"
-        )
-    vals = [factored_module_term(z, v, l, p, h, u) for p in ps]
-    k = int(np.argmin(vals))
-    return float(vals[k]), float(ps[k])
+    raise BoundUnavailable(
+        f"the stated range [2, {hi:g}) contains no order with l*p > 1 "
+        f"for l={l:g}; evaluate factored_module_term at a chosen p instead"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +854,8 @@ def clt_exp_envelope(
         u_cal = np.sort(np.append(u_cal, u))
     gcurve, _ = clt_bounds(y, b_env, h, u_cal, p_grid=p_eval)
     c2 = _calibrate(gcurve.raw, rate_global(u_cal))
-    delta_value = min(1.0, _safe_exp(-c2 * float(rate_global(u))))
+    with np.errstate(divide="ignore"):  # ln u = 0 at u = 1, outside the flagged range
+        delta_value = min(1.0, _safe_exp(-c2 * float(rate_global(u))))
 
     if om == 0.0:
         return ExpEnvelopes(u, delta_value, 0.0, c2, np.inf, om, u >= math.e, True)

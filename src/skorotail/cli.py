@@ -224,7 +224,7 @@ def cmd_bound(ns) -> int:
     }
     ns = _merge_config(ns, defaults)
     name = ns.name
-    out_curve = None
+    out_curve = env = None
     if name == "k-constant":
         print(tio.fmt(B.chaining_constant(float(ns.alpha), float(ns.beta), ns.mode)))
     elif name == "rosenthal":
@@ -268,10 +268,6 @@ def cmd_bound(ns) -> int:
         g = _g_function(ns)
         u0 = float(_parse_grid(ns.u)[0])
         env = B.exp_tail_envelopes(float(ns.c1), float(ns.m), g, float(ns.h), u0)
-        print(f"delta={tio.fmt(env.delta_value)} kappa={tio.fmt(env.kappa_value)} "
-              f"c2={tio.fmt(env.c2)} c3={tio.fmt(env.c3)} "
-              f"delta_in_range={tio.fmt(env.delta_in_range)} "
-              f"kappa_in_range={tio.fmt(env.kappa_in_range)}")
     elif name == "min-tail-2d":
         u0 = float(_parse_grid(ns.u)[0])
         v0 = float(ns.v) if ns.v is not None else u0
@@ -302,9 +298,8 @@ def cmd_bound(ns) -> int:
         term = B.factored_module_term(lambda p: 1.0, v, float(ns.l), float(ns.p),
                                       float(ns.h), u0)
         print(f"term={tio.fmt(term)}")
-        val, p_star = B.factored_module_bound(lambda p: 1.0, v, float(ns.l),
-                                              float(ns.b), float(ns.h), u0)
-        print(f"value={tio.fmt(val)} p={tio.fmt(p_star)}")
+        # the stated range admits no order: raises BoundUnavailable, exit 3
+        B.factored_module_bound(lambda p: 1.0, v, float(ns.l), float(ns.b), float(ns.h), u0)
     elif name in ("clt", "clt-envelope"):
         g = _g_function(ns)
         if name == "clt":
@@ -322,10 +317,13 @@ def cmd_bound(ns) -> int:
         u0 = float(_parse_grid(ns.u)[0])
         env = B.clt_exp_envelope(float(ns.c1), float(ns.m), float(ns.s), g,
                                  float(ns.h), u0)
-        print(f"delta={tio.fmt(env.delta_value)} kappa={tio.fmt(env.kappa_value)} "
-              f"c2={tio.fmt(env.c2)} c3={tio.fmt(env.c3)}")
     else:
         raise ValueError(f"unknown bound name {name!r}")
+    if env is not None:
+        print(f"delta={tio.fmt(env.delta_value)} kappa={tio.fmt(env.kappa_value)} "
+              f"c2={tio.fmt(env.c2)} c3={tio.fmt(env.c3)} "
+              f"delta_in_range={tio.fmt(env.delta_in_range)} "
+              f"kappa_in_range={tio.fmt(env.kappa_in_range)}")
     if out_curve is not None:
         for uu, pp, par in zip(out_curve.thresholds, out_curve.probs, out_curve.params):
             print(f"{tio.fmt(uu)},{tio.fmt(pp)},{tio._csv_field(str(par))}")
@@ -405,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kappa", help="span-constrained module and global statistic "
                                      "of a step path")
     p.add_argument("--path", help="two-column (time, value) file")
-    p.add_argument("--fixture", choices=["two-jump"], help="built-in demo path")
     p.add_argument("--delta", help="comma list of span constraints")
     p.add_argument("--delta-grid", help="grid spec lo:hi:n or comma list")
     p.add_argument("--config")

@@ -51,13 +51,7 @@ SLOPE_MERGE_RTOL = 1e-7
 
 def lp_norm(draws: np.ndarray, p: float) -> float:
     """(mean |x|^p)^(1/p), computed scale-free to avoid overflow."""
-    x = np.abs(np.asarray(draws, dtype=float))
-    if x.size == 0:
-        raise ValueError("empty sample")
-    c = x.max()
-    if c == 0.0:
-        return 0.0
-    return float(c * np.mean((x / c) ** p) ** (1.0 / p))
+    return float(lp_norms(draws, [p])[0])
 
 
 def lp_norms(draws: np.ndarray, ps) -> np.ndarray:
@@ -190,9 +184,6 @@ class EmpiricalSample:
             raise ValueError("draws must be finite")
         object.__setattr__(self, "draws", d)
 
-    def moment(self, p: float) -> float:
-        return lp_norm(self.draws, p)
-
     def moments(self, ps) -> np.ndarray:
         return lp_norms(self.draws, ps)
 
@@ -223,48 +214,49 @@ def _log_mgf(draws: np.ndarray, lam: float) -> float:
     return float(logsumexp(lam * draws) - np.log(draws.size))
 
 
-def mgf_norm(
-    sample: EmpiricalSample,
-    phi: PhiFunction,
-    rel_tol: float = 1e-12,
-    tau_cap: float = 1e12,
-) -> float:
+def mgf_norm(sample: EmpiricalSample, phi: PhiFunction) -> float:
     """Least tau >= 0 with max(mean exp(+lam xi), mean exp(-lam xi)) <=
-    exp(phi(lam * tau)) at every grid lam, found by bisection.
+    exp(phi(lam * tau)) at every grid lam.
 
-    Requires an approximately centered sample.  Raises ValueError when no
-    finite tau satisfies the constraint (the empirical exponential-moment
-    condition fails on this grid).
+    phi is nondecreasing and piecewise linear, so each grid lam needs
+    tau >= phi^-1(log mgf(lam)) / lam, with phi^-1(y) the least argument
+    where phi reaches y (read off the table, or its final-slope extension);
+    tau is the largest of these.  Requires an approximately centered
+    sample.  Raises ValueError when no finite tau satisfies the constraint
+    (the empirical exponential-moment condition fails on this grid).
     """
     if not sample.is_centered():
         raise ValueError("sample is not centered: |mean| exceeds 3*std/sqrt(n)")
-    lams = phi.grid[phi.grid > 0]
+    g, v = phi.grid, phi.values
+    lams = g[g > 0]
     log_mgf = np.array(
         [max(_log_mgf(sample.draws, l), _log_mgf(sample.draws, -l)) for l in lams]
     )
-
-    def feasible(tau: float) -> bool:
-        bound = phi(lams * tau)
-        return bool(np.all(log_mgf <= bound + 1e-12))
-
-    if feasible(0.0):
-        return 0.0
-    hi = 1.0
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > tau_cap:
+    level = np.maximum.accumulate(v)  # the table allows dips of 1e-12
+    i = np.searchsorted(level, log_mgf)  # the first knot with level >= log mgf
+    x = np.zeros_like(log_mgf)  # i == 0: phi(0) already reaches it
+    inside = (i > 0) & (i < g.size)
+    j, y = i[inside], log_mgf[inside]
+    # knot j - 1 is the last one below y, so phi rises through y on
+    # [g[j-1], g[j]] with v[j] > v[j-1]; exact at a knot's own value
+    x[inside] = np.where(
+        v[j] == y, g[j], g[j - 1] + (g[j] - g[j - 1]) / (v[j] - v[j - 1]) * (y - v[j - 1])
+    )
+    over = i == g.size
+    if np.any(over):
+        slope = (v[-1] - v[-2]) / (g[-1] - g[-2])
+        if np.isinf(phi.lambda_max) and slope > 0:
+            x[over] = g[-1] + (log_mgf[over] - v[-1]) / slope
+        elif np.isinf(phi.lambda_max):
             raise ValueError(
                 "no finite scale satisfies the exponential-moment constraint "
                 "(empirical Kramer condition fails on this grid)"
             )
-    lo = 0.0
-    while hi - lo > rel_tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
         else:
-            lo = mid
-    return hi
+            # phi is +inf only strictly past the table: step beyond its end
+            # by more than x / lam * lam can round back
+            x[over] = g[-1] * (1 + 8 * np.finfo(float).eps)
+    return float(np.max(x / lams))
 
 
 def lower_convex_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:

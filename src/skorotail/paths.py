@@ -26,14 +26,11 @@ import numpy as np
 
 __all__ = [
     "SampledPath",
-    "ModulusCurve",
     "GFunction",
     "triple_min",
     "triple_min_sup",
     "ps_module",
-    "ps_module_curve",
     "continuity_modulus",
-    "continuity_modulus_curve",
     "global_stat_brute",
     "ps_module_brute",
 ]
@@ -52,10 +49,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _as_float_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
-
-
 @dataclass(frozen=True)
 class SampledPath:
     """Right-continuous step function on a finite grid of [0,1].
@@ -68,8 +61,8 @@ class SampledPath:
     values: np.ndarray
 
     def __post_init__(self):
-        t = _as_float_array(self.times)
-        v = _as_float_array(self.values)
+        t = np.asarray(self.times, dtype=float)
+        v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size or t.size < 2:
             raise ValueError("times and values must be 1-d arrays of equal length >= 2")
         if not np.all(np.diff(t) > 0):
@@ -94,26 +87,6 @@ class SampledPath:
 
 
 @dataclass(frozen=True)
-class ModulusCurve:
-    """A nondecreasing curve h -> value, e.g. a modulus evaluated on a grid."""
-
-    arguments: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        a = _as_float_array(self.arguments)
-        v = _as_float_array(self.values)
-        if a.ndim != 1 or a.size != v.size:
-            raise ValueError("arguments and values must be 1-d of equal length")
-        if not np.all(np.diff(a) > 0):
-            raise ValueError("arguments must be increasing")
-        if np.any(v < -1e-12) or np.any(np.diff(v) < -1e-12):
-            raise ValueError("values must be nonnegative and nondecreasing")
-        object.__setattr__(self, "arguments", a)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class GFunction:
     """Nondecreasing continuous function on [0,1], piecewise linear between
     grid points, with G(0) = 0.  Used as a deterministic envelope in the
@@ -123,8 +96,8 @@ class GFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        t = _as_float_array(self.times)
-        v = _as_float_array(self.values)
+        t = np.asarray(self.times, dtype=float)
+        v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size != v.size or t.size < 2:
             raise ValueError("times and values must be 1-d of equal length >= 2")
         if not np.all(np.diff(t) > 0):
@@ -250,13 +223,6 @@ def _window_maxima(v: np.ndarray, windows) -> np.ndarray:
     return best
 
 
-def ps_module_curve(path: SampledPath, deltas) -> ModulusCurve:
-    """Evaluate the module on an increasing grid of span constraints."""
-    d = np.asarray(deltas, dtype=float)
-    vals = np.array([ps_module(path, x) for x in d])
-    return ModulusCurve(d, vals)
-
-
 def global_stat_brute(path: SampledPath) -> float:
     """Reference O(n^3) enumeration of the unconstrained triple-minimum sup."""
     v = path.values
@@ -320,8 +286,3 @@ def continuity_modulus(times, values, h: float) -> float:
     diffs = np.interp(ends, t, v) - np.interp(starts, t, v)
     return float(diffs.max(initial=0.0))
 
-
-def continuity_modulus_curve(times, values, hs) -> ModulusCurve:
-    h = np.asarray(hs, dtype=float)
-    vals = np.array([continuity_modulus(times, values, x) for x in h])
-    return ModulusCurve(h, vals)

@@ -17,14 +17,13 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import stats as sps
 
 from .bounds import TailCurve
-from .paths import (GFunction, SampledPath, _worker_count, ps_module_matrix,
-                    triple_min_sup_matrix)
+from .paths import GFunction, _worker_count, ps_module_matrix, triple_min_sup_matrix
 
 __all__ = [
     "ProcessSpec",
@@ -36,7 +35,6 @@ __all__ = [
     "DominationReport",
     "generate_paths",
     "estimate_triple_moments",
-    "uniform_triple_moments",
     "fit_g_envelope",
     "empirical_tail",
     "boundary_functionals",
@@ -140,9 +138,6 @@ class PathBundle:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def path(self, i: int) -> SampledPath:
-        return SampledPath(self.times, self.values[i])
-
     def global_stats(self) -> np.ndarray:
         """Per-path unconstrained triple-minimum sup."""
         return triple_min_sup_matrix(self.values)
@@ -237,10 +232,8 @@ class MomentTable:
         if np.any(np.diff(self.values) < -1e-6 * max(1.0, float(self.values.max(initial=0.0)))):
             raise ValueError("moment values must be nondecreasing in p")
 
-    @property
-    def nu(self):
-        """The moment function as a callable (linear interpolation in p)."""
-        return lambda p: np.interp(p, self.p_grid, self.values)
+
+_TRIPLE_BLOCK = 512  # path rows per float32 block of ``estimate_triple_moments``
 
 
 def _triple_sums(vs, ps, s_indices, arms, powers) -> np.ndarray:
@@ -286,7 +279,6 @@ def estimate_triple_moments(
     bundle: PathBundle,
     p_grid=None,
     stride: Optional[int] = None,
-    block_size: int = 512,
 ) -> MomentTable:
     """Monte Carlo estimate of sup over triples r <= s <= t of the p-norm of
     min(|x(s)-x(r)|, |x(t)-x(s)|), with the per-pair sup over s kept for
@@ -298,7 +290,7 @@ def estimate_triple_moments(
     arbitrary moment orders stay inside floating range.
 
     For each middle point s the paths are reduced in float32 blocks of
-    ``block_size`` rows with float64 accumulation.  The minimum of the two
+    ``_TRIPLE_BLOCK`` rows with float64 accumulation.  The minimum of the two
     arms is taken once per block; each order p is the square of the previous
     one when p doubles it (the default grid 2, 4, ..., 32 needs squarings
     only) and ``min ** p`` otherwise.  The middle points are dealt out
@@ -311,8 +303,6 @@ def estimate_triple_moments(
     m, n = v.shape
     if m == 0:
         raise ValueError("empty path collection")
-    if block_size < 1:
-        raise ValueError("block_size must be positive")
     if p_grid is None:
         p_grid = _default_p_grid()
     ps = np.asarray(p_grid, dtype=float)
@@ -326,7 +316,7 @@ def estimate_triple_moments(
         return MomentTable(ps, np.zeros(ps.size), t[idx], np.zeros((k, k)), zero)
 
     vs = (v[:, idx] / scale).astype(np.float32)
-    block = min(block_size, m)
+    block = min(_TRIPLE_BLOCK, m)
     cells = block * ((k + 1) // 2) * (k // 2 + 1)  # block * max_s (s+1)(k-s)
     workers = min(_worker_count(), k)
     with ThreadPoolExecutor(workers) as pool:
@@ -352,23 +342,6 @@ def estimate_triple_moments(
         w = np.where(nu_vals[None, None, :] > 0, rho / nu_vals[None, None, :], 0.0).max(axis=2)
     np.fill_diagonal(w, 0.0)
     return MomentTable(ps, nu_vals, t[idx], w, rho)
-
-
-def uniform_triple_moments(tables: Sequence[MomentTable]) -> MomentTable:
-    """Uniform (over a family of path collections) natural moment function:
-    the elementwise max of per-collection estimates sharing one grid."""
-    if not tables:
-        raise ValueError("need at least one table")
-    t0 = tables[0]
-    for t in tables[1:]:
-        if not (np.array_equal(t.p_grid, t0.p_grid) and np.array_equal(t.pair_times, t0.pair_times)):
-            raise ValueError("tables must share p and pair grids")
-    values = np.max([t.values for t in tables], axis=0)
-    raw = np.max([t.raw_moments for t in tables], axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.where(values[None, None, :] > 0, raw / values[None, None, :], 0.0).max(axis=2)
-    np.fill_diagonal(w, 0.0)
-    return MomentTable(t0.p_grid, values, t0.pair_times, w, raw)
 
 
 def fit_g_envelope(pair_times: np.ndarray, w: np.ndarray) -> GFunction:
@@ -412,10 +385,6 @@ class TailEstimate:
     thresholds: np.ndarray
     freqs: np.ndarray
     upper: np.ndarray
-    n_paths: int
-    confidence: float
-    statistic: str
-    h: Optional[float] = None
 
 
 def binomial_upper(count: int, n: int, confidence: float) -> float:
@@ -453,7 +422,7 @@ def empirical_tail(
     counts = (stats[:, None] > u[None, :]).sum(axis=0)
     freqs = counts / n
     upper = np.array([binomial_upper(int(c), n, confidence) for c in counts])
-    return TailEstimate(u, freqs, upper, n, confidence, statistic, h)
+    return TailEstimate(u, freqs, upper)
 
 
 @dataclass(frozen=True)

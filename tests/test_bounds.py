@@ -15,7 +15,6 @@ from skorotail.bounds import (
     chaining_theta_form,
     clt_bounds,
     clt_exp_envelope,
-    entropy_module_bound,
     entropy_series_bound,
     exp_tail_envelopes,
     factored_module_bound,
@@ -28,7 +27,6 @@ from skorotail.bounds import (
     moment_module_bound,
     pair_pseudo_norm,
     pizier_min_bound,
-    pizier_sup_bound,
     polynomial_sequences,
     power_global_bound,
     power_module_bound,
@@ -63,11 +61,21 @@ class TestChainingConstant:
             chaining_constant(2.0, 1.0, mode="fancy")
 
     def test_optimized_matches_dense_grid_search(self):
-        for a, b in [(2.0, 1.0), (1.5, 1.0), (3.0, 0.5)]:
+        from skorotail.bounds import _optimize_theta
+
+        for a, b in [(2.0, 1.0), (1.5, 1.0), (3.0, 0.5), (2.0, 0.25), (1.2, 0.1),
+                     (1.01, 1.0), (1.001, 1.0), (1.001, 0.3)]:
             lo = 2 ** ((1 - a) / (2 * b))
             grid = lo + (1 - lo) * np.linspace(1e-7, 1 - 1e-7, 200_001)
-            dense = min(chaining_theta_form(a, b, t) for t in grid)
-            assert chaining_constant(a, b, "optimized") == pytest.approx(dense, rel=1e-6)
+            # the theta form, vectorized independently of the library
+            dense = np.min(2 ** ((1 - a) / (2 * b)) * (grid * (1 - grid)) ** (-2 * b)
+                           / (1 - 2 ** (1 - a) * grid ** (-2 * b)))
+            k, th = _optimize_theta(a, b)
+            assert chaining_constant(a, b, "optimized") == k
+            assert k == pytest.approx(dense, rel=1e-9)
+            assert k <= dense * (1 + 1e-14)
+            # stationarity: 2 theta - 1 = 2^(1-alpha) theta^(1-2 beta)
+            assert 2 * th - 1 - 2 ** (1 - a) * th ** (1 - 2 * b) == pytest.approx(0.0, abs=1e-14)
 
     def test_optimized_below_theta_form_everywhere(self):
         rng = np.random.default_rng(0)
@@ -196,12 +204,6 @@ class TestEntropySeries:
         best = entropy_series_bound(cov, lam, fam, 2.0)
         singles = [entropy_series_bound(cov, lam, p, 2.0).value for p in fam]
         assert best.value == pytest.approx(min(singles), rel=1e-12)
-
-    def test_module_factor(self):
-        res = self.geometric_preset_value(5.0)
-        assert entropy_module_bound(res, 0.01) == pytest.approx(
-            min(1.0, res.value * 0.01)
-        )
 
     def test_sequence_validation(self):
         bad_eps = SequencePair(lambda k: 0.5**k, lambda k: 0.5**k, "bad")
@@ -450,13 +452,6 @@ class TestPizier:
         d = lambda p, a, b: abs(b - a) ** 0.5
         val, _ = pizier_min_bound(d, 0.0, 0.25, 0.5, 100.0)
         assert val < 1e-10
-
-    def test_sup_variant_dominates_each_s(self):
-        d = lambda p, a, b: abs(b - a) ** 0.5
-        s_grid = np.linspace(0.1, 0.4, 7)
-        sup = pizier_sup_bound(d, 0.0, 0.5, 1.2, s_grid)
-        for s in s_grid:
-            assert sup >= pizier_min_bound(d, 0.0, s, 0.5, 1.2)[0] - 1e-15
 
 
 class TestFactoredModule:

@@ -113,6 +113,13 @@ class TestBound:
         assert rc == 3
         assert "term=" in read_out(capsys)  # the single term still evaluates
 
+    def test_clt_envelope_flags_threshold_below_e(self, capsys):
+        # the closed forms are stated for u >= e: a value at u = 1 is no bound
+        assert run(["bound", "clt-envelope", "--u", "1"]) == 0
+        fields = dict(f.split("=") for f in read_out(capsys).split())
+        assert fields["delta_in_range"] == "false"
+        assert fields["kappa_in_range"] == "false"
+
     def test_invalid_alpha(self, capsys):
         assert run(["bound", "k-constant", "--alpha", "0.5", "--beta", "1"]) == 2
 

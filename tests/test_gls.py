@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from skorotail.gls import (
@@ -99,8 +100,8 @@ class TestMgfNorm:
         tau = mgf_norm(RADEMACHER, phi)
         assert tau <= 1.0 + 1e-9
         assert tau >= 0.95
-        # bisection against the closed-form least scale; agreement is at the
-        # level of the piecewise-linear table resolution
+        # against the closed-form least scale; agreement is at the level of
+        # the piecewise-linear table resolution
         lams = phi.grid[phi.grid > 0]
         oracle = np.sqrt(np.max(2 * np.log(np.cosh(lams)) / lams**2))
         assert tau == pytest.approx(oracle, rel=1e-3)
@@ -117,6 +118,48 @@ class TestMgfNorm:
         phi = PhiFunction(grid, np.zeros_like(grid))
         with pytest.raises(ValueError, match="Kramer"):
             mgf_norm(RADEMACHER, phi)
+
+    @staticmethod
+    def feasible(draws, phi, tau):
+        lams = phi.grid[phi.grid > 0]
+        log_mgf = [max(logsumexp(l * draws), logsumexp(-l * draws)) - np.log(draws.size)
+                   for l in lams]
+        return bool(np.all(log_mgf <= phi(lams * tau) + 1e-12))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_least_feasible_on_natural_phi(self, seed):
+        # phi equals the log-mgf at every grid point, so tau = 1 up to rounding
+        # and any shortfall below the inverse of the log-mgf is infeasible
+        draws = np.random.default_rng(seed).normal(size=1000)
+        draws -= draws.mean()
+        phi = natural_phi(EmpiricalSample(draws))
+        tau = mgf_norm(EmpiricalSample(draws), phi)
+        assert self.feasible(draws, phi, tau)
+        assert not self.feasible(draws, phi, tau * (1 - 1e-9))
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0, 1.0, 2.0],  # zero on [0, 1], then slope 1
+        [0.0, 1e-13, 0.0, 1.0, 2.0],  # a dip of 1e-13 inside the flat start
+    ])
+    def test_least_feasible_on_flat_start(self, values):
+        # phi^-1(y) for y above the flat stretch starts at its last knot,
+        # not its first: log cosh 1 = 0.434 needs 1 * tau = g[-3] + 0.434
+        phi = PhiFunction(np.arange(len(values), dtype=float), np.array(values))
+        tau = mgf_norm(RADEMACHER, phi)
+        assert self.feasible(RADEMACHER.draws, phi, tau)
+        assert not self.feasible(RADEMACHER.draws, phi, tau * (1 - 1e-9))
+        assert tau == pytest.approx(len(values) - 3 + np.log(np.cosh(1.0)), rel=1e-12)
+
+    def test_finite_lambda_max_returns_feasible_scale(self):
+        # log cosh 2 > phi(2) = 1.32 while every other grid lam fits below
+        # tau = 1, so the binding constraint needs 2 tau strictly past the
+        # table, where phi is +inf; tau = 1 itself is infeasible
+        grid = np.linspace(0.0, 2.0, 41)
+        phi = PhiFunction(grid, 0.66 * grid, lambda_max=2.0)
+        tau = mgf_norm(RADEMACHER, phi)
+        assert self.feasible(RADEMACHER.draws, phi, tau)
+        assert not self.feasible(RADEMACHER.draws, phi, 1.0)
+        assert tau == pytest.approx(1.0, rel=1e-14)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.5, 5.0))

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from skorotail import paths
 from skorotail.paths import (
     GFunction,
-    ModulusCurve,
     SampledPath,
     continuity_modulus,
     global_stat_brute,
     ps_module,
     ps_module_brute,
-    ps_module_curve,
     ps_module_matrix,
     triple_min,
     triple_min_sup,
@@ -118,9 +116,8 @@ class TestPsModule:
                 assert ps_module(p, d) == ps_module_brute(p, d)
 
     def test_curve_monotone(self):
-        curve = ps_module_curve(TWO_JUMP, np.linspace(0.05, 1.0, 20))
-        assert isinstance(curve, ModulusCurve)
-        assert np.all(np.diff(curve.values) >= 0)
+        vals = [ps_module(TWO_JUMP, d) for d in np.linspace(0.05, 1.0, 20)]
+        assert np.all(np.diff(vals) >= 0)
 
 
 def jumps_at(times, a, b):
@@ -275,12 +272,8 @@ class TestContinuityModulus:
         assert continuity_modulus(t, v, 1.0) == pytest.approx(1.0)
 
     def test_curve_form(self):
-        from skorotail.paths import continuity_modulus_curve
-
         t = np.linspace(0, 1, 11)
-        curve = continuity_modulus_curve(t, t**2, np.array([0.05, 0.1, 0.3]))
-        assert isinstance(curve, ModulusCurve)
-        assert curve.values[1] == pytest.approx(0.19)
+        assert continuity_modulus(t, t**2, 0.1) == pytest.approx(0.19)
 
 
 class TestGFunction:

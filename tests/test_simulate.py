@@ -22,7 +22,6 @@ from skorotail.simulate import (
     generate_paths,
     partial_sum_paths,
     quantile_u_grid,
-    uniform_triple_moments,
 )
 
 CP_SPEC = ProcessSpec("compound-poisson", rate=5.0, jump_scale=1.0, grid_size=32)
@@ -43,14 +42,14 @@ def least_envelope_lp(w, cost):
     return np.concatenate([[0.0], np.cumsum(res.x)])
 
 
-def check_against_enumeration(n, m, p_grid, stride=None, block_size=512):
+def check_against_enumeration(n, m, p_grid, stride=None):
     """The kernel against a float64 loop over every triple of the strided grid."""
     rng = np.random.default_rng(8)
     times = np.linspace(0, 1, n)
     vals = rng.normal(size=(m, n)).cumsum(axis=1)
     vals -= vals[:, :1]
     t = estimate_triple_moments(PathBundle(times, vals), p_grid=np.array(p_grid),
-                                stride=stride, block_size=block_size)
+                                stride=stride)
     x = vals[:, np.unique(np.r_[np.arange(0, n, stride or 1), n - 1])]
     k = x.shape[1]
     raw = np.zeros((k, k, len(p_grid)))
@@ -160,26 +159,24 @@ class TestEstimateTripleMoments:
         (8, 200, (2.0, 3.0, 6.0, 12.0), None, 64),  # squaring after a general power
         (96, 60, (2.0, 4.0, 8.0), 4, 16),
     ])
-    def test_matches_direct_enumeration_blocked(self, n, m, p_grid, stride, block_size):
-        check_against_enumeration(n, m, p_grid, stride, block_size)
+    def test_matches_direct_enumeration_blocked(self, monkeypatch, n, m, p_grid, stride,
+                                                 block_size):
+        monkeypatch.setattr(simulate, "_TRIPLE_BLOCK", block_size)
+        check_against_enumeration(n, m, p_grid, stride)
 
     @pytest.mark.parametrize("workers", [2, 3, 7])
     def test_worker_count_does_not_change_output(self, monkeypatch, workers):
+        monkeypatch.setattr(simulate, "_TRIPLE_BLOCK", 256)
         b = generate_paths(CP_SPEC, SimConfig(n_paths=700, seed=14))
         ps = np.array([2.0, 3.0, 6.0])
 
         def run(count):
             monkeypatch.setattr(simulate, "_worker_count", lambda: count)
-            return estimate_triple_moments(b, ps, block_size=256)
+            return estimate_triple_moments(b, ps)
 
         one, many = run(1), run(workers)
         for field in ("values", "raw_moments", "pair_norms"):
             assert getattr(one, field).tobytes() == getattr(many, field).tobytes(), field
-
-    def test_block_size_validated(self):
-        b = generate_paths(CP_SPEC, SimConfig(n_paths=10, seed=0))
-        with pytest.raises(ValueError, match="block_size"):
-            estimate_triple_moments(b, block_size=0)
 
     def test_nested_monte_carlo_oracle_at_maximizing_triple(self):
         spec = ProcessSpec("compound-poisson", rate=5.0, jump_scale=1.0, grid_size=16)
@@ -222,24 +219,6 @@ class TestEstimateTripleMoments:
                 pair_norms=np.zeros((2, 2)),
                 raw_moments=np.zeros((2, 2, 2)),
             )
-
-
-class TestUniformTripleMoments:
-    def test_elementwise_max(self):
-        b1 = generate_paths(CP_SPEC, SimConfig(n_paths=400, seed=1))
-        b2 = generate_paths(CP_SPEC, SimConfig(n_paths=400, seed=2))
-        t1 = estimate_triple_moments(b1)
-        t2 = estimate_triple_moments(b2)
-        u = uniform_triple_moments([t1, t2])
-        assert np.all(u.values >= np.maximum(t1.values, t2.values) - 1e-15)
-        assert np.all(u.values <= np.maximum(t1.values, t2.values) + 1e-15)
-
-    def test_grid_mismatch_rejected(self):
-        b1 = generate_paths(CP_SPEC, SimConfig(n_paths=100, seed=1))
-        t1 = estimate_triple_moments(b1)
-        t2 = estimate_triple_moments(b1, p_grid=np.array([2.0, 3.0]))
-        with pytest.raises(ValueError):
-            uniform_triple_moments([t1, t2])
 
 
 class TestFitGEnvelope:
