@@ -166,8 +166,9 @@ def chaining_constant(alpha: float, beta: float, mode: str = "closed") -> float:
     """
     _check_alpha_beta(alpha, beta)
     if mode == "closed":
-        num = (1 - 2 ** ((1 - alpha) / (4 * beta))) ** (-2 * beta)
-        den = 2 ** ((alpha - 1) / 2) - 1
+        two = np.float64(2.0)  # so a K beyond float range is inf, not an error
+        num = (1 - two ** ((1 - alpha) / (4 * beta))) ** (-2 * beta)
+        den = two ** ((alpha - 1) / 2) - 1
         return num / den
     if mode == "optimized":
         return _optimize_theta(alpha, beta)[0]

@@ -67,6 +67,14 @@ class TestBound:
                     "--mode", "closed"]) == 0
         assert float(read_out(capsys)) == pytest.approx(95.3709, abs=1e-3)
 
+    @pytest.mark.parametrize("mode", ["closed", "optimized"])
+    def test_k_constant_beyond_float_range_is_inf(self, mode, capsys):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = run(["bound", "k-constant", "--alpha", "1.001", "--beta", "200",
+                      "--mode", mode])
+        assert rc == 0
+        assert read_out(capsys) == "inf"
+
     def test_rosenthal(self, capsys):
         assert run(["bound", "rosenthal", "--p", "2"]) == 0
         assert float(read_out(capsys)) == pytest.approx(1.8856, abs=1e-3)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from skorotail import gls
 from skorotail.gls import (
     EmpiricalSample,
     PhiFunction,
@@ -173,6 +174,66 @@ class TestMgfNorm:
         a = mgf_norm(EmpiricalSample(draws * scale), phi)
         b = mgf_norm(EmpiricalSample(draws), phi)
         assert a == pytest.approx(scale * b, rel=1e-2)
+
+
+def log_mgf_oracle(draws, lams):
+    """The per-lam reference: two scipy logsumexp calls per grid lam."""
+    return np.array([max(logsumexp(l * draws), logsumexp(-l * draws)) - np.log(draws.size)
+                     for l in lams])
+
+
+class TestLogMgfTable:
+    LAMS = np.linspace(0.0, 5.0, 24)[1:]  # 23, a multiple of no block size but 1
+
+    def test_ties_at_row_max(self):
+        # Rademacher: half of every row sits at its max, m = n / 2
+        draws = np.repeat([-1.0, 1.0], 500)
+        np.random.default_rng(0).shuffle(draws)
+        assert np.array_equal(gls._log_mgf_table(draws, self.LAMS),
+                              log_mgf_oracle(draws, self.LAMS))
+
+    def test_all_zero_sample(self):
+        draws = np.zeros(10)
+        table = gls._log_mgf_table(draws, self.LAMS)
+        assert np.array_equal(table, log_mgf_oracle(draws, self.LAMS))
+        assert np.all(table == 0.0)
+
+    @pytest.mark.parametrize("draws", [[1e308, -1e308, 5e307, -5e307, 0.0],
+                                       [-1e308, -1e308, -5e307]])
+    def test_overflowing_rows_match_the_fallback(self, draws):
+        # lam * draws overflows from lam = 2 on: the row max is +-inf, where
+        # logsumexp falls back to the unshifted log(sum(exp(a)))
+        draws = np.array(draws)
+        lams = np.array([0.5, 1.0, 2.0, 10.0])
+        with np.errstate(over="ignore"):
+            table = gls._log_mgf_table(draws, lams)
+            oracle = log_mgf_oracle(draws, lams)
+        assert np.array_equal(table, oracle)
+        assert np.all(np.isfinite(table[:2])) and np.all(table[2:] == np.inf)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_lam_count_off_the_block_size(self, block, monkeypatch):
+        monkeypatch.setattr(gls, "_LOG_MGF_BLOCK", block)
+        draws = np.random.default_rng(block).standard_t(3, size=2001)
+        assert np.array_equal(gls._log_mgf_table(draws, self.LAMS),
+                              log_mgf_oracle(draws, self.LAMS))
+
+    def test_natural_phi_family_of_sizes(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        fam = [EmpiricalSample(d - d.mean()) for d in
+               (rng.normal(0, 1, 3000), rng.laplace(0, 0.5, 1001), rng.normal(0, 2, 17))]
+        phi = natural_phi(fam, lam_max=1.5, n_grid=60)
+        monkeypatch.setattr(gls, "_log_mgf_table", log_mgf_oracle)
+        ref = natural_phi(fam, lam_max=1.5, n_grid=60)
+        assert np.array_equal(phi.values, ref.values)
+
+    def test_mgf_norm(self, monkeypatch):
+        draws = np.random.default_rng(5).normal(size=5000)
+        s = EmpiricalSample(draws - draws.mean())
+        phi = PhiFunction.quadratic(4.0, 101)
+        tau = mgf_norm(s, phi)
+        monkeypatch.setattr(gls, "_log_mgf_table", log_mgf_oracle)
+        assert tau == mgf_norm(s, phi)
 
 
 class TestNaturalPhi:
@@ -347,6 +408,13 @@ class TestValidation:
         g = np.linspace(0, 2, 10)
         with pytest.raises(ValueError):
             PhiFunction(g, np.sqrt(g))
+
+    def test_phi_finite_lambda_max_is_the_last_knot(self):
+        g = np.linspace(0, 2, 10)
+        with pytest.raises(ValueError, match="lambda_max"):
+            PhiFunction(g, g**2, lambda_max=10.0)
+        phi = PhiFunction(g, g**2, lambda_max=2.0)
+        assert phi(2.0) == 4.0 and phi(2.0 + 1e-9) == np.inf
 
     def test_phi_zero_at_origin(self):
         g = np.linspace(0, 2, 10)
