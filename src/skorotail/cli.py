@@ -95,7 +95,7 @@ def _sim_config(ns) -> sim.SimConfig:
         u_points=int(ns.u_points),
         h_grid=tuple(_parse_floats(ns.h)),
         confidence=float(ns.confidence),
-        triple_stride=None if ns.stride in (None, "auto") else int(ns.stride),
+        triple_stride=int(ns.stride),
     )
 
 
@@ -113,7 +113,7 @@ _SIM_DEFAULTS = {
     "u_points": 20,
     "h": "0.05,0.1",
     "confidence": 0.99,
-    "stride": "auto",
+    "stride": 1,
 }
 
 
@@ -133,7 +133,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                                     "overrides the data-driven grid")
     p.add_argument("--h", help="comma list of module spans")
     p.add_argument("--confidence", type=float, help="one-sided binomial confidence level")
-    p.add_argument("--stride", help="triple-enumeration stride or 'auto'")
+    p.add_argument("--stride", type=int, help="triple-enumeration stride (1: full grid)")
     p.add_argument("--config", help="JSON file with defaults for these flags")
     p.add_argument("--out", help="output directory")
 
@@ -345,6 +345,7 @@ def cmd_simulate(ns) -> int:
         "nu": {tio.fmt(p): v for p, v in zip(est.table.p_grid, est.table.values)},
         "g_total": est.envelope.total,
         "u_grid": list(est.u_grid),
+        "triple_grid": pipeline.triple_grid(est.table, config),
     }
     boundary = None
     if ns.beta_grid:

@@ -64,10 +64,11 @@ def lp_norms(draws: np.ndarray, ps) -> np.ndarray:
     c = x.max()
     if c == 0.0:
         return np.zeros_like(ps)
-    r = x / c
-    out = np.empty_like(ps)
+    with np.errstate(divide="ignore"):
+        log_r = np.log(np.divide(x, c, out=x), out=x)  # -inf at zero draws: exp(-inf) = 0
+    out, buf = np.empty_like(ps), np.empty_like(log_r)
     for i, p in enumerate(ps):
-        out[i] = np.mean(r**p) ** (1.0 / p)
+        out[i] = np.mean(np.exp(np.multiply(p, log_r, out=buf), out=buf)) ** (1.0 / p)
     return c * out
 
 

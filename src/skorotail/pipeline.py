@@ -19,7 +19,7 @@ from . import simulate as sim
 from .bounds import clt_bounds, moment_global_bound, moment_module_bound
 from .paths import GFunction
 
-__all__ = ["Estimation", "Run", "estimate", "verify", "clt"]
+__all__ = ["Estimation", "Run", "estimate", "verify", "clt", "triple_grid"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,11 @@ class Run:
         tio.write_json(outdir / "report.json", self.report)
 
 
+def triple_grid(table: sim.MomentTable, config: sim.SimConfig) -> dict:
+    """The grid the triple moments, hence nu and G, are certified on."""
+    return {"points": int(table.pair_times.size), "stride": config.triple_stride}
+
+
 def _moments(bundle: sim.PathBundle, config: sim.SimConfig):
     table = sim.estimate_triple_moments(bundle, config.p_grid, stride=config.triple_stride)
     return table, sim.fit_g_envelope(table.pair_times, table.pair_norms)
@@ -116,7 +121,8 @@ def verify(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None,
         checks.append((f"module_h={h:g}",
                        moment_module_bound(est.table, est.envelope, h, u), tail))
     tables = {f"bound_{label.replace('=', '_')}.csv": curve.table() for label, curve, _ in checks}
-    report = {"process": spec.kind, "seed": config.seed, "n_paths": len(est.bundle)}
+    report = {"process": spec.kind, "seed": config.seed, "n_paths": len(est.bundle),
+              "triple_grid": triple_grid(est.table, config)}
     return _run(report, checks, strict, tables, est)
 
 

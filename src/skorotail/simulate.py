@@ -15,6 +15,7 @@ of (inputs, seed).
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -100,7 +101,7 @@ class SimConfig:
     u_points: int = 20
     h_grid: tuple[float, ...] = (0.05, 0.1)
     confidence: float = 0.99
-    triple_stride: Optional[int] = None  # None: 1 up to 64 grid points, else 4
+    triple_stride: int = 1
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -233,111 +234,110 @@ class MomentTable:
             raise ValueError("moment values must be nondecreasing in p")
 
 
-_TRIPLE_BLOCK = 512  # path rows per float32 block of ``estimate_triple_moments``
+_TRIPLE_BLOCK = 256  # path rows per block of ``estimate_triple_moments``; fewer
+_TRIPLE_CELLS = 1 << 18  # where a power workspace would pass 2 MiB (k > 64)
 
 
-def _triple_sums(vs, ps, s_indices, arms, powers) -> np.ndarray:
-    """Max over the middle indices ``s_indices`` of the per-pair mean of
-    min(|x(s)-x(r)|, |x(t)-x(s)|)^p, as a (k, k, P) array indexed (r, t, p).
-
-    ``arms`` are two (block, k) and ``powers`` two flat float32 workspaces of
-    at least block * max_s (s+1)(k-s) cells; every intermediate is written
-    into them, so the call allocates only its per-pair float64 sums.
+def _triple_step(vs, ps, s, scale, ws):
+    """The sums S_s[p, r, t] over all paths of (min(|x(s)-x(r)|, |x(t)-x(s)|)
+    / scale)^p for r < s < t, as ``(True, S_s)``, or as ``(False, S_s -
+    S_{s-1})`` from the terms at s and s-1 of the paths that move, when under
+    half of them do.  Every intermediate but the row sums goes into ``ws``:
+    two arm workspaces of block * k cells and two of block * max_s s(k-s-1).
     """
     m, k = vs.shape
-    a_buf, b_buf = arms
-    c_buf, p_buf = powers
-    block = a_buf.shape[0]
-    best = np.zeros((k, k, ps.size))
-    for si in s_indices:
-        nr, nt = si + 1, k - si
-        sums = np.zeros((nr, nt, ps.size))
-        for lo in range(0, m, block):
-            rows = vs[lo : lo + block]
-            r = rows.shape[0]
-            a = np.subtract(rows[:, :nr], rows[:, si : si + 1], out=a_buf[:r, :nr])
-            np.abs(a, out=a)
-            b = np.subtract(rows[:, si:], rows[:, si : si + 1], out=b_buf[:r, :nt])
-            np.abs(b, out=b)
+    a_buf, b_buf, c_buf, p_buf = ws
+    block, nt = a_buf.size // k, k - s - 1
+    moved = np.flatnonzero(vs[:, s] != vs[:, s - 1])
+    full = 2 * moved.size >= m
+    mids = (s,) if full else (s, s - 1)
+    sums = np.zeros((len(mids), ps.size, s, nt))
+    for lo in range(0, m if full else moved.size, block):
+        rows = vs[lo : lo + block] if full else vs[moved[lo : lo + block]]
+        r = rows.shape[0]
+        a, b = a_buf[: r * s].reshape(r, s), b_buf[: r * nt].reshape(r, nt)
+        c, pw = (buf[: r * s * nt].reshape(r, s, nt) for buf in (c_buf, p_buf))
+        for out, mid in zip(sums, mids):
+            for arm, ends in ((a, rows[:, :s]), (b, rows[:, s + 1 :])):
+                np.subtract(ends, rows[:, mid : mid + 1], out=arm)
+                np.divide(np.abs(arm, out=arm), scale, out=arm)
             # a, b >= 0, so min(a^p, b^p) = min(a, b)^p: one minimum per block
-            c = np.minimum(a[:, :, None], b[:, None, :],
-                           out=c_buf[: r * nr * nt].reshape(r, nr, nt))
-            pw = p_buf[: r * nr * nt].reshape(r, nr, nt)
+            np.minimum(a[:, :, None], b[:, None, :], out=c)
             cur, prev = c, 1.0
-            for pi, p in enumerate(ps):
+            for j, p in enumerate(ps):
                 if p == 2.0 * prev:
                     np.multiply(cur, cur, out=pw)
                 else:
-                    np.power(c, np.float32(p), out=pw)
+                    np.power(c, p, out=pw)
                 cur, prev = pw, p
-                sums[:, :, pi] += pw.sum(axis=0, dtype=np.float64)
-        np.maximum(best[:nr, si:], sums / m, out=best[:nr, si:])
-    return best
+                out[j] += pw.sum(axis=0)
+    return full, sums[0] if full else sums[0] - sums[1]
 
 
-def estimate_triple_moments(
-    bundle: PathBundle,
-    p_grid=None,
-    stride: Optional[int] = None,
-) -> MomentTable:
+def estimate_triple_moments(bundle: PathBundle, p_grid=None, stride: int = 1) -> MomentTable:
     """Monte Carlo estimate of sup over triples r <= s <= t of the p-norm of
     min(|x(s)-x(r)|, |x(t)-x(s)|), with the per-pair sup over s kept for
-    envelope fitting.
+    envelope fitting.  Triples run over every ``stride``-th grid point
+    (endpoints always kept; by default the full grid); powers are taken after
+    scaling by the largest increment, so any moment order stays in range.
 
-    Triples are enumerated over every ``stride``-th grid point (endpoints
-    always kept); the default keeps the full grid up to 64 points and thins
-    by 4 beyond.  Powers are taken after scaling by the largest increment, so
-    arbitrary moment orders stay inside floating range.
-
-    For each middle point s the paths are reduced in float32 blocks of
-    ``_TRIPLE_BLOCK`` rows with float64 accumulation.  The minimum of the two
-    arms is taken once per block; each order p is the square of the previous
-    one when p doubles it (the default grid 2, 4, ..., 32 needs squarings
-    only) and ``min ** p`` otherwise.  The middle points are dealt out
-    round-robin to a thread pool with one worker per available CPU, each
-    writing into workspaces allocated here; the per-s means combine by
-    maximum, so the result is byte-identical for any number of workers.
+    The float64 per-pair sums S_s over the paths are a running sum over the
+    middle point s: a path with x(s) == x(s-1) has bitwise the same terms at
+    s as at s-1 (row r = s is zero), so S_s is S_{s-1} plus the new-minus-old
+    terms of the paths that move at s.  When at least half the paths move
+    (Brownian and empirical paths, partial sums), S_s is summed afresh, which
+    also resets any rounding drift.  Both take one minimum of the two arms per
+    block of rows and each order p as the square of the previous one when p
+    doubles it (the default 2, 4, ..., 32 needs squarings only).  A pool with
+    one worker per CPU computes the S_s, at most two middle points per worker
+    ahead; this thread applies them in s order and keeps the running max, so
+    the result is byte-identical for any worker count.
     """
-    t = bundle.times
-    v = bundle.values
+    t, v = bundle.times, bundle.values
     m, n = v.shape
     if m == 0:
         raise ValueError("empty path collection")
-    if p_grid is None:
-        p_grid = _default_p_grid()
-    ps = np.asarray(p_grid, dtype=float)
-    if stride is None:
-        stride = 1 if n <= 64 else 4
+    if stride < 1:
+        raise ValueError("stride must be a positive integer")
+    ps = np.asarray(_default_p_grid() if p_grid is None else p_grid, dtype=float)
     idx = np.unique(np.concatenate([np.arange(0, n, stride), [n - 1]]))
     k = idx.size
+    vs = v if k == n else v[:, idx]
+    # constant paths never move, so a zero scale is never divided by
     scale = float(v.max() - v.min())
-    if scale == 0.0:
-        zero = np.zeros((k, k, ps.size))
-        return MomentTable(ps, np.zeros(ps.size), t[idx], np.zeros((k, k)), zero)
-
-    vs = (v[:, idx] / scale).astype(np.float32)
-    block = min(_TRIPLE_BLOCK, m)
-    cells = block * ((k + 1) // 2) * (k // 2 + 1)  # block * max_s (s+1)(k-s)
+    widest = max(1, ((k - 1) // 2) * (k // 2))  # max_s s(k-s-1)
+    block = max(1, min(m, _TRIPLE_BLOCK, _TRIPLE_CELLS // widest))
     workers = min(_worker_count(), k)
+    # one set of workspaces per worker, cut from one allocation: freed whole, it
+    # leaves no holes in the allocator's heap to grow the later stages' peak
+    cuts = np.cumsum([block * k, block * k, block * widest])
+    spaces = [np.split(w, cuts) for w in np.empty((workers, 2 * block * (k + widest)))]
+
+    def step(s):
+        ws = spaces.pop()  # at most ``workers`` steps run at once
+        try:
+            return _triple_step(vs, ps, s, scale, ws)
+        finally:
+            spaces.append(ws)
+
+    running = np.zeros((ps.size, k, k))  # S_s[p, r, t]; rows r >= s are still zero
+    best = np.zeros_like(running)  # max over s of S_s
     with ThreadPoolExecutor(workers) as pool:
-        # interleaved middle points balance the per-s cost (s+1)(k-s)
-        futures = [
-            pool.submit(
-                _triple_sums, vs, ps, range(w, k, workers),
-                (np.empty((block, k), np.float32), np.empty((block, k), np.float32)),
-                (np.empty(cells, np.float32), np.empty(cells, np.float32)),
-            )
-            for w in range(workers)
-        ]
-        best = futures[0].result()  # max over s of mean (scaled min)^p
-        for future in futures[1:]:
-            np.maximum(best, future.result(), out=best)
-    # symmetrize: best currently holds (r, t) with r <= t
-    rho = scale * best ** (1.0 / ps[None, None, :])
+        window = deque(pool.submit(step, s) for s in range(1, min(k - 1, 1 + 2 * workers)))
+        for s in range(1, k - 1):
+            full, sums = window.popleft().result()
+            if s + 2 * workers < k - 1:
+                window.append(pool.submit(step, s + 2 * workers))
+            view = running[:, :s, s + 1 :]
+            view[...] = sums if full else view + sums
+            np.maximum(best[:, :s, s + 1 :], view, out=best[:, :s, s + 1 :])
+    # symmetrize: best holds (r, t) with r < t
+    rho = scale * (np.moveaxis(best, 0, -1) / m) ** (1.0 / ps[None, None, :])
     iu = np.triu_indices(k, 1)
     rho[iu[1], iu[0], :] = rho[iu[0], iu[1], :]
     nu_vals = rho.reshape(-1, ps.size).max(axis=0)
-    nu_vals = np.maximum.accumulate(nu_vals)  # iron out float32 noise
+    # nondecreasing in p (Lyapunov); rounding in the p-th root can break it by an ulp
+    nu_vals = np.maximum.accumulate(nu_vals)
     with np.errstate(invalid="ignore", divide="ignore"):
         w = np.where(nu_vals[None, None, :] > 0, rho / nu_vals[None, None, :], 0.0).max(axis=2)
     np.fill_diagonal(w, 0.0)
@@ -484,18 +484,10 @@ class DominationReport:
 
     @property
     def failures(self) -> list[dict]:
-        out = []
-        for i in np.nonzero(~self.ok)[0]:
-            out.append(
-                {
-                    "u": float(self.thresholds[i]),
-                    "bound": float(self.bound[i]),
-                    "upper_confidence": float(self.upper[i]),
-                    "frequency": float(self.freqs[i]),
-                    "margin": float(self.bound[i] - self.upper[i]),
-                }
-            )
-        return out
+        return [{"u": float(self.thresholds[i]), "bound": float(self.bound[i]),
+                 "upper_confidence": float(self.upper[i]), "frequency": float(self.freqs[i]),
+                 "margin": float(self.bound[i] - self.upper[i])}
+                for i in np.nonzero(~self.ok)[0]]
 
     def to_dict(self) -> dict:
         return {

@@ -191,6 +191,19 @@ class TestSimulateVerify:
         rep = json.loads((tmp_path / "z" / "report.json").read_text())
         assert rep["overall_pass"] is True
 
+    @pytest.mark.parametrize("cmd", ["simulate", "verify"])
+    def test_triple_grid_reported(self, cmd, tmp_path, capsys):
+        name = "summary.json" if cmd == "simulate" else "report.json"
+        grids = {}
+        for stride in (None, 5):
+            out = tmp_path / f"s{stride}"
+            flags = [] if stride is None else ["--stride", str(stride)]
+            run([cmd, *SMALL_SIM, *flags, "--out", str(out)])
+            grids[stride] = json.loads((out / name).read_text())["triple_grid"]
+        assert grids[None] == {"points": 24, "stride": 1}  # full grid by default
+        assert grids[5] == {"points": 6, "stride": 5}  # 0, 5, ..., 20 and 23
+        assert run([cmd, *SMALL_SIM, "--stride", "0"]) == 2
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"paths": 300, "seed": 9, "rate": 2.0,

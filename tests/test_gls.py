@@ -46,6 +46,14 @@ class TestLpNorm:
     def test_zero(self):
         assert lp_norm(np.zeros(5), 7.5) == 0.0
 
+    def test_zero_draws_add_nothing_and_input_untouched(self):
+        draws = np.array([0.0, -2.0, 0.0, 1.0, -0.0])
+        keep = draws.copy()
+        ps = np.array([1.0, 2.0, 7.5, 64.0])
+        want = [np.mean(np.abs(draws) ** p) ** (1 / p) for p in ps]
+        assert gls.lp_norms(draws, ps) == pytest.approx(want, rel=1e-14)
+        assert np.array_equal(draws, keep)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lp_norm(np.array([]), 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from skorotail import pipeline
-from skorotail.bounds import moment_global_bound, moment_module_bound
+from skorotail.bounds import TailCurve, moment_global_bound, moment_module_bound
 from skorotail.simulate import (
     ProcessSpec,
     SimConfig,
@@ -38,6 +38,7 @@ def explicit_verify_report(spec, config, u_grid, strict):
         "process": spec.kind,
         "seed": config.seed,
         "n_paths": config.n_paths,
+        "triple_grid": {"points": spec.grid_size, "stride": 1},
         "overall_pass": all(c.overall_pass for c in checks),
         "checks": [c.to_dict() for c in checks],
     }
@@ -62,6 +63,16 @@ def test_verify_writes_estimation_bounds_and_report(tmp_path):
         "envelope.csv", "moments.csv", "pair_norms.csv", "report.json",
         "tail_delta.csv", "tail_kappa_0.1.csv", "tail_kappa_0.2.csv",
     ]
+
+
+def test_check_fails_on_a_curve_below_the_tail():
+    # power control: half the simulated frequencies lies below the tail's upper
+    # confidence envelope at every threshold with an exceedance
+    tail = pipeline.estimate(SPEC, CONFIG).tail_delta
+    report = domination_report(TailCurve(tail.thresholds, tail.freqs / 2), tail)
+    assert report.overall_pass is False
+    assert [f["u"] for f in report.failures] == list(tail.thresholds[tail.freqs > 0])
+    assert tail.freqs[0] > 0.1  # the failures include a threshold far from the extreme tail
 
 
 def test_clt_rejects_at_the_pvalue_floor():

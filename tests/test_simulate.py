@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,15 +44,11 @@ def least_envelope_lp(w, cost):
     return np.concatenate([[0.0], np.cumsum(res.x)])
 
 
-def check_against_enumeration(n, m, p_grid, stride=None):
-    """The kernel against a float64 loop over every triple of the strided grid."""
-    rng = np.random.default_rng(8)
-    times = np.linspace(0, 1, n)
-    vals = rng.normal(size=(m, n)).cumsum(axis=1)
-    vals -= vals[:, :1]
-    t = estimate_triple_moments(PathBundle(times, vals), p_grid=np.array(p_grid),
-                                stride=stride)
-    x = vals[:, np.unique(np.r_[np.arange(0, n, stride or 1), n - 1])]
+def enumerated_moments(vals, p_grid, stride):
+    """Per-pair sup over s of the order-p norm of min(|x(s)-x(r)|, |x(t)-x(s)|),
+    by a float64 loop over every triple of the strided grid."""
+    n = vals.shape[1]
+    x = vals[:, np.unique(np.r_[np.arange(0, n, stride), n - 1])]
     k = x.shape[1]
     raw = np.zeros((k, k, len(p_grid)))
     for s in range(k):
@@ -60,9 +58,39 @@ def check_against_enumeration(n, m, p_grid, stride=None):
                 for j, p in enumerate(p_grid):
                     norm = np.mean(d**p) ** (1 / p)
                     raw[r, tt, j] = raw[tt, r, j] = max(raw[r, tt, j], norm)
-    assert t.pair_times.size == k
-    assert t.raw_moments == pytest.approx(raw, rel=1e-5, abs=1e-12)
-    assert t.values == pytest.approx(raw.reshape(-1, len(p_grid)).max(axis=0), rel=1e-5)
+    return raw
+
+
+def check_against_enumeration(n, m, p_grid, stride=None, vals=None):
+    """The kernel against a float64 loop over every triple of the strided grid
+    (Gaussian random walks unless ``vals`` is given); no ``stride`` runs the
+    kernel's default, checked against the full grid."""
+    if vals is None:
+        rng = np.random.default_rng(8)
+        vals = rng.normal(size=(m, n)).cumsum(axis=1)
+        vals -= vals[:, :1]
+    times = np.linspace(0, 1, n)
+    kwargs = {} if stride is None else {"stride": stride}
+    t = estimate_triple_moments(PathBundle(times, vals), p_grid=np.array(p_grid), **kwargs)
+    raw = enumerated_moments(vals, p_grid, stride or 1)
+    assert t.pair_times.size == raw.shape[0]
+    assert t.raw_moments == pytest.approx(raw, rel=1e-12, abs=1e-300)
+    assert t.values == pytest.approx(raw.reshape(-1, len(p_grid)).max(axis=0), rel=1e-12)
+
+
+def step_family(m, n, seed):
+    """Step paths that exercise both kernel branches: ties between jumps,
+    jumps at the first and last steps, a constant path, and a step at which
+    exactly half the paths move."""
+    rng = np.random.default_rng(seed)
+    jumps = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 0.5], size=(m, n)) * (rng.random((m, n)) < 0.3)
+    jumps[:, 0] = 0.0
+    jumps[0, :] = 0.0  # a constant path
+    jumps[1, 1] = jumps[2, n - 1] = 2.0  # a jump at s = 1 and at the last point
+    half = n // 2
+    jumps[:, half] = 0.0
+    jumps[: m // 2, half] = 1.0  # exactly half the paths move at this step
+    return jumps.cumsum(axis=1)
 
 
 class TestProcessSpec:
@@ -164,19 +192,46 @@ class TestEstimateTripleMoments:
         monkeypatch.setattr(simulate, "_TRIPLE_BLOCK", block_size)
         check_against_enumeration(n, m, p_grid, stride)
 
+    @pytest.mark.parametrize("n, m, seed, block_size", [
+        (9, 40, 0, 256), (12, 101, 1, 16), (16, 64, 2, 7), (5, 8, 3, 3),
+    ])
+    def test_step_paths_match_enumeration(self, monkeypatch, n, m, seed, block_size):
+        monkeypatch.setattr(simulate, "_TRIPLE_BLOCK", block_size)
+        vals = step_family(m, n, seed)
+        check_against_enumeration(n, m, (2.0, 3.0, 4.0, 8.0, 32.0), vals=vals)
+
+    def test_step_family_runs_both_branches(self):
+        vals = step_family(40, 9, 0)
+        moved = [np.count_nonzero(vals[:, s] != vals[:, s - 1]) for s in range(1, 9)]
+        assert 2 * max(moved) >= 40 and 2 * min(moved) < 40
+
+    def test_brownian_and_empirical_match_enumeration(self):
+        for kind in ("brownian", "empirical"):
+            b = generate_paths(ProcessSpec(kind, grid_size=10), SimConfig(n_paths=300, seed=2))
+            check_against_enumeration(10, 300, (2.0, 4.0, 8.0, 16.0, 32.0), vals=b.values)
+
     @pytest.mark.parametrize("workers", [2, 3, 7])
     def test_worker_count_does_not_change_output(self, monkeypatch, workers):
         monkeypatch.setattr(simulate, "_TRIPLE_BLOCK", 256)
-        b = generate_paths(CP_SPEC, SimConfig(n_paths=700, seed=14))
         ps = np.array([2.0, 3.0, 6.0])
+        # compound Poisson takes the incremental branch, Brownian the full one
+        bundles = [generate_paths(CP_SPEC, SimConfig(n_paths=700, seed=14)),
+                   generate_paths(ProcessSpec("brownian", grid_size=20),
+                                  SimConfig(n_paths=300, seed=14))]
 
-        def run(count):
+        def run(b, count):
             monkeypatch.setattr(simulate, "_worker_count", lambda: count)
             return estimate_triple_moments(b, ps)
 
-        one, many = run(1), run(workers)
-        for field in ("values", "raw_moments", "pair_norms"):
-            assert getattr(one, field).tobytes() == getattr(many, field).tobytes(), field
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+        try:
+            for b in bundles:
+                one, many = run(b, 1), run(b, workers)
+                for field in ("values", "raw_moments", "pair_norms"):
+                    assert getattr(one, field).tobytes() == getattr(many, field).tobytes(), field
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_nested_monte_carlo_oracle_at_maximizing_triple(self):
         spec = ProcessSpec("compound-poisson", rate=5.0, jump_scale=1.0, grid_size=16)
@@ -203,12 +258,20 @@ class TestEstimateTripleMoments:
             best = max(best, np.mean(np.minimum(np.abs(x), np.abs(y)) ** 2))
         assert t.values[0] ** 2 == pytest.approx(best, rel=0.1)
 
-    def test_stride_thins_beyond_64(self):
+    def test_default_uses_every_grid_point(self):
         spec = ProcessSpec("compound-poisson", rate=5.0, grid_size=96)
         b = generate_paths(spec, SimConfig(n_paths=50, seed=10))
         t = estimate_triple_moments(b)
+        assert np.array_equal(t.pair_times, b.times)
+
+    def test_explicit_stride_thins(self):
+        spec = ProcessSpec("compound-poisson", rate=5.0, grid_size=96)
+        b = generate_paths(spec, SimConfig(n_paths=50, seed=10))
+        t = estimate_triple_moments(b, stride=4)
         assert t.pair_times.size == 25  # every 4th point plus the endpoint
         assert t.pair_times[0] == 0.0 and t.pair_times[-1] == 1.0
+        with pytest.raises(ValueError, match="stride"):
+            estimate_triple_moments(b, stride=0)
 
     def test_moment_table_validation(self):
         with pytest.raises(ValueError, match="nondecreasing"):
