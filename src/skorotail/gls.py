@@ -61,6 +61,8 @@ def lp_norms(draws: np.ndarray, ps) -> np.ndarray:
     if x.size == 0:
         raise ValueError("empty sample")
     ps = np.asarray(ps, dtype=float)
+    if not np.all(np.isfinite(ps) & (ps > 0)):
+        raise ValueError("orders p must be finite and positive")
     c = x.max()
     if c == 0.0:
         return np.zeros_like(ps)

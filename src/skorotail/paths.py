@@ -36,11 +36,6 @@ __all__ = [
 ]
 
 
-# row blocks per worker in ``ps_module_matrix``: smaller blocks keep each
-# window's temporaries in cache
-_BLOCKS_PER_WORKER = 4
-
-
 def _worker_count() -> int:
     """CPUs this process may run on."""
     try:
@@ -149,14 +144,16 @@ def _arm_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Works on a (m, n) matrix of paths; returns two (m, n) arrays.
     """
     v = np.atleast_2d(values)
-    # running min/max from the left give the extreme increments in O(n)
-    lmin = np.minimum.accumulate(v, axis=1)
-    lmax = np.maximum.accumulate(v, axis=1)
-    left = np.maximum(v - lmin, lmax - v)
-    rmin = np.minimum.accumulate(v[:, ::-1], axis=1)[:, ::-1]
-    rmax = np.maximum.accumulate(v[:, ::-1], axis=1)[:, ::-1]
-    right = np.maximum(v - rmin, rmax - v)
-    return left, right
+    return _reach(v), _reach(v[:, ::-1])[:, ::-1]
+
+
+def _reach(v: np.ndarray) -> np.ndarray:
+    """max_{r<=s} |v[s]-v[r]| along rows, from running minima and maxima."""
+    below = np.minimum.accumulate(v, axis=1)
+    np.subtract(v, below, out=below)
+    above = np.maximum.accumulate(v, axis=1)
+    np.subtract(above, v, out=above)
+    return np.maximum(below, above, out=below)
 
 
 def triple_min_sup(path: SampledPath) -> float:
@@ -171,7 +168,7 @@ def triple_min_sup(path: SampledPath) -> float:
 def triple_min_sup_matrix(values: np.ndarray) -> np.ndarray:
     """Vectorized ``triple_min_sup`` over rows of a (m, n) value matrix."""
     left, right = _arm_maxima(values)
-    return np.minimum(left, right).max(axis=1)
+    return np.minimum(left, right, out=left).max(axis=1)
 
 
 def ps_module(path: SampledPath, delta: float) -> float:
@@ -190,36 +187,54 @@ def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.
 
     The admissible triples are exactly the triples inside the span windows
     [r, cap(r)], cap(r) the last index t with times[t] - times[r] <= delta,
-    so the module is the largest ``triple_min_sup`` over those windows.
-    Rows are independent: blocks of them go to a thread pool with one worker
-    per available CPU, and the result is the same for any number of workers.
+    so the module is the largest ``triple_min_sup`` over those windows; each
+    row is visited only at the windows where it jumps (``_window_maxima``).
+    Rows are independent: one block of them per available CPU goes to a
+    thread pool, and the result is the same for any number of workers.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta={delta} outside [0,1]")
     v = np.atleast_2d(np.asarray(values, dtype=float))
     t = np.asarray(times, dtype=float)
     # the brute force's difference predicate; subtraction is monotone, so
-    # each row's admissible indices form a prefix
+    # each row's admissible indices form a prefix and caps never decrease
     caps = (t[None, :] - t[:, None] <= delta).sum(axis=1) - 1
-    # a window whose cap repeats the previous one nests inside it
-    windows = [(r, caps[r] + 1) for r in np.flatnonzero(np.diff(caps, prepend=-1))]
-    workers = _worker_count()
-    blocks = min(v.shape[0], workers * _BLOCKS_PER_WORKER)
-    if blocks <= 1:
-        return _window_maxima(v, windows)
-    with ThreadPoolExecutor(min(workers, blocks)) as pool:
-        futures = [pool.submit(_window_maxima, rows, windows)
-                   for rows in np.array_split(v, blocks)]
+    workers = min(_worker_count(), v.shape[0])
+    if workers <= 1:
+        return _window_maxima(v, caps)
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(_window_maxima, rows, caps)
+                   for rows in np.array_split(v, workers)]
         return np.concatenate([f.result() for f in futures])
 
 
-def _window_maxima(v: np.ndarray, windows) -> np.ndarray:
-    """Per row of ``v``, the largest triple minimum inside any column window
-    [lo, hi)."""
-    best = np.zeros(v.shape[0])
-    for lo, hi in windows:
-        left, right = _arm_maxima(v[:, lo:hi])
-        np.maximum(best, np.minimum(left, right).max(axis=1), out=best)
+def _window_maxima(v: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Per row of ``v``, the largest triple minimum inside any span window
+    [lo, caps[lo]].
+
+    A row is visited at window lo only where that window can hold its
+    module.  If the row does not move at lo (v[lo] == v[lo+1]), a triple
+    from lo has the same value from lo+1 (or is 0), and the window at lo+1
+    reaches at least as far.  Windows sharing a cap nest inside the run's
+    first one, so within a run only the row's first move counts; and a
+    window holding fewer than two moves has statistic 0.
+    """
+    m, n = v.shape
+    moves = np.ascontiguousarray((v[:, 1:] != v[:, :-1]).T)
+    counts = np.zeros((n, m), dtype=np.int32)  # moves before each index
+    np.cumsum(moves, axis=0, out=counts[1:])
+    best = np.zeros(m)
+    run_lo = 0
+    for lo in range(n - 1):
+        if caps[lo] != caps[run_lo]:
+            run_lo = lo
+        hi = caps[lo] + 1
+        idx = np.flatnonzero(moves[lo] & (counts[lo] == counts[run_lo])
+                             & (counts[hi - 1] - counts[lo] >= 2))
+        if idx.size == 0:
+            continue
+        left, right = _arm_maxima(v[:, lo:hi] if idx.size == m else v[idx, lo:hi])
+        best[idx] = np.maximum(best[idx], np.minimum(left, right, out=left).max(axis=1))
     return best
 
 

@@ -58,6 +58,14 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(np.array([]), 2)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan])
+    def test_order_not_a_norm_rejected(self, p):
+        for draws in ([0.0, 2.0], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="orders p"):
+                lp_norm(np.array(draws), p)
+            with pytest.raises(ValueError, match="orders p"):
+                gls.lp_norms(np.array(draws), [2.0, p])
+
 
 class TestGlsNorm:
     def test_rademacher_sqrt_weight(self):

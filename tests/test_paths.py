@@ -177,6 +177,53 @@ class TestExactSpanBoundaries:
                     assert np.array_equal(got, brute[:m]), (delta, workers, m)
 
 
+def mixed_rows(rng, n):
+    """A constant row, a single-jump row, three sparse step rows and two
+    rows that move at every step, on small integer levels so that values
+    and differences tie."""
+    idx = np.arange(n)
+    rows = [np.full(n, 2.0), (idx >= rng.integers(1, n)).astype(float)]
+    for _ in range(3):
+        steps = np.zeros(n)
+        at = rng.choice(np.arange(1, n), size=int(rng.integers(2, 4)), replace=False)
+        steps[at] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=at.size)
+        rows.append(steps.cumsum())
+    for _ in range(2):
+        rows.append(rng.choice([-2.0, -1.0, 1.0, 3.0], size=n).cumsum())
+    return np.array(rows)
+
+
+class TestModuleVisitsOnlyJumps:
+    """The module skips every window where a row does not move at the left
+    edge, and every window after the row's first move in a run of windows
+    sharing a cap; the brute force visits all triples."""
+
+    def test_matches_brute_force_on_lattice_grids(self, monkeypatch):
+        # grid times on a coarse lattice: many pair differences coincide,
+        # so runs of windows sharing a cap start mid-grid
+        rng = np.random.default_rng(11)
+        mid_grid_runs = 0
+        for _ in range(40):
+            n = int(rng.integers(5, 13))
+            inner = rng.choice(np.arange(1, 24), size=n - 2, replace=False)
+            t = np.concatenate([[0.0], np.sort(inner) / 24, [1.0]])
+            values = mixed_rows(rng, n)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for k in rng.choice(len(pairs), size=6, replace=False):
+                i, j = pairs[k]
+                delta = t[j] - t[i]
+                caps = (t[None, :] - t[:, None] <= delta).sum(axis=1) - 1
+                mid_grid_runs += int(np.sum((caps[1:] == caps[:-1]) & (caps[1:] < n - 1)))
+                brute = [ps_module_brute(SampledPath(t, row), delta) for row in values]
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(paths, "_worker_count", lambda: workers)
+                    got = ps_module_matrix(t, values, delta)
+                    assert np.array_equal(got, brute), (t, delta, workers)
+                    # every row moves at every step: whole windows, no gather
+                    assert np.array_equal(ps_module_matrix(t, values[5:], delta), brute[5:])
+        assert mid_grid_runs > 100
+
+
 @st.composite
 def paths_with_pair(draw):
     path = draw(step_paths())
