@@ -66,6 +66,16 @@ __all__ = [
 ]
 
 ROSENTHAL_FACTOR = 0.6535
+# an entropy series stops once its geometric-majorant remainder is below
+# _SERIES_TOL, and is unavailable if that takes more than _SERIES_MAX_TERMS
+_SERIES_TOL = 1e-9
+_SERIES_MAX_TERMS = 100_000
+# leading terms of a sequence pair that ``validate_sequence_pair`` checks
+_SEQUENCE_CHECK_TERMS = 200
+# the exponential envelopes calibrate on _ENVELOPE_CAL_POINTS thresholds
+# against moment bounds on orders up to _ENVELOPE_P_MAX
+_ENVELOPE_P_MAX = 256.0
+_ENVELOPE_CAL_POINTS = 60
 
 
 def _safe_exp(x: float) -> float:
@@ -303,13 +313,15 @@ def default_sequence_family() -> list[SequencePair]:
     ]
 
 
-def validate_sequence_pair(pair: SequencePair, k_check: int = 200) -> None:
+def validate_sequence_pair(pair: SequencePair) -> None:
+    """Check eps(1) = 1, eps decreasing and theta positive with total weight
+    at most 1, on the first ``_SEQUENCE_CHECK_TERMS`` terms."""
     if abs(pair.eps(1) - 1.0) > 1e-12:
         raise ValueError(f"{pair.label}: eps(1) must equal 1")
-    eps = [pair.eps(k) for k in range(1, k_check + 1)]
+    eps = [pair.eps(k) for k in range(1, _SEQUENCE_CHECK_TERMS + 1)]
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError(f"{pair.label}: eps must be strictly decreasing")
-    th = [pair.theta(k) for k in range(1, k_check + 1)]
+    th = [pair.theta(k) for k in range(1, _SEQUENCE_CHECK_TERMS + 1)]
     if any(x <= 0 for x in th):
         raise ValueError(f"{pair.label}: theta must be positive")
     if sum(th) > 1.0 + 1e-9:
@@ -331,13 +343,11 @@ def _series_try(
     lam: Callable[[float], float],
     pair: SequencePair,
     u: float,
-    tol: float,
-    k_max: int,
 ) -> Optional[SeriesBound]:
     total = 0.0
     prev = None
     ratios: list[float] = []
-    for k in range(1, k_max + 1):
+    for k in range(1, _SERIES_MAX_TERMS + 1):
         term = covering(pair.eps(k + 1)) * pair.eps(k) / lam(u * pair.theta(k))
         if not np.isfinite(term) or term < 0:
             return None
@@ -350,7 +360,7 @@ def _series_try(
             rho = max(ratios)
             if rho < 1.0:
                 remainder = term * rho / (1.0 - rho)
-                if remainder < tol:
+                if remainder < _SERIES_TOL:
                     return SeriesBound(total, remainder, k, pair.label)
             elif k >= 32 and min(ratios) >= 1.0:
                 return None  # terms stopped decreasing: numerically divergent
@@ -364,8 +374,6 @@ def entropy_series_bound(
     lam: Callable[[float], float],
     pairs: SequencePair | Sequence[SequencePair],
     u: float,
-    tol: float = 1e-9,
-    k_max: int = 100_000,
 ) -> SeriesBound:
     """Truncated series sum_k N(eps(k+1)) eps(k) / lam(u theta(k)), minimized
     over the supplied sequence pairs.
@@ -373,9 +381,9 @@ def entropy_series_bound(
     ``covering`` maps a scale to a covering number and ``lam`` is the
     increasing growth function; the result bounds the probability that the
     global statistic exceeds 2u.  The truncation index is chosen so the
-    geometric-majorant remainder falls below ``tol``.  Raises
+    geometric-majorant remainder falls below ``_SERIES_TOL``.  Raises
     ``BoundUnavailable`` when no supplied pair yields a numerically
-    convergent series within the budget.
+    convergent series within ``_SERIES_MAX_TERMS`` terms.
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -386,7 +394,7 @@ def entropy_series_bound(
     best: Optional[SeriesBound] = None
     for pair in pairs:
         validate_sequence_pair(pair)
-        res = _series_try(covering, lam, pair, u, tol, k_max)
+        res = _series_try(covering, lam, pair, u)
         if res is not None and (best is None or res.value < best.value):
             best = res
     if best is None:
@@ -496,8 +504,6 @@ def exp_tail_envelopes(
     g: GFunction,
     h: float,
     u: float,
-    p_max: float = 256.0,
-    n_cal: int = 60,
 ) -> ExpEnvelopes:
     """Envelopes exp(-C2 u^(1/m)) for the global statistic and
     2 omega^(-1) exp(-C3 u^(1/m) omega) for the module, where omega is the
@@ -519,7 +525,7 @@ def exp_tail_envelopes(
         return ExpEnvelopes(u, 0.0, 0.0, np.inf, np.inf, om, True, True)
     a = 3.0 * c1 * g1
     nu = lambda p: c1 * p**m
-    p_cal = np.logspace(np.log10(2.0), np.log10(p_max / 4.0), n_cal)
+    p_cal = np.logspace(np.log10(2.0), np.log10(_ENVELOPE_P_MAX / 4.0), _ENVELOPE_CAL_POINTS)
     # thresholds where each calibration p is the unconstrained optimum; the
     # query threshold joins the grid so domination there is by construction,
     # and the p grid is left at the evaluators' default so the relaxation is
@@ -786,7 +792,6 @@ def clt_bounds(
     u_grid,
     b: float = np.inf,
     p_grid=None,
-    rosenthal: bool = True,
 ) -> tuple[TailCurve, TailCurve]:
     """Envelopes, uniform over the number of summands, for the tails of the
     global statistic and the module of normalized partial-sum paths:
@@ -795,15 +800,12 @@ def clt_bounds(
         extra 2 (omega_B(2h))^(p-1) factor,
 
     where y is the natural moment function of the summand process and B its
-    increment envelope.  With ``rosenthal=False`` the factor K_R is 1 and the
-    evaluator reduces to the plain moment bounds (for a uniform-in-n moment
-    function supplied directly)."""
+    increment envelope."""
     if not 0.0 < h <= 0.5:
         raise ValueError("h must lie in (0, 1/2]")
     ps, vals = _nu_table(y, b, p_grid)
     u = _u_grid(u_grid)
-    kr = np.array([rosenthal_constant(p) for p in ps]) if rosenthal else np.ones_like(ps)
-    coef = 3.0 * kr * vals
+    coef = 3.0 * np.array([rosenthal_constant(p) for p in ps]) * vals
     return (_moment_curve(ps, coef, b_env, None, u, "clt-global"),
             _moment_curve(ps, coef, b_env, h, u, "clt-module"))
 
@@ -815,8 +817,6 @@ def clt_exp_envelope(
     b_env: GFunction,
     h: float,
     u: float,
-    p_max: float = 256.0,
-    n_cal: int = 60,
 ) -> ExpEnvelopes:
     """Closed-form-shaped envelopes
 
@@ -843,14 +843,14 @@ def clt_exp_envelope(
             out = out * np.log(p) ** s
         return out
 
-    p_eval = np.logspace(np.log10(2.0), np.log10(p_max), 400)
+    p_eval = np.logspace(np.log10(2.0), np.log10(_ENVELOPE_P_MAX), 400)
 
     def rate_global(uu):
         return uu ** (m / (m + 1)) * np.abs(np.log(uu)) ** (m * (s - 1) / (m + 1))
 
     d0 = 3.0 * rosenthal_constant(2.0) * c1 * b1
     u_lo = max(math.e * 1.0001, d0)
-    u_cal = np.logspace(np.log10(u_lo), np.log10(u_lo) + 6, n_cal)
+    u_cal = np.logspace(np.log10(u_lo), np.log10(u_lo) + 6, _ENVELOPE_CAL_POINTS)
     if u >= math.e:
         u_cal = np.sort(np.append(u_cal, u))
     gcurve, _ = clt_bounds(y, b_env, h, u_cal, p_grid=p_eval)
@@ -867,7 +867,7 @@ def clt_exp_envelope(
         return ratio ** (m / (m + 1)) * np.abs(np.log(ratio)) ** (m * (s - 1) / (m + 1))
 
     lo_k = max(threshold * 1.0001, u_lo)
-    u_cal_k = np.logspace(np.log10(lo_k), np.log10(lo_k) + 6, n_cal)
+    u_cal_k = np.logspace(np.log10(lo_k), np.log10(lo_k) + 6, _ENVELOPE_CAL_POINTS)
     if u > threshold:
         u_cal_k = np.sort(np.append(u_cal_k, u))
     _, mcurve = clt_bounds(y, b_env, h, u_cal_k, p_grid=p_eval)

@@ -220,7 +220,7 @@ def cmd_bound(ns) -> int:
         "d": 1, "l": 0.25, "gamma": 0.5, "nu_power": None, "nu_file": None,
         "psi_power": 0.5, "psi_file": None, "g_slope": 1.0, "g_file": None, "seq_s": 0.1,
         "seq_theta": 0.6, "seq_nu": 2.0, "preset": "geometric", "r": 0.0,
-        "mid": 0.25, "t": 0.5, "holder": 0.5, "rosenthal_off": False,
+        "mid": 0.25, "t": 0.5, "holder": 0.5,
     }
     ns = _merge_config(ns, defaults)
     name = ns.name
@@ -306,8 +306,7 @@ def cmd_bound(ns) -> int:
             c, m = _parse_floats(ns.nu_power) if ns.nu_power else (1.0, 0.5)
             y = lambda p: c * np.asarray(p, dtype=float) ** m
             u = _parse_grid(ns.u)
-            gc, mc = B.clt_bounds(y, g, float(ns.h), u, b=float(ns.b),
-                                  rosenthal=not ns.rosenthal_off)
+            gc, mc = B.clt_bounds(y, g, float(ns.h), u, b=float(ns.b))
             for uu, gg, mm in zip(u, gc.probs, mc.probs):
                 print(f"{tio.fmt(uu)},{tio.fmt(gg)},{tio.fmt(mm)}")
             if ns.out:
@@ -445,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mid", type=float, help="middle time of a triple")
     p.add_argument("--t", type=float, help="right time of a triple")
     p.add_argument("--holder", type=float, help="increment-norm gap power")
-    p.add_argument("--rosenthal-off", action="store_true", default=None,
-                   help="drop the iid-sum factor (plain moment bound)")
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bound)

@@ -143,12 +143,12 @@ def _greedy_set_cover(within: np.ndarray) -> list[int]:
     return centers
 
 
-def covering_number(grid: SemiDistanceGrid, epsilon: float, method: str = "auto") -> CoveringResult:
+def covering_number(grid: SemiDistanceGrid, epsilon: float) -> CoveringResult:
     """Certified number of closed eps-balls, centered at grid points, covering
     the interval.
 
-    ``method='auto'`` uses the farthest-reach interval sweep whenever every
-    ball is a contiguous index range (true for any monotone gap function),
+    The farthest-reach interval sweep runs whenever every ball is a
+    contiguous index range (true for any monotone gap function),
     covering the continuum [0,1]; on a fine uniform grid under q(r,t) = |r-t|
     this returns exactly ceil(1/(2 eps)).  Other symmetric pair functions fall
     back to greedy set cover over the grid points, an upper bound on the
@@ -156,18 +156,12 @@ def covering_number(grid: SemiDistanceGrid, epsilon: float, method: str = "auto"
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if method not in ("auto", "interval", "greedy"):
-        raise ValueError(f"unknown method {method!r}")
     within = grid.q <= _tolerant(epsilon)
-    use_interval = method == "interval" or (
-        method == "auto" and _balls_are_intervals(within)
-    )
-    if use_interval:
+    exact = _balls_are_intervals(within)
+    if exact:
         centers, continuum = _interval_sweep(grid.times, within)
-        exact = True
     else:
-        centers = _greedy_set_cover(within)
-        exact, continuum = False, False
+        centers, continuum = _greedy_set_cover(within), False
     res = CoveringResult(
         epsilon=float(epsilon),
         count=len(centers),
@@ -180,9 +174,9 @@ def covering_number(grid: SemiDistanceGrid, epsilon: float, method: str = "auto"
     return res
 
 
-def metric_entropy(grid: SemiDistanceGrid, epsilon: float, method: str = "auto") -> float:
+def metric_entropy(grid: SemiDistanceGrid, epsilon: float) -> float:
     """Natural logarithm of the covering number."""
-    return float(np.log(covering_number(grid, epsilon, method=method).count))
+    return float(np.log(covering_number(grid, epsilon).count))
 
 
 def scaled_window_modulus(grid: SemiDistanceGrid, h: float) -> float:

@@ -49,6 +49,10 @@ SLOPE_MERGE_RTOL = 1e-7
 # lam rows per block of the log-mgf table: 1 to 8 rows time alike on 100k
 # draws, and the block's workspaces take 17 bytes per draw and row
 _LOG_MGF_BLOCK = 2
+# a moment sup at an order above this fraction of the largest is at the grid edge
+_EDGE_FACTOR = 0.98
+# standard errors of the mean within which ``is_centered`` holds
+_CENTERING_SIGMAS = 3.0
 
 
 def lp_norm(draws: np.ndarray, p: float) -> float:
@@ -135,14 +139,13 @@ class PhiFunction:
 class PsiFunction:
     """Tabulated moment weight psi(p) > 0 on a grid inside [1, b).
 
-    ``degenerate_at=l`` marks the single-moment weight concentrated at p = l,
-    for which the moment norm reduces to the plain L_l norm.
+    ``degenerate(l)`` is the single-moment weight concentrated at p = l, for
+    which the moment norm reduces to the plain L_l norm.
     """
 
     grid: np.ndarray
     values: np.ndarray
     b: float = np.inf
-    degenerate_at: Optional[float] = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -155,8 +158,6 @@ class PsiFunction:
             raise ValueError("grid must lie in [1, b) with b > 1")
         if np.any(v <= 0) or v.min() <= 0:
             raise ValueError("psi must be positive with positive infimum")
-        if self.degenerate_at is not None and g.size != 1:
-            raise ValueError("degenerate psi must have a single grid point")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -173,7 +174,7 @@ class PsiFunction:
     def degenerate(cls, l: float) -> "PsiFunction":
         if l < 1:
             raise ValueError("degenerate order must be >= 1")
-        return cls(np.array([l]), np.array([1.0]), b=max(l + 1.0, 2.0), degenerate_at=l)
+        return cls(np.array([l]), np.array([1.0]), b=max(l + 1.0, 2.0))
 
 
 @dataclass(frozen=True)
@@ -202,10 +203,11 @@ class EmpiricalSample:
     def n(self) -> int:
         return self.draws.size
 
-    def is_centered(self, k_sigma: float = 3.0) -> bool:
-        """|mean| <= k_sigma * std / sqrt(n), the statistical centering check."""
+    def is_centered(self) -> bool:
+        """|mean| <= _CENTERING_SIGMAS * std / sqrt(n), the statistical
+        centering check."""
         d = self.draws
-        tol = k_sigma * d.std() / np.sqrt(d.size)
+        tol = _CENTERING_SIGMAS * d.std() / np.sqrt(d.size)
         return bool(abs(d.mean()) <= tol + 1e-15)
 
 
@@ -430,7 +432,6 @@ def moment_tail_equivalence(
     m: float,
     s: float = 0.0,
     p_grid: Optional[np.ndarray] = None,
-    edge_factor: float = 0.98,
 ) -> EquivalenceReport:
     """Check the equivalence between |xi|_p <= C1 p^(1/m) log^s p growth and
     stretched-exponential tail decay on the empirical sample.
@@ -452,7 +453,7 @@ def moment_tail_equivalence(
     ratios = sample.moments(p_grid) / weights
     i = int(np.argmax(ratios))
     moment_sup = float(ratios[i])
-    at_edge = p_grid[i] >= edge_factor * p_grid[-1]
+    at_edge = p_grid[i] >= _EDGE_FACTOR * p_grid[-1]
 
     # sample.tail just below each distinct |draw| >= e, from one sort: the
     # atom itself counts, so every tail is at least 1/n

@@ -44,6 +44,22 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _unit_grid(times, values, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``times`` and ``values`` as float arrays, checked: times a finite,
+    strictly increasing grid of at least two points from 0 to 1, and values
+    ``ndim``-d with one entry per time along their last axis."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.size < 2 or v.ndim != ndim or v.shape[-1] != t.size:
+        raise ValueError(f"times must be 1-d of length >= 2 and values {ndim}-d "
+                         "with one entry per time")
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        raise ValueError("times must be finite and strictly increasing")
+    if t[0] != 0.0 or t[-1] != 1.0:
+        raise ValueError("times must start at 0 and end at 1")
+    return t, v
+
+
 @dataclass(frozen=True)
 class SampledPath:
     """Right-continuous step function on a finite grid of [0,1].
@@ -56,16 +72,9 @@ class SampledPath:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.ndim != 1 or t.size != v.size or t.size < 2:
-            raise ValueError("times and values must be 1-d arrays of equal length >= 2")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
-        if t[0] != 0.0 or t[-1] != 1.0:
-            raise ValueError("times must start at 0 and end at 1")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("times and values must be finite")
+        t, v = _unit_grid(self.times, self.values)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -91,14 +100,7 @@ class GFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.size != v.size or t.size < 2:
-            raise ValueError("times and values must be 1-d of equal length >= 2")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
-        if t[0] != 0.0 or t[-1] != 1.0:
-            raise ValueError("times must span [0,1]")
+        t, v = _unit_grid(self.times, self.values)
         if abs(v[0]) > 1e-12:
             raise ValueError("G(0) must be 0")
         if np.any(np.diff(v) < -1e-12):

@@ -51,12 +51,11 @@ class Estimation:
 
 @dataclass(frozen=True)
 class Run:
-    """A checked run: the ``report.json`` dict, its domination reports, and
-    what ``write`` puts next to it: CSV tables (name -> (header, columns))
-    and the estimation, if any."""
+    """A checked run: the ``report.json`` dict, with one entry per check
+    under ``checks``, and what ``write`` puts next to it: CSV tables (name ->
+    (header, columns)) and the estimation, if any."""
 
     report: dict
-    checks: list
     tables: dict
     estimation: Optional[Estimation] = None
 
@@ -84,18 +83,11 @@ def _moments(bundle: sim.PathBundle, config: sim.SimConfig):
     return table, sim.fit_g_envelope(table.pair_times, table.pair_norms)
 
 
-def _tails(bundle, u_grid, confidence, hs, stats):
-    delta = sim.empirical_tail(bundle, u_grid, confidence, "delta", stats=stats)
-    return delta, {h: sim.empirical_tail(bundle, u_grid, confidence, "kappa", h=h) for h in hs}
-
-
 def _run(report: dict, checks, strict: bool, tables: dict, estimation=None) -> Run:
     """Check each (label, bound, tail) and finish the report with the verdicts."""
-    reports = [sim.domination_report(bound, tail, strict=strict, label=label)
-               for label, bound, tail in checks]
-    overall = all(r.overall_pass for r in reports)
-    report = {**report, "overall_pass": overall, "checks": [r.to_dict() for r in reports]}
-    return Run(report, reports, tables, estimation)
+    entries = [sim.domination_report(bound, tail, strict, label) for label, bound, tail in checks]
+    report = {**report, "overall_pass": all(e["overall_pass"] for e in entries), "checks": entries}
+    return Run(report, tables, estimation)
 
 
 def estimate(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None) -> Estimation:
@@ -106,8 +98,9 @@ def estimate(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None) -> Estim
     stats = bundle.global_stats()
     if u_grid is None:
         u_grid = sim.quantile_u_grid(stats, config.u_points)
-    tails = _tails(bundle, u_grid, config.confidence, config.h_grid, stats)
-    return Estimation(bundle, table, envelope, u_grid, *tails)
+    tail = lambda s: sim.empirical_tail(s, u_grid, config.confidence)
+    return Estimation(bundle, table, envelope, u_grid, tail(stats),
+                      {h: tail(bundle.module_stats(h)) for h in config.h_grid})
 
 
 def verify(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None,
@@ -141,10 +134,11 @@ def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=No
         u_grid = sim.quantile_u_grid(np.concatenate(list(stats.values())), config.u_points)
     h = config.h_grid[0]
     gcurve, mcurve = clt_bounds(table, envelope, h, u_grid)
+    tail = lambda s: sim.empirical_tail(s, u_grid, config.confidence)
     checks = []
     for n, b in bundles.items():
-        tail_d, tails_k = _tails(b, u_grid, config.confidence, (h,), stats[n])
-        checks += [(f"global_n={n}", gcurve, tail_d), (f"module_n={n}_h={h:g}", mcurve, tails_k[h])]
+        checks += [(f"global_n={n}", gcurve, tail(stats[n])),
+                   (f"module_n={n}_h={h:g}", mcurve, tail(b.module_stats(h)))]
 
     n_big = max(n_list)
     vb = bundles[n_big]

@@ -24,7 +24,8 @@ import numpy as np
 from scipy import stats as sps
 
 from .bounds import TailCurve
-from .paths import GFunction, _worker_count, ps_module_matrix, triple_min_sup_matrix
+from .paths import (GFunction, _unit_grid, _worker_count, ps_module_matrix,
+                    triple_min_sup_matrix)
 
 __all__ = [
     "ProcessSpec",
@@ -33,7 +34,6 @@ __all__ = [
     "MomentTable",
     "TailEstimate",
     "BoundaryEstimate",
-    "DominationReport",
     "generate_paths",
     "estimate_triple_moments",
     "fit_g_envelope",
@@ -45,6 +45,8 @@ __all__ = [
 
 _KINDS = ("compound_poisson", "poisson", "brownian", "empirical", "uniform_jump")
 _CENTERED = ("compound_poisson", "brownian", "empirical")
+# ``quantile_u_grid`` starts at this quantile of the statistic
+_U_GRID_QUANTILE = 0.5
 
 
 @dataclass(frozen=True)
@@ -129,10 +131,7 @@ class PathBundle:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.ndim != 2 or v.shape[1] != t.size:
-            raise ValueError("values must be (n_paths, len(times))")
+        t, v = _unit_grid(self.times, self.values, ndim=2)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -387,42 +386,17 @@ class TailEstimate:
     upper: np.ndarray
 
 
-def binomial_upper(count: int, n: int, confidence: float) -> float:
-    """Exact one-sided upper confidence bound for a binomial proportion."""
-    if count >= n:
-        return 1.0
-    return float(sps.beta.ppf(confidence, count + 1, n - count))
-
-
-def empirical_tail(
-    bundle: PathBundle,
-    u_grid,
-    confidence: float = 0.99,
-    statistic: str = "delta",
-    h: Optional[float] = None,
-    stats: Optional[np.ndarray] = None,
-) -> TailEstimate:
-    """Per-threshold exceedance frequency of a per-path statistic with its
-    exact binomial upper confidence bound.
-
-    ``statistic`` is ``delta`` (global triple-minimum sup) or ``kappa``
-    (module at span ``h``); precomputed per-path values may be passed via
-    ``stats``."""
+def empirical_tail(stats, u_grid, confidence: float = 0.99) -> TailEstimate:
+    """Per-threshold exceedance frequency of a per-path statistic (such as
+    ``PathBundle.global_stats`` or ``module_stats``) with its exact one-sided
+    binomial upper confidence bound at level ``confidence``."""
+    stats = np.asarray(stats, dtype=float)
     u = np.asarray(u_grid, dtype=float)
-    if stats is None:
-        if statistic == "delta":
-            stats = bundle.global_stats()
-        elif statistic == "kappa":
-            if h is None:
-                raise ValueError("kappa statistic needs a span h")
-            stats = bundle.module_stats(h)
-        else:
-            raise ValueError(f"unknown statistic {statistic!r}")
     n = stats.size
     counts = (stats[:, None] > u[None, :]).sum(axis=0)
-    freqs = counts / n
-    upper = np.array([binomial_upper(int(c), n, confidence) for c in counts])
-    return TailEstimate(u, freqs, upper)
+    full = counts >= n  # beta(n + 1, 0) is no distribution: the bound is 1
+    upper = np.where(full, 1.0, sps.beta.ppf(confidence, counts + 1, np.where(full, 1, n - counts)))
+    return TailEstimate(u, counts / n, upper)
 
 
 @dataclass(frozen=True)
@@ -462,77 +436,47 @@ def boundary_functionals(bundle: PathBundle, beta_grid) -> BoundaryEstimate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DominationReport:
-    """Per-threshold verdicts that a computed bound sits above the upper
-    confidence envelope of a simulated tail.
+def domination_report(
+    bound: TailCurve, tail: TailEstimate, strict: bool = False, label: str = ""
+) -> dict:
+    """The report entry checking that a computed bound sits above the upper
+    confidence envelope of a simulated tail on their shared threshold grid.
 
     Thresholds with zero observed exceedances cannot refute a bound and pass
     vacuously unless ``strict``; strict mode demands the bound dominate the
-    confidence envelope everywhere.
+    confidence envelope everywhere.  ``failures`` lists the thresholds that
+    do not pass.
     """
-
-    thresholds: np.ndarray
-    bound: np.ndarray
-    freqs: np.ndarray
-    upper: np.ndarray
-    ok: np.ndarray
-    vacuous: np.ndarray
-    overall_pass: bool
-    strict: bool
-    label: str = ""
-
-    @property
-    def failures(self) -> list[dict]:
-        return [{"u": float(self.thresholds[i]), "bound": float(self.bound[i]),
-                 "upper_confidence": float(self.upper[i]), "frequency": float(self.freqs[i]),
-                 "margin": float(self.bound[i] - self.upper[i])}
-                for i in np.nonzero(~self.ok)[0]]
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "strict": self.strict,
-            "overall_pass": bool(self.overall_pass),
-            "thresholds": [float(x) for x in self.thresholds],
-            "bound": [float(x) for x in self.bound],
-            "frequency": [float(x) for x in self.freqs],
-            "upper_confidence": [float(x) for x in self.upper],
-            "ok": [bool(x) for x in self.ok],
-            "vacuous": [bool(x) for x in self.vacuous],
-            "failures": self.failures,
-        }
-
-
-def domination_report(
-    bound: TailCurve, estimate: TailEstimate, strict: bool = False, label: str = ""
-) -> DominationReport:
-    """Check bound >= upper confidence envelope on a shared threshold grid."""
-    if not np.array_equal(bound.thresholds, estimate.thresholds):
-        raise ValueError("bound and estimate must share the threshold grid")
-    dominated = bound.probs + 1e-12 >= estimate.upper
-    vacuous = estimate.freqs == 0.0
+    if not np.array_equal(bound.thresholds, tail.thresholds):
+        raise ValueError("bound and tail must share the threshold grid")
+    dominated = bound.probs + 1e-12 >= tail.upper
+    vacuous = tail.freqs == 0.0
     ok = dominated if strict else (dominated | vacuous)
-    return DominationReport(
-        thresholds=bound.thresholds,
-        bound=bound.probs,
-        freqs=estimate.freqs,
-        upper=estimate.upper,
-        ok=ok,
-        vacuous=vacuous & ~dominated,
-        overall_pass=bool(ok.all()),
-        strict=strict,
-        label=label,
-    )
+    u, probs, freqs, upper = bound.thresholds, bound.probs, tail.freqs, tail.upper
+    return {
+        "label": label,
+        "strict": strict,
+        "overall_pass": bool(ok.all()),
+        "thresholds": [float(x) for x in u],
+        "bound": [float(x) for x in probs],
+        "frequency": [float(x) for x in freqs],
+        "upper_confidence": [float(x) for x in upper],
+        "ok": [bool(x) for x in ok],
+        "vacuous": [bool(x) for x in vacuous & ~dominated],
+        "failures": [{"u": float(u[i]), "bound": float(probs[i]),
+                      "upper_confidence": float(upper[i]), "frequency": float(freqs[i]),
+                      "margin": float(probs[i] - upper[i])} for i in np.flatnonzero(~ok)],
+    }
 
 
-def quantile_u_grid(stats: np.ndarray, points: int = 20, q_lo: float = 0.5) -> np.ndarray:
+def quantile_u_grid(stats: np.ndarray, points: int = 20) -> np.ndarray:
     """Log-spaced threshold grid spanning the informative range of a
-    nonnegative statistic sample: from its ``q_lo`` quantile to 1.5x its max."""
+    nonnegative statistic sample: from its ``_U_GRID_QUANTILE`` quantile to
+    1.5x its max."""
     s = np.asarray(stats, dtype=float)
     top = float(s.max(initial=0.0))
     if top <= 0.0:
         return np.logspace(-2, 1, points)
-    lo = float(np.quantile(s, q_lo))
+    lo = float(np.quantile(s, _U_GRID_QUANTILE))
     lo = max(lo, 1e-6 * top)
     return np.logspace(np.log10(lo), np.log10(1.5 * top), points)

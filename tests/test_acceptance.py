@@ -250,12 +250,13 @@ def test_criterion_6_min_tail_domination():
 def test_criterion_7_full_domination_pipeline():
     spec = ProcessSpec("compound-poisson", rate=5.0, jump_scale=1.0, grid_size=64)
     run = pipeline.verify(spec, SimConfig(n_paths=100_000, seed=20_240_101), strict=True)
-    assert [c.label for c in run.checks] == ["global", "module_h=0.05", "module_h=0.1"]
-    for check in run.checks:
-        assert check.overall_pass, (check.label, check.failures)
+    checks = run.report["checks"]
+    assert [c["label"] for c in checks] == ["global", "module_h=0.05", "module_h=0.1"]
+    for check in checks:
+        assert check["overall_pass"], (check["label"], check["failures"])
     assert run.exit_code == 0
     report(7, "full domination pipeline",
-           "; ".join(f"{c.label} ok ({c.thresholds.size} thresholds)" for c in run.checks))
+           "; ".join(f"{c['label']} ok ({len(c['thresholds'])} thresholds)" for c in checks))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +276,9 @@ def test_criterion_8_clt_suite():
         assert not res["rejected_at_1pct"], (tm, res)
 
     # uniform-in-n domination of the global-statistic and module tails
-    assert len(run.checks) == 6
-    for check in run.checks:
-        assert check.overall_pass, (check.label, check.failures)
+    assert len(run.report["checks"]) == 6
+    for check in run.report["checks"]:
+        assert check["overall_pass"], (check["label"], check["failures"])
 
     # iid-sum moment inequality for symmetric signs at order 4
     rng = np.random.default_rng(27_182)

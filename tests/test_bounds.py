@@ -518,14 +518,6 @@ class TestCltBounds:
         g_opt, _ = clt_bounds(np.sqrt, GFunction.linear(), 0.05, u)
         assert g_opt.probs[0] <= g.probs[0] + 1e-15
 
-    def test_reduces_to_moment_bounds_without_rosenthal(self):
-        u = np.logspace(0.5, 2, 9)
-        g_env = GFunction.linear(1.7)
-        ps = np.logspace(np.log10(2), np.log10(32), 25)
-        gc, mc = clt_bounds(np.sqrt, g_env, 0.05, u, p_grid=ps, rosenthal=False)
-        assert np.allclose(gc.probs, moment_global_bound(np.sqrt, g_env, u, p_grid=ps).probs)
-        assert np.allclose(mc.probs, moment_module_bound(np.sqrt, g_env, 0.05, u, p_grid=ps).probs)
-
 
 class TestCltEnvelope:
     def test_no_log_factor_when_s_is_one(self):

@@ -95,14 +95,17 @@ class TestCoveringNumber:
         # an explicit error, so the check survives python -O
         monkeypatch.setattr(entropy, "_interval_sweep", lambda times, within: ([0], True))
         with pytest.raises(RuntimeError, match="fail to cover"):
-            covering_number(EUCLID, 0.25, method="interval")
+            covering_number(EUCLID, 0.25)
 
     def test_method_choices(self):
-        assert covering_number(EUCLID, 0.25, method="interval").count == 2
-        greedy = covering_number(EUCLID, 0.25, method="greedy")
-        assert greedy.count >= 2 and greedy.verify(EUCLID)
-        with pytest.raises(ValueError):
-            covering_number(EUCLID, 0.25, method="magic")
+        # interval balls get the exact sweep; balls that are not intervals
+        # (q(r,t) = |sin(4 pi (t - r))| is small again one half apart) get
+        # the greedy cover
+        assert covering_number(EUCLID, 0.25).exact
+        grid = SemiDistanceGrid.from_gap_function(lambda g: np.abs(np.sin(4 * np.pi * g)), 101)
+        greedy = covering_number(grid, 0.1)
+        assert not greedy.exact and not greedy.covers_continuum
+        assert greedy.verify(grid) and greedy.count >= 2
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.02, 0.9), st.floats(1.0, 3.0))

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -15,7 +16,6 @@ from skorotail.simulate import (
     PathBundle,
     ProcessSpec,
     SimConfig,
-    binomial_upper,
     boundary_functionals,
     domination_report,
     empirical_tail,
@@ -117,6 +117,28 @@ class TestProcessSpec:
         assert ProcessSpec("empirical").centered
         assert not ProcessSpec("poisson").centered
         assert not ProcessSpec("uniform-jump").centered
+
+
+class TestPathBundle:
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.6, 0.2, 0.8, 1.0],  # unsorted: the module would miss triples
+        [0.0, 0.5, 0.5, 1.0],
+        [-0.2, 0.5, 1.0],
+        [0.0, 0.5, 1.5],
+        [0.0, np.nan, 1.0],
+        [0.0, 0.5, np.inf],
+    ])
+    def test_times_must_be_a_grid_of_unit_interval(self, times):
+        with pytest.raises(ValueError, match="times"):
+            PathBundle(times, np.zeros((2, len(times))))
+
+    def test_shapes(self):
+        with pytest.raises(ValueError):
+            PathBundle([0.0, 1.0], np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            PathBundle([0.0, 1.0], np.zeros(2))
+        with pytest.raises(ValueError):
+            PathBundle([1.0], np.zeros((2, 1)))
 
 
 class TestGeneratePaths:
@@ -346,7 +368,7 @@ class TestEmpiricalTail:
     def test_constant_paths_zero_frequency(self):
         spec = ProcessSpec("compound-poisson", rate=0.0, grid_size=8)
         b = generate_paths(spec, SimConfig(n_paths=64, seed=0))
-        est = empirical_tail(b, np.array([0.1, 1.0]), 0.99, "delta")
+        est = empirical_tail(b.global_stats(), np.array([0.1, 1.0]), 0.99)
         assert np.all(est.freqs == 0.0)
         assert np.all(est.upper > 0.0)
 
@@ -356,31 +378,37 @@ class TestEmpiricalTail:
         vals[:, 3:] = 1.0
         vals[:, 7:] = 2.0
         b = PathBundle(times, vals)
-        est = empirical_tail(b, np.array([0.5, 0.99, 1.0, 1.5]), 0.99, "delta")
+        est = empirical_tail(b.global_stats(), np.array([0.5, 0.99, 1.0, 1.5]), 0.99)
         assert np.all(est.freqs[:2] == 1.0)
         assert np.all(est.freqs[2:] == 0.0)
-
-    def test_kappa_needs_span(self):
-        b = generate_paths(CP_SPEC, SimConfig(n_paths=10, seed=0))
-        with pytest.raises(ValueError):
-            empirical_tail(b, np.array([1.0]), 0.99, "kappa")
-        with pytest.raises(ValueError):
-            empirical_tail(b, np.array([1.0]), 0.99, "median")
+        assert np.all(est.upper[:2] == 1.0)  # every path exceeds: the bound is 1
 
     def test_upper_dominates_frequency(self):
         b = generate_paths(CP_SPEC, SimConfig(n_paths=800, seed=13))
-        est = empirical_tail(b, quantile_u_grid(b.global_stats(), 10), 0.95, "delta")
+        stats = b.global_stats()
+        est = empirical_tail(stats, quantile_u_grid(stats, 10), 0.95)
         assert np.all(est.upper >= est.freqs)
 
     def test_binomial_upper_exactness(self):
         # the upper bound is the value whose lower tail mass at the count is
         # exactly the complement of the confidence level
         for n, k, conf in [(100, 3, 0.99), (1000, 0, 0.95), (50, 50, 0.99)]:
-            ub = binomial_upper(k, n, conf)
+            ub = empirical_tail(np.arange(n) >= n - k, [0.5], conf).upper[0]
             if k == n:
                 assert ub == 1.0
             else:
                 assert beta_dist.cdf(ub, k + 1, n - k) == pytest.approx(conf, rel=1e-12)
+
+    @pytest.mark.parametrize("n,counts", [
+        (1, [0, 1]), (400, range(401)), (100_000, [0, 1, 7, 500, 99_999, 100_000])])
+    def test_upper_matches_per_count_bound(self, n, counts):
+        # one vectorized quantile call gives every count's scalar bound, bit for bit
+        counts = np.array(counts)
+        u = n - counts - 0.5  # exactly k of the statistics 0, 1, ..., n-1 exceed
+        for conf in (0.95, 0.99, 0.999):
+            upper = empirical_tail(np.arange(n), u, conf).upper
+            scalar = [1.0 if k == n else float(beta_dist.ppf(conf, k + 1, n - k)) for k in counts]
+            assert upper.tolist() == scalar
 
 
 class TestBoundaryFunctionals:
@@ -444,32 +472,34 @@ class TestDominationReport:
         u = self.grid()
         bound = TailCurve(u, np.ones(3))
         b = generate_paths(CP_SPEC, SimConfig(n_paths=200, seed=3))
-        est = empirical_tail(b, u, 0.99, "delta")
+        est = empirical_tail(b.global_stats(), u, 0.99)
         rep = domination_report(bound, est, strict=True)
-        assert rep.overall_pass and not rep.failures
+        assert rep["overall_pass"] and not rep["failures"]
 
     def test_zero_bound_fails_with_listed_thresholds(self):
         u = self.grid()
         bound = TailCurve(u, np.zeros(3))
         b = generate_paths(CP_SPEC, SimConfig(n_paths=400, seed=3))
-        est = empirical_tail(b, u, 0.99, "delta")
+        est = empirical_tail(b.global_stats(), u, 0.99)
         rep = domination_report(bound, est)
-        assert not rep.overall_pass
-        assert rep.failures and all(f["margin"] < 0 for f in rep.failures)
+        assert not rep["overall_pass"]
+        assert rep["failures"] and all(f["margin"] < 0 for f in rep["failures"])
+        assert [f["u"] for f in rep["failures"]] == [x for x, ok in zip(u, rep["ok"]) if not ok]
 
     def test_vacuous_thresholds(self):
         u = self.grid()
         bound = TailCurve(u, np.zeros(3))
         spec = ProcessSpec("compound-poisson", rate=0.0, grid_size=8)
         b = generate_paths(spec, SimConfig(n_paths=100, seed=0))
-        est = empirical_tail(b, u, 0.99, "delta")
-        assert domination_report(bound, est).overall_pass  # nothing observed
-        assert not domination_report(bound, est, strict=True).overall_pass
+        est = empirical_tail(b.global_stats(), u, 0.99)
+        assert domination_report(bound, est)["overall_pass"]  # nothing observed
+        assert domination_report(bound, est)["vacuous"] == [True] * 3
+        assert not domination_report(bound, est, strict=True)["overall_pass"]
 
     def test_grid_mismatch_rejected(self):
         bound = TailCurve(self.grid(), np.ones(3))
         b = generate_paths(CP_SPEC, SimConfig(n_paths=50, seed=3))
-        est = empirical_tail(b, np.array([1.0, 2.0, 5.0]), 0.99, "delta")
+        est = empirical_tail(b.global_stats(), np.array([1.0, 2.0, 5.0]), 0.99)
         with pytest.raises(ValueError):
             domination_report(bound, est)
 
@@ -477,9 +507,11 @@ class TestDominationReport:
         u = self.grid()
         bound = TailCurve(u, np.ones(3))
         b = generate_paths(CP_SPEC, SimConfig(n_paths=60, seed=3))
-        est = empirical_tail(b, u, 0.99, "delta")
-        d = domination_report(bound, est, label="demo").to_dict()
+        est = empirical_tail(b.global_stats(), u, 0.99)
+        d = domination_report(bound, est, label="demo")
         assert d["label"] == "demo" and d["overall_pass"] is True
+        assert json.loads(json.dumps(d)) == d
+        assert d["upper_confidence"] == est.upper.tolist() and d["bound"] == [1.0] * 3
 
 
 class TestEndToEndSmall:
@@ -489,9 +521,9 @@ class TestEndToEndSmall:
         env = fit_g_envelope(table.pair_times, table.pair_norms)
         stats = b.global_stats()
         u = quantile_u_grid(stats, 12)
-        est = empirical_tail(b, u, 0.99, "delta", stats=stats)
+        est = empirical_tail(stats, u, 0.99)
         bound = moment_global_bound(table, env, u)
-        assert domination_report(bound, est, strict=True).overall_pass
+        assert domination_report(bound, est, strict=True)["overall_pass"]
 
     def test_envelope_feeds_modulus(self):
         b = generate_paths(CP_SPEC, SimConfig(n_paths=500, seed=1))
