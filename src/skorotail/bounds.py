@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import zeta
 
 from .gls import PsiFunction, conjugate_at
@@ -154,6 +153,8 @@ def _optimize_theta(alpha: float, beta: float) -> tuple[float, float]:
     from theta - 1 < 0 up to 1 - 2^(1-alpha) > 0, so its root is the
     unique minimizer.
     """
+    from scipy.optimize import brentq  # loaded only for mode="optimized"
+
     lo = 2 ** ((1 - alpha) / (2 * beta))
     a = 2 ** (1 - alpha)
     t_star = brentq(lambda t: 2 * t - 1 - a * t ** (1 - 2 * beta), lo, 1.0, xtol=1e-16)

@@ -179,13 +179,12 @@ def ps_module(path: SampledPath, delta: float) -> float:
 
     Nondecreasing in delta, and equal to ``triple_min_sup`` at delta = 1.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta={delta} outside [0,1]")
     return float(ps_module_matrix(path.times, path.values[None, :], delta)[0])
 
 
 def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.ndarray:
-    """Vectorized ``ps_module`` over rows of a (m, n) value matrix.
+    """Vectorized ``ps_module`` over rows of a (m, n) value matrix on a
+    grid of [0,1] (checked as ``_unit_grid`` checks it).
 
     The admissible triples are exactly the triples inside the span windows
     [r, cap(r)], cap(r) the last index t with times[t] - times[r] <= delta,
@@ -196,8 +195,7 @@ def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta={delta} outside [0,1]")
-    v = np.atleast_2d(np.asarray(values, dtype=float))
-    t = np.asarray(times, dtype=float)
+    t, v = _unit_grid(times, values, ndim=2)
     # the brute force's difference predicate; subtraction is monotone, so
     # each row's admissible indices form a prefix and caps never decrease
     caps = (t[None, :] - t[:, None] <= delta).sum(axis=1) - 1

@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.stats import anderson
 
 from . import io as tio
 from . import simulate as sim
@@ -126,6 +125,8 @@ def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=No
     summands for each n in ``n_list``, all from one seed stream.  The largest
     sum's marginal at each time in ``t_marks`` gets an Anderson-Darling test
     at level 1%."""
+    from scipy.stats import anderson  # loaded only by this command
+
     rng = np.random.default_rng(config.seed)
     table, envelope = _moments(sim.generate_paths(spec, config, rng=rng), config)
     bundles = {n: sim.partial_sum_paths(spec, n, config, rng=rng) for n in n_list}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import betaincinv
 
 from .bounds import TailCurve
 from .paths import (GFunction, _unit_grid, _worker_count, ps_module_matrix,
@@ -389,13 +389,16 @@ class TailEstimate:
 def empirical_tail(stats, u_grid, confidence: float = 0.99) -> TailEstimate:
     """Per-threshold exceedance frequency of a per-path statistic (such as
     ``PathBundle.global_stats`` or ``module_stats``) with its exact one-sided
-    binomial upper confidence bound at level ``confidence``."""
+    binomial upper confidence bound at level ``confidence``: the
+    ``confidence`` quantile of beta(count + 1, n - count)."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0,1)")
     stats = np.asarray(stats, dtype=float)
     u = np.asarray(u_grid, dtype=float)
     n = stats.size
     counts = (stats[:, None] > u[None, :]).sum(axis=0)
     full = counts >= n  # beta(n + 1, 0) is no distribution: the bound is 1
-    upper = np.where(full, 1.0, sps.beta.ppf(confidence, counts + 1, np.where(full, 1, n - counts)))
+    upper = np.where(full, 1.0, betaincinv(counts + 1, np.where(full, 1, n - counts), confidence))
     return TailEstimate(u, counts / n, upper)
 
 

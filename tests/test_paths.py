@@ -108,6 +108,16 @@ class TestPsModule:
         with pytest.raises(ValueError):
             ps_module(TWO_JUMP, 1.5)
 
+    @pytest.mark.parametrize("times,values", [
+        # unsorted: the window caps assume sorted times (brute force: [0, 1])
+        ([0, 0.6, 0.2, 0.8, 1], [[0, 1, 1, 2, 2], [0, 1, 2, 2, 3]]),
+        ([0, 0.5, np.nan, 1], np.zeros((2, 4))),
+        ([0, 0.5, 1], np.zeros(3)),  # one path, not a (m, n) matrix
+    ])
+    def test_matrix_grid_validated(self, times, values):
+        with pytest.raises(ValueError):
+            ps_module_matrix(times, values, 0.3)
+
     def test_brute_force_agreement(self):
         rng = np.random.default_rng(7)
         for n in (5, 16, 33, 64):

@@ -400,15 +400,24 @@ class TestEmpiricalTail:
                 assert beta_dist.cdf(ub, k + 1, n - k) == pytest.approx(conf, rel=1e-12)
 
     @pytest.mark.parametrize("n,counts", [
-        (1, [0, 1]), (400, range(401)), (100_000, [0, 1, 7, 500, 99_999, 100_000])])
+        (1, [0, 1]), (400, range(401)), (100_000, [0, 1, 7, 500, 99_999, 100_000]),
+        # the path counts of simulate-fine and of verify at its defaults
+        (5000, [*range(64), *range(64, 5001, 41), 4999]),
+        (10_000, [*range(64), *range(64, 10_001, 41), 9999])])
     def test_upper_matches_per_count_bound(self, n, counts):
-        # one vectorized quantile call gives every count's scalar bound, bit for bit
+        # one vectorized betaincinv call gives every count's scalar
+        # beta.ppf bound, bit for bit
         counts = np.array(counts)
         u = n - counts - 0.5  # exactly k of the statistics 0, 1, ..., n-1 exceed
         for conf in (0.95, 0.99, 0.999):
             upper = empirical_tail(np.arange(n), u, conf).upper
             scalar = [1.0 if k == n else float(beta_dist.ppf(conf, k + 1, n - k)) for k in counts]
             assert upper.tolist() == scalar
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            empirical_tail(np.arange(100.0), [50.5], confidence)
 
 
 class TestBoundaryFunctionals:
