@@ -43,7 +43,6 @@ __all__ = [
     "power_module_bound",
     "geometric_sequences",
     "polynomial_sequences",
-    "default_sequence_family",
     "entropy_series_bound",
     "moment_global_bound",
     "moment_module_bound",
@@ -98,7 +97,6 @@ class TailCurve:
     probs: np.ndarray
     raw: Optional[np.ndarray] = None
     params: Optional[np.ndarray] = None
-    label: str = ""
 
     def __post_init__(self):
         u = np.asarray(self.thresholds, dtype=float)
@@ -209,12 +207,12 @@ def _u_grid(u_grid) -> np.ndarray:
     return u
 
 
-def _zero_curve(u: np.ndarray, label: str) -> TailCurve:
+def _zero_curve(u: np.ndarray) -> TailCurve:
     zeros = np.zeros_like(u)
-    return TailCurve(u, zeros, raw=zeros, params=np.full(u.size, np.nan), label=label)
+    return TailCurve(u, zeros, raw=zeros, params=np.full(u.size, np.nan))
 
 
-def _curve_from_log(u, log_terms, params, label) -> TailCurve:
+def _curve_from_log(u, log_terms, params) -> TailCurve:
     """log_terms: (n_params, n_u) matrix; builds the clamped pointwise-min curve."""
     j = np.argmin(log_terms, axis=0)
     log_best = log_terms[j, np.arange(u.size)]
@@ -226,11 +224,10 @@ def _curve_from_log(u, log_terms, params, label) -> TailCurve:
         probs=np.clip(raw, 0.0, 1.0),
         raw=raw,
         params=par[j],
-        label=label,
     )
 
 
-def _power_curve(pairs, g: GFunction, h, u_grid, mode: str, label: str) -> TailCurve:
+def _power_curve(pairs, g: GFunction, h, u_grid, mode: str) -> TailCurve:
     """Pointwise min over (alpha, beta) of K(alpha,beta) u^(-2 beta) G(1)^alpha,
     times the module factor 2 omega_G(2h)^(alpha-1) when a span h is given;
     clamped."""
@@ -239,7 +236,7 @@ def _power_curve(pairs, g: GFunction, h, u_grid, mode: str, label: str) -> TailC
     g1 = g.total
     om = None if h is None else g.modulus(2 * h)
     if g1 == 0.0 or om == 0.0:
-        return _zero_curve(u, label)
+        return _zero_curve(u)
     rows = []
     for a, b in pl:
         log_k = math.log(chaining_constant(a, b, mode))
@@ -248,13 +245,13 @@ def _power_curve(pairs, g: GFunction, h, u_grid, mode: str, label: str) -> TailC
         else:
             log_c = math.log(2.0) + log_k + a * math.log(g1) + (a - 1) * math.log(om)
         rows.append(log_c - 2 * b * np.log(u))
-    return _curve_from_log(u, np.vstack(rows), pl, label)
+    return _curve_from_log(u, np.vstack(rows), pl)
 
 
 def power_global_bound(pairs, g: GFunction, u_grid, mode: str = "closed") -> TailCurve:
     """K(alpha,beta) u^(-2 beta) (G(1)-G(0))^alpha, minimized over the
     supplied (alpha, beta) pairs and clamped to [0,1]."""
-    return _power_curve(pairs, g, None, u_grid, mode, "power-global")
+    return _power_curve(pairs, g, None, u_grid, mode)
 
 
 def power_module_bound(
@@ -264,7 +261,7 @@ def power_module_bound(
     (omega_G(2h))^(alpha-1), minimized over pairs and clamped."""
     if not 0.0 < h <= 0.5:
         raise ValueError("h must lie in (0, 1/2]")
-    return _power_curve(pairs, g, h, u_grid, mode, "power-module")
+    return _power_curve(pairs, g, h, u_grid, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +300,6 @@ def polynomial_sequences(nu: float = 2.0) -> SequencePair:
         theta=lambda k: c * k ** (-nu),
         label=f"polynomial(nu={nu:g})",
     )
-
-
-def default_sequence_family() -> list[SequencePair]:
-    return [
-        geometric_sequences(0.1, 0.6),
-        geometric_sequences(0.25, 0.75),
-        geometric_sequences(0.5, 0.9),
-        polynomial_sequences(2.0),
-    ]
 
 
 def validate_sequence_pair(pair: SequencePair) -> None:
@@ -433,19 +421,19 @@ def _nu_table(nu, b: float, p_grid) -> tuple[np.ndarray, np.ndarray]:
     return ps, vals
 
 
-def _moment_curve(ps, coef, g: GFunction, h, u: np.ndarray, label: str) -> TailCurve:
+def _moment_curve(ps, coef, g: GFunction, h, u: np.ndarray) -> TailCurve:
     """Pointwise inf over p of (coef(p) G(1) / u)^p, times the module factor
     2 omega_G(2h)^(p-1) when a span h is given; clamped."""
     g1 = g.total
     om = None if h is None else g.modulus(2 * h)
     if g1 == 0.0 or om == 0.0:
-        return _zero_curve(u, label)
+        return _zero_curve(u)
     with np.errstate(divide="ignore"):
         log_coef = np.log(coef * g1)
         log_terms = ps[:, None] * (log_coef[:, None] - np.log(u)[None, :])
     if om is not None:
         log_terms = log_terms + (math.log(2.0) + (ps - 1.0) * math.log(om))[:, None]
-    return _curve_from_log(u, log_terms, ps, label)
+    return _curve_from_log(u, log_terms, ps)
 
 
 def moment_global_bound(nu, g: GFunction, u_grid, b: float = np.inf, p_grid=None) -> TailCurve:
@@ -455,7 +443,7 @@ def moment_global_bound(nu, g: GFunction, u_grid, b: float = np.inf, p_grid=None
     object with ``p_grid`` and ``values`` attributes (a moment table).
     """
     ps, vals = _nu_table(nu, b, p_grid)
-    return _moment_curve(ps, 3.0 * vals, g, None, _u_grid(u_grid), "moment-global")
+    return _moment_curve(ps, 3.0 * vals, g, None, _u_grid(u_grid))
 
 
 def moment_module_bound(
@@ -465,7 +453,7 @@ def moment_module_bound(
     if not 0.0 < h <= 0.5:
         raise ValueError("h must lie in (0, 1/2]")
     ps, vals = _nu_table(nu, b, p_grid)
-    return _moment_curve(ps, 3.0 * vals, g, h, _u_grid(u_grid), "moment-module")
+    return _moment_curve(ps, 3.0 * vals, g, h, _u_grid(u_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +477,10 @@ class ExpEnvelopes:
     under y(p) <= c1 p^(1/m) ln^s p (``clt_exp_envelope``), with numerically
     calibrated constants."""
 
-    u: float
     delta_value: float
     kappa_value: float
     c2: float
     c3: float
-    omega: float
     delta_in_range: bool
     kappa_in_range: bool
 
@@ -523,7 +509,7 @@ def exp_tail_envelopes(
     g1 = g.total
     om = g.modulus(2 * h)
     if g1 == 0.0:
-        return ExpEnvelopes(u, 0.0, 0.0, np.inf, np.inf, om, True, True)
+        return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
     a = 3.0 * c1 * g1
     nu = lambda p: c1 * p**m
     p_cal = np.logspace(np.log10(2.0), np.log10(_ENVELOPE_P_MAX / 4.0), _ENVELOPE_CAL_POINTS)
@@ -537,19 +523,17 @@ def exp_tail_envelopes(
     delta_value = min(1.0, _safe_exp(-c2 * u ** (1.0 / m)))
 
     if om == 0.0:
-        return ExpEnvelopes(u, delta_value, 0.0, c2, np.inf, om, u >= 1.0, True)
+        return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= 1.0, True)
     u_cal_k = np.sort(np.append(a * om * (math.e * p_cal) ** m, u))
     kappa_curve = moment_module_bound(nu, g, h, u_cal_k)
     c3 = _calibrate(kappa_curve.raw * om / 2.0, u_cal_k ** (1.0 / m) * om)
     kappa_value = min(1.0, 2.0 / om * _safe_exp(-c3 * u ** (1.0 / m) * om))
     threshold = (om * abs(math.log(om))) ** (-m) if 0 < om < 1 else 0.0
     return ExpEnvelopes(
-        u=u,
         delta_value=delta_value,
         kappa_value=kappa_value,
         c2=c2,
         c3=c3,
-        omega=om,
         delta_in_range=bool(u >= 1.0),
         kappa_in_range=bool(u >= threshold),
     )
@@ -807,8 +791,8 @@ def clt_bounds(
     ps, vals = _nu_table(y, b, p_grid)
     u = _u_grid(u_grid)
     coef = 3.0 * np.array([rosenthal_constant(p) for p in ps]) * vals
-    return (_moment_curve(ps, coef, b_env, None, u, "clt-global"),
-            _moment_curve(ps, coef, b_env, h, u, "clt-module"))
+    return (_moment_curve(ps, coef, b_env, None, u),
+            _moment_curve(ps, coef, b_env, h, u))
 
 
 def clt_exp_envelope(
@@ -835,7 +819,7 @@ def clt_exp_envelope(
     b1 = b_env.total
     om = b_env.modulus(2 * h)
     if b1 == 0.0:
-        return ExpEnvelopes(u, 0.0, 0.0, np.inf, np.inf, om, True, True)
+        return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
 
     def y(p):
         p = np.asarray(p, dtype=float)
@@ -860,7 +844,7 @@ def clt_exp_envelope(
         delta_value = min(1.0, _safe_exp(-c2 * float(rate_global(u))))
 
     if om == 0.0:
-        return ExpEnvelopes(u, delta_value, 0.0, c2, np.inf, om, u >= math.e, True)
+        return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= math.e, True)
     threshold = math.e * om * abs(math.log(om)) ** (1 + 1.0 / m) if om < 1 else math.e * om
 
     def rate_module(uu):
@@ -875,12 +859,10 @@ def clt_exp_envelope(
     c3 = _calibrate(mcurve.raw * om / 2.0, rate_module(u_cal_k))
     kappa_value = min(1.0, 2.0 / om * _safe_exp(-c3 * float(rate_module(u))))
     return ExpEnvelopes(
-        u=u,
         delta_value=delta_value,
         kappa_value=kappa_value,
         c2=c2,
         c3=c3,
-        omega=om,
         delta_in_range=bool(u >= math.e),
         kappa_in_range=bool(u > threshold),
     )

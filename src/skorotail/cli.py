@@ -3,7 +3,7 @@
 Subcommands
 -----------
 kappa      path statistics: span-constrained module and global statistic
-bound      evaluate any tail-bound by name
+bound      evaluate a constant, tail bound or envelope by name
 entropy    covering numbers and metric entropy of [0,1] under a pair function
 conjugate  convex (Young-Fenchel) conjugate of a tabulated function
 simulate   seeded path generation plus empirical estimation
@@ -11,7 +11,8 @@ verify     full pipeline: simulate, estimate, bound, check domination
 clt        normalized partial-sum experiments with uniform envelopes
 
 Flags override values from an optional JSON config file (``--config``); a run
-with identical flags, config and seed writes byte-identical outputs.
+with identical flags, config and seed writes byte-identical outputs.  Invalid
+input exits 2, and an entropy series that diverges exits 3.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def _g_function(ns) -> GFunction:
         return GFunction(t, v)
     slope = ns.g_slope if getattr(ns, "g_slope", None) is not None else 1.0
     return GFunction.linear(slope)
+
+
+def _nu_function(ns):
+    """The moment function the bounds take: a (p, nu) table from ``--nu-file``,
+    or nu(p) = c p^m from ``--nu-power c,m``."""
+    if ns.nu_file:
+        return tuple(tio.read_two_columns(ns.nu_file))
+    c, m = _parse_floats(ns.nu_power)
+    return lambda p: c * np.asarray(p, dtype=float) ** m
 
 
 def _merge_config(ns: argparse.Namespace, defaults: dict) -> argparse.Namespace:
@@ -216,11 +226,10 @@ def cmd_conjugate(ns) -> int:
 def cmd_bound(ns) -> int:
     defaults = {
         "alpha": 2.0, "beta": 1.0, "mode": "closed", "p": 2.0, "u": "1:100:20",
-        "v": None, "h": 0.05, "b": np.inf, "c1": 1.0, "m": 1.0, "s": 0.0,
-        "d": 1, "l": 0.25, "gamma": 0.5, "nu_power": None, "nu_file": None,
-        "psi_power": 0.5, "psi_file": None, "g_slope": 1.0, "g_file": None, "seq_s": 0.1,
-        "seq_theta": 0.6, "seq_nu": 2.0, "preset": "geometric", "r": 0.0,
-        "mid": 0.25, "t": 0.5, "holder": 0.5,
+        "h": 0.05, "b": np.inf, "c1": 1.0, "m": 1.0, "s": 0.0, "d": 1,
+        "gamma": 0.5, "nu_power": "1,0.5", "nu_file": None, "psi_power": 0.5,
+        "psi_file": None, "g_slope": 1.0, "g_file": None, "seq_s": 0.1,
+        "seq_theta": 0.6, "seq_nu": 2.0, "preset": "geometric",
     }
     ns = _merge_config(ns, defaults)
     name = ns.name
@@ -240,11 +249,7 @@ def cmd_bound(ns) -> int:
     elif name in ("moment-global", "moment-module"):
         g = _g_function(ns)
         u = _parse_grid(ns.u)
-        if ns.nu_file:
-            nu = tuple(tio.read_two_columns(ns.nu_file))
-        else:
-            c, m = _parse_floats(ns.nu_power) if ns.nu_power else (1.0, 0.5)
-            nu = lambda p: c * np.asarray(p, dtype=float) ** m
+        nu = _nu_function(ns)
         if name == "moment-global":
             out_curve = B.moment_global_bound(nu, g, u, b=float(ns.b))
         else:
@@ -268,13 +273,6 @@ def cmd_bound(ns) -> int:
         g = _g_function(ns)
         u0 = float(_parse_grid(ns.u)[0])
         env = B.exp_tail_envelopes(float(ns.c1), float(ns.m), g, float(ns.h), u0)
-    elif name == "min-tail-2d":
-        u0 = float(_parse_grid(ns.u)[0])
-        v0 = float(ns.v) if ns.v is not None else u0
-        # independent uniforms demo moment: E|x|^p1 |y|^p2 = 1/((p1+1)(p2+1))
-        moment = lambda p1, p2: 1.0 / ((p1 + 1.0) * (p2 + 1.0))
-        res = B.min_tail_2d(moment, u0, v0)
-        print(f"value={tio.fmt(res.value)} p1={tio.fmt(res.p1)} p2={tio.fmt(res.p2)}")
     elif name == "min-tail-fenchel":
         if ns.psi_file:
             grid, vals = tio.read_two_columns(ns.psi_file)
@@ -286,27 +284,11 @@ def cmd_bound(ns) -> int:
         res = B.min_tail_fenchel(psi, int(ns.d), u0)
         print(f"value={tio.fmt(res.value)} p={tio.fmt(res.p_star)} "
               f"at_edge={tio.fmt(res.at_edge)}")
-    elif name == "pizier":
-        a = float(ns.holder)
-        d2p = lambda p, x, y: abs(x - y) ** a
-        u0 = float(_parse_grid(ns.u)[0])
-        val, p_star = B.pizier_min_bound(d2p, float(ns.r), float(ns.mid), float(ns.t), u0)
-        print(f"value={tio.fmt(val)} p={tio.fmt(p_star)}")
-    elif name == "factored-module":
-        v = _g_function(ns)
-        u0 = float(_parse_grid(ns.u)[0])
-        term = B.factored_module_term(lambda p: 1.0, v, float(ns.l), float(ns.p),
-                                      float(ns.h), u0)
-        print(f"term={tio.fmt(term)}")
-        # the stated range admits no order: raises BoundUnavailable, exit 3
-        B.factored_module_bound(lambda p: 1.0, v, float(ns.l), float(ns.b), float(ns.h), u0)
     elif name in ("clt", "clt-envelope"):
         g = _g_function(ns)
         if name == "clt":
-            c, m = _parse_floats(ns.nu_power) if ns.nu_power else (1.0, 0.5)
-            y = lambda p: c * np.asarray(p, dtype=float) ** m
             u = _parse_grid(ns.u)
-            gc, mc = B.clt_bounds(y, g, float(ns.h), u, b=float(ns.b))
+            gc, mc = B.clt_bounds(_nu_function(ns), g, float(ns.h), u, b=float(ns.b))
             for uu, gg, mm in zip(u, gc.probs, mc.probs):
                 print(f"{tio.fmt(uu)},{tio.fmt(gg)},{tio.fmt(mm)}")
             if ns.out:
@@ -413,22 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=[
         "k-constant", "rosenthal", "power-global", "power-module",
         "moment-global", "moment-module", "entropy-series", "exp-envelope",
-        "min-tail-2d", "min-tail-fenchel", "pizier", "factored-module",
-        "clt", "clt-envelope",
+        "min-tail-fenchel", "clt", "clt-envelope",
     ])
     p.add_argument("--alpha", type=float, help="power-bound exponent alpha > 1")
     p.add_argument("--beta", type=float, help="power-bound exponent beta > 0")
     p.add_argument("--mode", choices=["closed", "optimized"])
     p.add_argument("--p", type=float, help="moment order")
     p.add_argument("--u", help="threshold (or grid spec for curve bounds)")
-    p.add_argument("--v", type=float, help="second threshold (joint bounds)")
     p.add_argument("--h", type=float, help="module span")
     p.add_argument("--b", type=float, help="upper moment-order support")
     p.add_argument("--c1", type=float, help="moment-growth coefficient")
     p.add_argument("--m", type=float, help="moment-growth power")
     p.add_argument("--s", type=float, help="moment-growth log power")
     p.add_argument("--d", type=int, help="number of jointly small variables")
-    p.add_argument("--l", type=float, help="factored-distance exponent")
     p.add_argument("--gamma", type=float, help="covering-number power N = eps^-gamma")
     p.add_argument("--preset", choices=["geometric", "polynomial"])
     p.add_argument("--seq-s", type=float, help="geometric scale ratio")
@@ -440,10 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi-file", help="two-column (p, psi) table")
     p.add_argument("--g-slope", type=float, help="linear envelope slope")
     p.add_argument("--g-file", help="two-column (t, G) envelope table")
-    p.add_argument("--r", type=float, help="left time of a triple")
-    p.add_argument("--mid", type=float, help="middle time of a triple")
-    p.add_argument("--t", type=float, help="right time of a triple")
-    p.add_argument("--holder", type=float, help="increment-norm gap power")
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bound)

@@ -56,10 +56,6 @@ class SemiDistanceGrid:
         gaps = np.abs(t[:, None] - t[None, :])
         return cls(t, np.asarray(fn(gaps), dtype=float))
 
-    @property
-    def n(self) -> int:
-        return self.times.size
-
 
 @dataclass(frozen=True)
 class CoveringResult:

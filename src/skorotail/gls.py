@@ -199,10 +199,6 @@ class EmpiricalSample:
         d = self.draws
         return float(max(np.mean(d > x), np.mean(d < -x)))
 
-    @property
-    def n(self) -> int:
-        return self.draws.size
-
     def is_centered(self) -> bool:
         """|mean| <= _CENTERING_SIGMAS * std / sqrt(n), the statistical
         centering check."""

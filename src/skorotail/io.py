@@ -87,20 +87,26 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
 
 
 def read_two_columns(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column text table (comma or whitespace separated; lines
-    starting with '#' and a non-numeric header row are skipped)."""
+    """Read a two-column text table (comma or whitespace separated; blank
+    lines and lines starting with '#' are skipped, and the first other line
+    may be a non-numeric header).  Any later non-numeric row raises
+    ``ValueError``."""
     a, b = [], []
+    rows = 0
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        rows += 1
         parts = line.replace(",", " ").split()
         if len(parts) < 2:
             raise ValueError(f"expected two columns, got {raw!r}")
         try:
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
-            continue  # header row
+            if rows == 1:
+                continue  # header row
+            raise ValueError(f"non-numeric data row {raw!r} in {path}") from None
         a.append(x)
         b.append(y)
     if not a:

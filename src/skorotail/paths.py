@@ -108,9 +108,6 @@ class GFunction:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", np.maximum.accumulate(v))
 
-    def __call__(self, t) -> np.ndarray:
-        return np.interp(t, self.times, self.values)
-
     @property
     def total(self) -> float:
         """G(1) - G(0)."""

@@ -14,7 +14,6 @@ of (inputs, seed).
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -114,9 +113,8 @@ class SimConfig:
         if np.any(p < 2.0) or not np.all(np.diff(p) > 0):
             raise ValueError("p_grid must be increasing and start at >= 2")
         if np.any(p > 512.0):
-            warnings.warn("p grid truncated at 512: higher moments carry no "
-                          "resolution at these sample sizes", RuntimeWarning)
-            p = p[p <= 512.0]
+            raise ValueError("p_grid orders above 512 carry no resolution at these "
+                             "sample sizes")
         object.__setattr__(self, "p_grid", p)
         for h in self.h_grid:
             if not 0.0 < h <= 0.5:
@@ -175,15 +173,13 @@ def _generate(spec: ProcessSpec, m: int, rng: np.random.Generator) -> np.ndarray
 
 
 def generate_paths(
-    spec: ProcessSpec, config: SimConfig, n_paths: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    spec: ProcessSpec, config: SimConfig, rng: Optional[np.random.Generator] = None,
 ) -> PathBundle:
     """Simulate paths on the process grid; deterministic given the seed."""
-    m = config.n_paths if n_paths is None else n_paths
     if rng is None:
         rng = np.random.default_rng(config.seed)
     times = np.linspace(0.0, 1.0, spec.grid_size)
-    return PathBundle(times, _generate(spec, m, rng))
+    return PathBundle(times, _generate(spec, config.n_paths, rng))
 
 
 def partial_sum_paths(

@@ -188,15 +188,6 @@ class TestEntropySeries:
         with pytest.raises(BoundUnavailable):
             entropy_series_bound(cov, lambda x: x**2, polynomial_sequences(2.0), 1.0)
 
-    def test_default_family_evaluates(self):
-        from skorotail.bounds import default_sequence_family
-
-        cov = lambda e: e**-0.5
-        lam = lambda x: x**2
-        res = entropy_series_bound(cov, lam, default_sequence_family(), 2.0)
-        best_geometric = entropy_series_bound(cov, lam, geometric_sequences(0.1, 0.6), 2.0)
-        assert res.value <= best_geometric.value + 1e-12
-
     def test_family_takes_minimum(self):
         cov = lambda e: e**-0.5
         lam = lambda x: x**2
@@ -287,7 +278,6 @@ class TestMomentBounds:
                 assert curve.raw[i] == pytest.approx(vals[k], rel=1e-12)
                 assert curve.params[i] == ps[k]
                 assert curve.probs[i] == min(1.0, curve.raw[i])
-        assert glob.label == "moment-global" and mod.label == "moment-module"
 
 
 class TestExpEnvelopes:

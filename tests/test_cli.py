@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,13 +11,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skorotail import bounds as B
 from skorotail import io as tio
-from skorotail.cli import run
+from skorotail.cli import build_parser, run
+from skorotail.entropy import SemiDistanceGrid, scaled_window_modulus
+from skorotail.gls import PsiFunction
 from skorotail.io import read_matrix, read_two_columns, write_csv, write_matrix
+from skorotail.paths import GFunction
+from skorotail.simulate import ProcessSpec, SimConfig, generate_paths
 
 
 def read_out(capsys):
     return capsys.readouterr().out.strip()
+
+
+def bound_names():
+    """The names ``bound`` accepts, as its parser lists them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["bound"]._actions if a.dest == "name").choices
+
+
+# ``--u 2:100:4`` as the CLI parses it
+U4 = np.logspace(np.log10(2.0), np.log10(100.0), 4)
 
 
 SMALL_SIM = [
@@ -60,8 +76,62 @@ class TestKappa:
     def test_missing_file(self, capsys):
         assert run(["kappa", "--path", "/nonexistent.csv", "--delta", "0.5"]) == 2
 
+    def test_non_numeric_row_after_the_header_is_an_error(self, tmp_path, capsys):
+        f = tmp_path / "path.csv"
+        f.write_text("# a step path\ntime,value\n0,0\n0.5,x2\n1,3\n")
+        assert run(["kappa", "--path", str(f), "--delta", "1.0"]) == 2
+        assert "'0.5,x2'" in capsys.readouterr().err
+
 
 class TestBound:
+    @pytest.mark.parametrize("name", bound_names())
+    def test_every_listed_name_evaluates(self, name, capsys):
+        assert run(["bound", name, "--u", "2:100:4"]) == 0
+        assert read_out(capsys)
+
+    @pytest.mark.parametrize("name", ["moment-global", "moment-module"])
+    def test_moment_bound_reads_nu_and_g_tables(self, name, tmp_path, capsys):
+        ps, nus = np.array([2.0, 4.0, 8.0]), np.array([0.5, 0.8, 1.2])
+        ts, gs = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.9, 1.5])
+        write_csv(tmp_path / "nu.csv", ["p", "nu"], [ps, nus])
+        write_csv(tmp_path / "g.csv", ["t", "G"], [ts, gs])
+        out, ref = tmp_path / "bound.csv", tmp_path / "ref.csv"
+        assert run(["bound", name, "--nu-file", str(tmp_path / "nu.csv"), "--g-file",
+                    str(tmp_path / "g.csv"), "--u", "2:100:4", "--out", str(out)]) == 0
+        g = GFunction(ts, gs)
+        curve = (B.moment_global_bound((ps, nus), g, U4) if name == "moment-global"
+                 else B.moment_module_bound((ps, nus), g, 0.05, U4))
+        write_csv(ref, *curve.table())
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_clt_reads_nu_file(self, tmp_path, capsys):
+        ps, nus = np.array([2.0, 4.0, 8.0]), np.full(3, 100.0)
+        write_csv(tmp_path / "nu.csv", ["p", "nu"], [ps, nus])
+        out = tmp_path / "clt.csv"
+        assert run(["bound", "clt", "--nu-file", str(tmp_path / "nu.csv"),
+                    "--u", "2:100:4", "--out", str(out)]) == 0
+        gc, mc = B.clt_bounds((ps, nus), GFunction.linear(), 0.05, U4)
+        rows = [f"{tio.fmt(u)},{tio.fmt(a)},{tio.fmt(b)}" for u, a, b in zip(U4, gc.probs, mc.probs)]
+        assert read_out(capsys).splitlines() == rows
+        assert out.read_text().splitlines() == ["u,global_bound,module_bound"] + rows
+
+    def test_entropy_series_polynomial_preset(self, capsys):
+        assert run(["bound", "entropy-series", "--preset", "polynomial", "--seq-nu", "3",
+                    "--u", "2"]) == 0
+        res = B.entropy_series_bound(lambda e: e**-0.5, lambda x: x**2,
+                                     B.polynomial_sequences(3.0), 2.0)
+        assert read_out(capsys) == (f"value={tio.fmt(res.value)} "
+                                    f"remainder={tio.fmt(res.remainder)} "
+                                    f"terms={res.terms_used} pair=polynomial(nu=3)")
+
+    def test_min_tail_fenchel_psi_power(self, capsys):
+        assert run(["bound", "min-tail-fenchel", "--psi-power", "1", "--d", "2",
+                    "--u", "3"]) == 0
+        psi = PsiFunction.from_callable(lambda p: p, b=np.inf, p_max=64.0)
+        res = B.min_tail_fenchel(psi, 2, 3.0)
+        assert read_out(capsys) == (f"value={tio.fmt(res.value)} p={tio.fmt(res.p_star)} "
+                                    f"at_edge={tio.fmt(res.at_edge)}")
+
     def test_k_constant(self, capsys):
         assert run(["bound", "k-constant", "--alpha", "2", "--beta", "1",
                     "--mode", "closed"]) == 0
@@ -115,12 +185,6 @@ class TestBound:
                   "--u", "1.0"])
         assert rc == 3
 
-    def test_factored_module_reports_unavailable(self, capsys):
-        rc = run(["bound", "factored-module", "--l", "2", "--p", "2", "--b", "16",
-                  "--h", "0.05", "--u", "10"])
-        assert rc == 3
-        assert "term=" in read_out(capsys)  # the single term still evaluates
-
     def test_clt_envelope_flags_threshold_below_e(self, capsys):
         # the closed forms are stated for u >= e: a value at u = 1 is no bound
         assert run(["bound", "clt-envelope", "--u", "1"]) == 0
@@ -156,8 +220,36 @@ class TestEntropyCli:
         assert run(["entropy", "--epsilon", "0.5", "--matrix", str(f)]) == 0
         assert "count=1" in read_out(capsys)
 
+    def test_sigma_h_and_out(self, tmp_path, capsys):
+        out = tmp_path / "entropy.csv"
+        assert run(["entropy", "--epsilon", "0.25,0.1", "--gap-power", "1", "--grid", "101",
+                    "--sigma-h", "0.1", "--out", str(out)]) == 0
+        grid = SemiDistanceGrid.from_gap_function(lambda g: g, 101)
+        printed = read_out(capsys).splitlines()
+        assert printed[-1] == f"window_modulus={tio.fmt(scaled_window_modulus(grid, 0.1))}"
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows == [["epsilon", "count", "entropy"],
+                        [tio.fmt(0.25), "2", tio.fmt(np.log(2))],
+                        [tio.fmt(0.1), "5", tio.fmt(np.log(5))]]
+
 
 class TestConjugateCli:
+    def test_table_file(self, tmp_path, capsys):
+        x = np.linspace(-2.0, 2.0, 401)
+        write_csv(tmp_path / "f.csv", ["x", "f"], [x, x**2])
+        args = ["conjugate", "--table", str(tmp_path / "f.csv"), "--u-grid", "0.5,1,2"]
+        assert run(args) == 0
+        printed = [[float(v) for v in line.split(",")] for line in read_out(capsys).splitlines()]
+        # (x^2)*(u) = u^2 / 4, attained at x = u / 2 on this grid
+        assert printed == [[0.5, pytest.approx(0.0625)], [1.0, pytest.approx(0.25)],
+                           [2.0, pytest.approx(1.0)]]
+        out = tmp_path / "conj.csv"
+        assert run(args + ["--out", str(out)]) == 0
+        assert read_out(capsys) == ""
+        us, fs = read_two_columns(out)
+        assert np.column_stack([us, fs]).tolist() == printed
+
     def test_quadratic_demo(self, tmp_path):
         out = tmp_path / "conj.csv"
         assert run(["conjugate", "--u-grid", "0.5,1.0,2.0", "--out", str(out)]) == 0
@@ -174,6 +266,23 @@ class TestSimulateVerify:
             assert (out / name).exists(), name
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_paths"] == 400
+
+    def test_write_paths(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["simulate", *SMALL_SIM, "--write-paths", "--out", str(out)]) == 0
+        bundle = generate_paths(ProcessSpec("compound-poisson", rate=3.0, grid_size=24),
+                                SimConfig(n_paths=400, seed=5))
+        with open(out / "paths.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["path_id"] + [tio.fmt(t) for t in bundle.times]
+        assert len(rows) == 401
+        row = int(np.argmax(np.abs(np.diff(bundle.values, axis=1)).sum(axis=1)))
+        assert [float(x) for x in rows[row + 1]] == [row, *bundle.values[row]]
+
+    @pytest.mark.parametrize("p_grid", ["1024", "2,1024"])
+    def test_p_grid_above_512_is_an_error(self, p_grid, capsys):
+        assert run(["verify", *SMALL_SIM, "--p-grid", p_grid]) == 2
+        assert "above 512" in capsys.readouterr().err
 
     def test_verify_passes_and_is_reproducible(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
