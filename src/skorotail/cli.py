@@ -10,7 +10,11 @@ simulate   seeded path generation plus empirical estimation
 verify     full pipeline: simulate, estimate, bound, check domination
 clt        normalized partial-sum experiments with uniform envelopes
 
-Flags override values from an optional JSON config file (``--config``); a run
+Every flag's type, default and choices live in the parser.  A flat JSON
+config file (``--config``) is read as flags placed before the command line's
+own: key ``k`` with value ``v`` is ``--k=v``, a list is its comma-joined items,
+``true`` is the bare flag and ``false`` adds nothing; keys that are not flags
+of the command are skipped, and every value is checked as its flag is.  A run
 with identical flags, config and seed writes byte-identical outputs.  Invalid
 input exits 2, and an entropy series that diverges exits 3.
 """
@@ -18,6 +22,7 @@ input exits 2, and an entropy series that diverges exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -37,9 +42,9 @@ TWO_JUMP_FIXTURE = SampledPath(
 )
 
 
-def _parse_grid(spec) -> np.ndarray:
-    """Grid spec: 'lo:hi:n' (log-spaced), or anything ``_parse_floats`` reads."""
-    if isinstance(spec, str) and ":" in spec:
+def _parse_grid(spec: str) -> np.ndarray:
+    """Grid spec: 'lo:hi:n' (log-spaced), or a comma list."""
+    if ":" in spec:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
         if lo <= 0 or hi <= lo:
@@ -48,21 +53,15 @@ def _parse_grid(spec) -> np.ndarray:
     return np.array(_parse_floats(spec))
 
 
-def _parse_floats(spec) -> list[float]:
-    """A comma list, a number or a list of numbers (flag or JSON config)."""
-    items = spec.split(",") if isinstance(spec, str) else np.atleast_1d(spec).tolist()
-    try:
-        return [float(x) for x in items]
-    except TypeError:
-        raise ValueError(f"expected numbers, got {spec!r}") from None
+def _parse_floats(spec: str) -> list[float]:
+    return [float(x) for x in spec.split(",")]
 
 
 def _g_function(ns) -> GFunction:
-    if getattr(ns, "g_file", None):
+    if ns.g_file:
         t, v = tio.read_two_columns(ns.g_file)
         return GFunction(t, v)
-    slope = ns.g_slope if getattr(ns, "g_slope", None) is not None else 1.0
-    return GFunction.linear(slope)
+    return GFunction.linear(ns.g_slope)
 
 
 def _nu_function(ns):
@@ -74,77 +73,76 @@ def _nu_function(ns):
     return lambda p: c * np.asarray(p, dtype=float) ** m
 
 
-def _merge_config(ns: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    cfg = {}
-    if getattr(ns, "config", None):
-        cfg = json.loads(Path(ns.config).read_text())
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a flat JSON object")
-    for key, fallback in defaults.items():
-        if getattr(ns, key, None) is None:
-            setattr(ns, key, cfg.get(key, fallback))
-    return ns
+def _config_flags(ns) -> list[str]:
+    """The ``--config`` file as flags of the parsed command ``ns``."""
+    cfg = json.loads(Path(ns.config).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a flat JSON object")
+    flags = []
+    for key, value in cfg.items():
+        if key not in vars(ns) or key in ("cmd", "func", "name", "config"):
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value is None or isinstance(value, dict):
+            raise ValueError(f"config key {key!r} needs a number, string, list or "
+                             f"boolean, got {json.dumps(value)}")
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if value is True:
+            flags.append(flag)
+        elif value is not False:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _process_spec(ns) -> sim.ProcessSpec:
     return sim.ProcessSpec(
         kind=ns.process,
-        rate=float(ns.rate),
-        jump_scale=float(ns.jump_scale),
-        scale=float(ns.scale),
-        sample_size=int(ns.sample_size),
-        grid_size=int(ns.grid),
+        rate=ns.rate,
+        jump_scale=ns.jump_scale,
+        scale=ns.scale,
+        sample_size=ns.sample_size,
+        grid_size=ns.grid,
     )
 
 
 def _sim_config(ns) -> sim.SimConfig:
     return sim.SimConfig(
-        n_paths=int(ns.paths),
-        seed=int(ns.seed),
+        n_paths=ns.paths,
+        seed=ns.seed,
         p_grid=np.array(_parse_floats(ns.p_grid)),
-        u_points=int(ns.u_points),
+        u_points=ns.u_points,
         h_grid=tuple(_parse_floats(ns.h)),
-        confidence=float(ns.confidence),
-        triple_stride=int(ns.stride),
+        confidence=ns.confidence,
+        triple_stride=ns.stride,
     )
 
 
-_SIM_DEFAULTS = {
-    "u_grid": None,
-    "process": "compound-poisson",
-    "rate": 5.0,
-    "jump_scale": 1.0,
-    "scale": 1.0,
-    "sample_size": 16,
-    "grid": 64,
-    "paths": 10_000,
-    "seed": 0,
-    "p_grid": "2,4,8,16,32",
-    "u_points": 20,
-    "h": "0.05,0.1",
-    "confidence": 0.99,
-    "stride": 1,
-}
-
-
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--process", choices=["compound-poisson", "poisson", "brownian",
-                                         "empirical", "uniform-jump"])
-    p.add_argument("--rate", type=float, help="jump intensity on [0,1]")
-    p.add_argument("--jump-scale", type=float, help="std of centered Gaussian jump sizes")
-    p.add_argument("--scale", type=float, help="diffusion scale")
-    p.add_argument("--sample-size", type=int, help="draws per empirical-process path")
-    p.add_argument("--grid", type=int, help="grid points on [0,1]")
-    p.add_argument("--paths", type=int, help="number of simulated paths")
-    p.add_argument("--seed", type=int, help="RNG seed; all randomness derives from it")
-    p.add_argument("--p-grid", help="comma list of moment orders (>= 2)")
-    p.add_argument("--u-points", type=int, help="thresholds in the tail grids")
+    p.add_argument("--process", default="compound-poisson",
+                   choices=["compound-poisson", "poisson", "brownian", "empirical",
+                            "uniform-jump"], help="process to simulate")
+    p.add_argument("--rate", type=float, default=5.0, help="jump intensity on [0,1]")
+    p.add_argument("--jump-scale", type=float, default=1.0,
+                   help="std of centered Gaussian jump sizes")
+    p.add_argument("--scale", type=float, default=1.0, help="diffusion scale")
+    p.add_argument("--sample-size", type=int, default=16,
+                   help="draws per empirical-process path")
+    p.add_argument("--grid", type=int, default=64, help="grid points on [0,1]")
+    p.add_argument("--paths", type=int, default=10_000, help="number of simulated paths")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed; all randomness derives from it")
+    p.add_argument("--p-grid", default="2,4,8,16,32",
+                   help="comma list of moment orders (>= 2)")
+    p.add_argument("--u-points", type=int, default=20, help="thresholds in the tail grids")
     p.add_argument("--u-grid", help="explicit threshold grid (lo:hi:n or comma list); "
                                     "overrides the data-driven grid")
-    p.add_argument("--h", help="comma list of module spans")
-    p.add_argument("--confidence", type=float, help="one-sided binomial confidence level")
-    p.add_argument("--stride", type=int, help="triple-enumeration stride (1: full grid)")
-    p.add_argument("--config", help="JSON file with defaults for these flags")
+    p.add_argument("--h", default="0.05,0.1", help="comma list of module spans")
+    p.add_argument("--confidence", type=float, default=0.99,
+                   help="one-sided binomial confidence level")
+    p.add_argument("--stride", type=int, default=1,
+                   help="triple-enumeration stride; 1 is the full grid")
+    p.add_argument("--config", help="JSON file of flag values; the command line wins")
     p.add_argument("--out", help="output directory")
 
 
@@ -162,7 +160,6 @@ def _finish(ns, run: pipeline.Run) -> int:
 
 
 def cmd_kappa(ns) -> int:
-    ns = _merge_config(ns, {"delta": None, "delta_grid": None})
     if ns.path:
         t, v = tio.read_two_columns(ns.path)
         path = SampledPath(t, v)
@@ -184,13 +181,11 @@ def cmd_kappa(ns) -> int:
 
 
 def cmd_entropy(ns) -> int:
-    ns = _merge_config(ns, {"grid": 1001, "gap_power": 1.0, "sigma_h": None})
     if ns.matrix:
         t, q = tio.read_matrix(ns.matrix)
         grid = SemiDistanceGrid(t, q)
     else:
-        a = float(ns.gap_power)
-        grid = SemiDistanceGrid.from_gap_function(lambda g: g**a, int(ns.grid))
+        grid = SemiDistanceGrid.from_gap_function(lambda g: g**ns.gap_power, ns.grid)
     rows = []
     for eps in _parse_floats(ns.epsilon):
         res = covering_number(grid, eps)
@@ -198,7 +193,7 @@ def cmd_entropy(ns) -> int:
               f"entropy={tio.fmt(np.log(res.count))} exact={tio.fmt(res.exact)}")
         rows.append((eps, res.count, np.log(res.count)))
     if ns.sigma_h is not None:
-        print(f"window_modulus={tio.fmt(scaled_window_modulus(grid, float(ns.sigma_h)))}")
+        print(f"window_modulus={tio.fmt(scaled_window_modulus(grid, ns.sigma_h))}")
     if ns.out:
         arr = np.array(rows)
         tio.write_csv(ns.out, ["epsilon", "count", "entropy"],
@@ -207,11 +202,10 @@ def cmd_entropy(ns) -> int:
 
 
 def cmd_conjugate(ns) -> int:
-    ns = _merge_config(ns, {"lam_max": 5.0, "points": 201, "u_grid": None})
     if ns.table:
         x, f = tio.read_two_columns(ns.table)
     else:
-        x = np.linspace(-float(ns.lam_max), float(ns.lam_max), int(ns.points))
+        x = np.linspace(-ns.lam_max, ns.lam_max, ns.points)
         f = 0.5 * x**2
     u = _parse_grid(ns.u_grid) if ns.u_grid else None
     us, fs = young_fenchel(x, f, u)
@@ -224,47 +218,35 @@ def cmd_conjugate(ns) -> int:
 
 
 def cmd_bound(ns) -> int:
-    defaults = {
-        "alpha": 2.0, "beta": 1.0, "mode": "closed", "p": 2.0, "u": "1:100:20",
-        "h": 0.05, "b": np.inf, "c1": 1.0, "m": 1.0, "s": 0.0, "d": 1,
-        "gamma": 0.5, "nu_power": "1,0.5", "nu_file": None, "psi_power": 0.5,
-        "psi_file": None, "g_slope": 1.0, "g_file": None, "seq_s": 0.1,
-        "seq_theta": 0.6, "seq_nu": 2.0, "preset": "geometric",
-    }
-    ns = _merge_config(ns, defaults)
     name = ns.name
     out_curve = env = None
     if name == "k-constant":
-        print(tio.fmt(B.chaining_constant(float(ns.alpha), float(ns.beta), ns.mode)))
+        print(tio.fmt(B.chaining_constant(ns.alpha, ns.beta, ns.mode)))
     elif name == "rosenthal":
-        print(tio.fmt(B.rosenthal_constant(float(ns.p))))
+        print(tio.fmt(B.rosenthal_constant(ns.p)))
     elif name in ("power-global", "power-module"):
         g = _g_function(ns)
         u = _parse_grid(ns.u)
-        pair = (float(ns.alpha), float(ns.beta))
+        pair = (ns.alpha, ns.beta)
         if name == "power-global":
             out_curve = B.power_global_bound(pair, g, u, mode=ns.mode)
         else:
-            out_curve = B.power_module_bound(pair, g, float(ns.h), u, mode=ns.mode)
+            out_curve = B.power_module_bound(pair, g, ns.h, u, mode=ns.mode)
     elif name in ("moment-global", "moment-module"):
         g = _g_function(ns)
         u = _parse_grid(ns.u)
         nu = _nu_function(ns)
         if name == "moment-global":
-            out_curve = B.moment_global_bound(nu, g, u, b=float(ns.b))
+            out_curve = B.moment_global_bound(nu, g, u, b=ns.b)
         else:
-            out_curve = B.moment_module_bound(nu, g, float(ns.h), u, b=float(ns.b))
+            out_curve = B.moment_module_bound(nu, g, ns.h, u, b=ns.b)
     elif name == "entropy-series":
-        gam = float(ns.gamma)
-        beta = float(ns.beta)
-        covering = lambda e: e ** (-gam)
-        lam = lambda x: x ** (2 * beta)
+        covering = lambda e: e ** (-ns.gamma)
+        lam = lambda x: x ** (2 * ns.beta)
         if ns.preset == "geometric":
-            pair = B.geometric_sequences(float(ns.seq_s), float(ns.seq_theta))
-        elif ns.preset == "polynomial":
-            pair = B.polynomial_sequences(float(ns.seq_nu))
+            pair = B.geometric_sequences(ns.seq_s, ns.seq_theta)
         else:
-            raise ValueError(f"unknown preset {ns.preset!r}")
+            pair = B.polynomial_sequences(ns.seq_nu)
         u0 = float(_parse_grid(ns.u)[0])
         res = B.entropy_series_bound(covering, lam, pair, u0)
         print(f"value={tio.fmt(res.value)} remainder={tio.fmt(res.remainder)} "
@@ -272,23 +254,23 @@ def cmd_bound(ns) -> int:
     elif name == "exp-envelope":
         g = _g_function(ns)
         u0 = float(_parse_grid(ns.u)[0])
-        env = B.exp_tail_envelopes(float(ns.c1), float(ns.m), g, float(ns.h), u0)
+        env = B.exp_tail_envelopes(ns.c1, ns.m, g, ns.h, u0)
     elif name == "min-tail-fenchel":
         if ns.psi_file:
             grid, vals = tio.read_two_columns(ns.psi_file)
             psi = PsiFunction(grid, vals, b=np.inf)
         else:
-            a = float(ns.psi_power)
-            psi = PsiFunction.from_callable(lambda p: p**a, b=np.inf, p_max=64.0)
+            psi = PsiFunction.from_callable(lambda p: p**ns.psi_power, b=np.inf,
+                                            p_max=64.0)
         u0 = float(_parse_grid(ns.u)[0])
-        res = B.min_tail_fenchel(psi, int(ns.d), u0)
+        res = B.min_tail_fenchel(psi, ns.d, u0)
         print(f"value={tio.fmt(res.value)} p={tio.fmt(res.p_star)} "
               f"at_edge={tio.fmt(res.at_edge)}")
-    elif name in ("clt", "clt-envelope"):
+    else:  # clt, clt-envelope
         g = _g_function(ns)
         if name == "clt":
             u = _parse_grid(ns.u)
-            gc, mc = B.clt_bounds(_nu_function(ns), g, float(ns.h), u, b=float(ns.b))
+            gc, mc = B.clt_bounds(_nu_function(ns), g, ns.h, u, b=ns.b)
             for uu, gg, mm in zip(u, gc.probs, mc.probs):
                 print(f"{tio.fmt(uu)},{tio.fmt(gg)},{tio.fmt(mm)}")
             if ns.out:
@@ -296,10 +278,7 @@ def cmd_bound(ns) -> int:
                               [u, gc.probs, mc.probs])
             return 0
         u0 = float(_parse_grid(ns.u)[0])
-        env = B.clt_exp_envelope(float(ns.c1), float(ns.m), float(ns.s), g,
-                                 float(ns.h), u0)
-    else:
-        raise ValueError(f"unknown bound name {name!r}")
+        env = B.clt_exp_envelope(ns.c1, ns.m, ns.s, g, ns.h, u0)
     if env is not None:
         print(f"delta={tio.fmt(env.delta_value)} kappa={tio.fmt(env.kappa_value)} "
               f"c2={tio.fmt(env.c2)} c3={tio.fmt(env.c3)} "
@@ -314,7 +293,6 @@ def cmd_bound(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
-    ns = _merge_config(ns, {**_SIM_DEFAULTS, "beta_grid": None})
     spec, config, u_grid = _run_inputs(ns)
     est = pipeline.estimate(spec, config, u_grid)
     bundle = est.bundle
@@ -358,13 +336,10 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    ns = _merge_config(ns, {**_SIM_DEFAULTS, "strict": False})
-    return _finish(ns, pipeline.verify(*_run_inputs(ns), strict=bool(ns.strict)))
+    return _finish(ns, pipeline.verify(*_run_inputs(ns), strict=ns.strict))
 
 
 def cmd_clt(ns) -> int:
-    ns = _merge_config(ns, {**_SIM_DEFAULTS, "n": "1,4,64", "t_marks": "0.25,0.5,0.75",
-                            "strict": False})
     spec, config, u_grid = _run_inputs(ns)
     n_list = _parse_floats(ns.n)
     if not all(x.is_integer() and x >= 1 for x in n_list):
@@ -372,7 +347,7 @@ def cmd_clt(ns) -> int:
     n_list = [int(x) for x in n_list]
     t_marks = _parse_floats(ns.t_marks)
     return _finish(ns, pipeline.clt(spec, config, n_list, t_marks, u_grid,
-                                    strict=bool(ns.strict)))
+                                    strict=ns.strict))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,9 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regularity statistics and tail bounds for step paths on [0,1].",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
+    add = functools.partial(sub.add_parser,
+                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    p = sub.add_parser("kappa", help="span-constrained module and global statistic "
-                                     "of a step path")
+    p = add("kappa", help="span-constrained module and global statistic of a step path")
     p.add_argument("--path", help="two-column (time, value) file")
     p.add_argument("--delta", help="comma list of span constraints")
     p.add_argument("--delta-grid", help="grid spec lo:hi:n or comma list")
@@ -391,52 +367,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_kappa)
 
-    p = sub.add_parser("bound", help="evaluate a tail bound by name")
+    p = add("bound", help="evaluate a tail bound by name")
     p.add_argument("name", choices=[
         "k-constant", "rosenthal", "power-global", "power-module",
         "moment-global", "moment-module", "entropy-series", "exp-envelope",
         "min-tail-fenchel", "clt", "clt-envelope",
     ])
-    p.add_argument("--alpha", type=float, help="power-bound exponent alpha > 1")
-    p.add_argument("--beta", type=float, help="power-bound exponent beta > 0")
-    p.add_argument("--mode", choices=["closed", "optimized"])
-    p.add_argument("--p", type=float, help="moment order")
-    p.add_argument("--u", help="threshold (or grid spec for curve bounds)")
-    p.add_argument("--h", type=float, help="module span")
-    p.add_argument("--b", type=float, help="upper moment-order support")
-    p.add_argument("--c1", type=float, help="moment-growth coefficient")
-    p.add_argument("--m", type=float, help="moment-growth power")
-    p.add_argument("--s", type=float, help="moment-growth log power")
-    p.add_argument("--d", type=int, help="number of jointly small variables")
-    p.add_argument("--gamma", type=float, help="covering-number power N = eps^-gamma")
-    p.add_argument("--preset", choices=["geometric", "polynomial"])
-    p.add_argument("--seq-s", type=float, help="geometric scale ratio")
-    p.add_argument("--seq-theta", type=float, help="geometric weight ratio")
-    p.add_argument("--seq-nu", type=float, help="polynomial weight power")
-    p.add_argument("--nu-power", help="c,m for nu(p) = c p^m")
+    p.add_argument("--alpha", type=float, default=2.0,
+                   help="power-bound exponent alpha > 1")
+    p.add_argument("--beta", type=float, default=1.0, help="power-bound exponent beta > 0")
+    p.add_argument("--mode", default="closed", choices=["closed", "optimized"],
+                   help="chaining-constant form")
+    p.add_argument("--p", type=float, default=2.0, help="moment order")
+    p.add_argument("--u", default="1:100:20",
+                   help="threshold (or grid spec for curve bounds)")
+    p.add_argument("--h", type=float, default=0.05, help="module span")
+    p.add_argument("--b", type=float, default=np.inf, help="upper moment-order support")
+    p.add_argument("--c1", type=float, default=1.0, help="moment-growth coefficient")
+    p.add_argument("--m", type=float, default=1.0, help="moment-growth power")
+    p.add_argument("--s", type=float, default=0.0, help="moment-growth log power")
+    p.add_argument("--d", type=int, default=1, help="number of jointly small variables")
+    p.add_argument("--gamma", type=float, default=0.5,
+                   help="covering-number power N = eps^-gamma")
+    p.add_argument("--preset", default="geometric", choices=["geometric", "polynomial"],
+                   help="entropy-series sequence pair")
+    p.add_argument("--seq-s", type=float, default=0.1, help="geometric scale ratio")
+    p.add_argument("--seq-theta", type=float, default=0.6, help="geometric weight ratio")
+    p.add_argument("--seq-nu", type=float, default=2.0, help="polynomial weight power")
+    p.add_argument("--nu-power", default="1,0.5", help="c,m for nu(p) = c p^m")
     p.add_argument("--nu-file", help="two-column (p, nu) table")
-    p.add_argument("--psi-power", type=float, help="a for psi(p) = p^a")
+    p.add_argument("--psi-power", type=float, default=0.5, help="a for psi(p) = p^a")
     p.add_argument("--psi-file", help="two-column (p, psi) table")
-    p.add_argument("--g-slope", type=float, help="linear envelope slope")
+    p.add_argument("--g-slope", type=float, default=1.0, help="linear envelope slope")
     p.add_argument("--g-file", help="two-column (t, G) envelope table")
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("entropy", help="covering numbers of [0,1] under a pair function")
+    p = add("entropy", help="covering numbers of [0,1] under a pair function")
     p.add_argument("--epsilon", required=True, help="comma list of radii")
-    p.add_argument("--gap-power", type=float, help="q(r,t) = |r-t|^a")
+    p.add_argument("--gap-power", type=float, default=1.0, help="q(r,t) = |r-t|^a")
     p.add_argument("--matrix", help="dense matrix file with time header row")
-    p.add_argument("--grid", type=int, help="grid resolution")
+    p.add_argument("--grid", type=int, default=1001, help="grid resolution")
     p.add_argument("--sigma-h", type=float, help="also print the scaled window modulus")
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("conjugate", help="convex conjugate of a tabulated function")
+    p = add("conjugate", help="convex conjugate of a tabulated function")
     p.add_argument("--table", help="two-column (x, f) file; default quadratic demo")
-    p.add_argument("--lam-max", type=float, help="demo table half-width")
-    p.add_argument("--points", type=int, help="demo table size")
+    p.add_argument("--lam-max", type=float, default=5.0, help="demo table half-width")
+    p.add_argument("--points", type=int, default=201, help="demo table size")
     p.add_argument("--u-grid", help="grid spec lo:hi:n or comma list")
     p.add_argument("--config")
     p.add_argument("--out")
@@ -447,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, "simulate, bound, and check tail domination"),
         ("clt", cmd_clt, "partial-sum experiments with uniform envelopes"),
     ):
-        p = sub.add_parser(name, help=extra)
+        p = add(name, help=extra)
         _add_sim_flags(p)
         if name == "simulate":
             p.add_argument("--write-paths", action="store_true",
@@ -455,11 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta-grid", help="comma list of endpoint-window "
                                                "widths for boundary functionals")
         if name in ("verify", "clt"):
-            p.add_argument("--strict", action="store_true", default=None,
+            p.add_argument("--strict", action="store_true",
                            help="fail thresholds with zero exceedances too")
         if name == "clt":
-            p.add_argument("--n", help="comma list of summand counts")
-            p.add_argument("--t-marks", help="comma list of marginal times to test")
+            p.add_argument("--n", default="1,4,64", help="comma list of summand counts")
+            p.add_argument("--t-marks", default="0.25,0.5,0.75",
+                           help="comma list of marginal times to test")
         p.set_defaults(func=fn)
 
     return ap
@@ -467,8 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     ns = ap.parse_args(argv)
     try:
+        if ns.config:
+            ns = ap.parse_args(argv[:1] + _config_flags(ns) + argv[1:])
         return ns.func(ns)
     except B.BoundUnavailable as e:
         print(f"bound unavailable: {e}", file=sys.stderr)

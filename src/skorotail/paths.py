@@ -85,10 +85,6 @@ class SampledPath:
         i = int(np.searchsorted(self.times, t, side="right")) - 1
         return float(self.values[i])
 
-    @property
-    def n(self) -> int:
-        return self.times.size
-
 
 @dataclass(frozen=True)
 class GFunction:

@@ -1,7 +1,12 @@
 import argparse
 import csv
+import dataclasses
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from unittest import mock
@@ -13,7 +18,7 @@ from hypothesis import strategies as st
 
 from skorotail import bounds as B
 from skorotail import io as tio
-from skorotail.cli import build_parser, run
+from skorotail.cli import _process_spec, _sim_config, build_parser, run
 from skorotail.entropy import SemiDistanceGrid, scaled_window_modulus
 from skorotail.gls import PsiFunction
 from skorotail.io import read_matrix, read_two_columns, write_csv, write_matrix
@@ -50,6 +55,23 @@ class TestHelp:
             run([cmd, "--help"])
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_help_states_each_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "(default: 10000)" in " ".join(capsys.readouterr().out.split())
+
+
+class TestDefaults:
+    def test_cli_defaults_are_the_library_defaults(self):
+        ns = build_parser().parse_args(["verify"])
+        for cli_value, lib_value in ((_process_spec(ns), ProcessSpec("compound-poisson")),
+                                     (_sim_config(ns), SimConfig())):
+            for f in dataclasses.fields(lib_value):
+                a, b = getattr(cli_value, f.name), getattr(lib_value, f.name)
+                assert type(a) is type(b), f.name
+                assert np.array_equal(a, b), f.name
 
 
 class TestKappa:
@@ -394,6 +416,68 @@ class TestSimulateVerify:
         rep = json.loads((out / "report.json").read_text())
         assert rep["overall_pass"] is True
         assert set(rep["normality"]["0.5"]) == {"statistic", "pvalue", "rejected_at_1pct"}
+
+
+def skorotail(args, cwd) -> subprocess.CompletedProcess:
+    """``python -m skorotail`` in a fresh interpreter."""
+    src = str(Path(importlib.util.find_spec("skorotail").origin).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "skorotail", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+class TestConfigAsFlags:
+    """A config file is read as flags before the command line's own."""
+
+    SIM = ["--rate", "3", "--grid", "24", "--paths", "400", "--u-points", "8", "--h", "0.1"]
+
+    @pytest.mark.parametrize("args, cfg", [
+        (["bound", "k-constant"], {"alpha": None}),
+        (["verify"], {"paths": [100, 200]}),
+        (["verify"], {"paths": 100.7}),
+        (["simulate"], {"seed": True}),
+    ], ids=["null", "list", "float-for-int", "true-for-int"])
+    def test_bad_value_exits_2_without_traceback(self, args, cfg, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        res = skorotail([*args, "--config", "cfg.json"], tmp_path)
+        assert res.returncode == 2
+        assert "error:" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("value", [None, {"lo": 1}])
+    def test_null_or_object_is_an_error(self, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u_grid": value}))
+        assert run(["conjugate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: config key 'u_grid'")
+
+    def test_one_file_serves_verify_and_simulate(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 9, "strict": True}))
+        v = tmp_path / "v"
+        assert run(["verify", *self.SIM, "--config", str(cfg), "--out", str(v)]) == 0
+        rep = json.loads((v / "report.json").read_text())
+        assert [c["strict"] for c in rep["checks"]] == [True, True]
+        a, b = tmp_path / "cfg_run", tmp_path / "flag_run"
+        assert run(["simulate", *self.SIM, "--config", str(cfg), "--out", str(a)]) == 0
+        assert run(["simulate", *self.SIM, "--seed", "9", "--out", str(b)]) == 0
+        assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+    def test_bound_config_matches_flags_and_command_line_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 3, "beta": 2, "mode": "optimized"}))
+        printed = {}
+        for key, args in {
+            "config": ["--config", str(cfg)],
+            "flags": ["--alpha", "3", "--beta", "2", "--mode", "optimized"],
+            "config+alpha": ["--config", str(cfg), "--alpha", "4"],
+            "alpha=4 flags": ["--alpha", "4", "--beta", "2", "--mode", "optimized"],
+        }.items():
+            assert run(["bound", "k-constant", *args]) == 0
+            printed[key] = read_out(capsys)
+        assert printed["config"] == printed["flags"]
+        assert printed["config+alpha"] == printed["alpha=4 flags"] != printed["flags"]
 
 
 # values that a float-equality or per-column shortcut would get wrong

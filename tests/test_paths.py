@@ -237,8 +237,8 @@ class TestModuleVisitsOnlyJumps:
 @st.composite
 def paths_with_pair(draw):
     path = draw(step_paths())
-    i = draw(st.integers(0, path.n - 1))
-    j = draw(st.integers(i, path.n - 1))
+    i = draw(st.integers(0, path.times.size - 1))
+    j = draw(st.integers(i, path.times.size - 1))
     return path, i, j
 
 
