@@ -13,10 +13,11 @@ clt        normalized partial-sum experiments with uniform envelopes
 Every flag's type, default and choices live in the parser.  A flat JSON
 config file (``--config``) is read as flags placed before the command line's
 own: key ``k`` with value ``v`` is ``--k=v``, a list is its comma-joined items,
-``true`` is the bare flag and ``false`` adds nothing; keys that are not flags
-of the command are skipped, and every value is checked as its flag is.  A run
-with identical flags, config and seed writes byte-identical outputs.  Invalid
-input exits 2, and an entropy series that diverges exits 3.
+``true`` is the bare flag and ``false`` adds nothing (an error if the flag takes
+a value); keys that are not flags of the command are skipped, and every value
+is checked as its flag is.  A run with identical flags, config and seed writes
+byte-identical outputs.  Invalid input, or ``--out`` on a command that writes no
+file, exits 2, and an entropy series that diverges exits 3.
 """
 
 from __future__ import annotations
@@ -73,11 +74,12 @@ def _nu_function(ns):
     return lambda p: c * np.asarray(p, dtype=float) ** m
 
 
-def _config_flags(ns) -> list[str]:
-    """The ``--config`` file as flags of the parsed command ``ns``."""
+def _config_flags(ns, parser: argparse.ArgumentParser) -> list[str]:
+    """The ``--config`` file as flags of the parsed command ``ns`` and its ``parser``."""
     cfg = json.loads(Path(ns.config).read_text())
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a flat JSON object")
+    switches = {a.dest for a in parser._actions if isinstance(a, argparse._StoreTrueAction)}
     flags = []
     for key, value in cfg.items():
         if key not in vars(ns) or key in ("cmd", "func", "name", "config"):
@@ -86,6 +88,8 @@ def _config_flags(ns) -> list[str]:
         if value is None or isinstance(value, dict):
             raise ValueError(f"config key {key!r} needs a number, string, list or "
                              f"boolean, got {json.dumps(value)}")
+        if value is False and key not in switches:
+            raise ValueError(f"config key {key!r} takes a value, got false")
         if isinstance(value, list):
             value = ",".join(map(str, value))
         if value is True:
@@ -160,6 +164,8 @@ def _finish(ns, run: pipeline.Run) -> int:
 
 
 def cmd_kappa(ns) -> int:
+    if ns.out and ns.delta_grid is None:
+        raise ValueError("kappa writes no --out file without --delta-grid")
     if ns.path:
         t, v = tio.read_two_columns(ns.path)
         path = SampledPath(t, v)
@@ -219,6 +225,9 @@ def cmd_conjugate(ns) -> int:
 
 def cmd_bound(ns) -> int:
     name = ns.name
+    if ns.out and name not in ("power-global", "power-module", "moment-global",
+                               "moment-module", "clt"):
+        raise ValueError(f"bound {name} prints a value and writes no --out file")
     out_curve = env = None
     if name == "k-constant":
         print(tio.fmt(B.chaining_constant(ns.alpha, ns.beta, ns.mode)))
@@ -293,46 +302,8 @@ def cmd_bound(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
-    spec, config, u_grid = _run_inputs(ns)
-    est = pipeline.estimate(spec, config, u_grid)
-    bundle = est.bundle
-    summary = {
-        "process": spec.kind,
-        "n_paths": len(bundle),
-        "grid_size": spec.grid_size,
-        "seed": config.seed,
-        "nu": {tio.fmt(p): v for p, v in zip(est.table.p_grid, est.table.values)},
-        "g_total": est.envelope.total,
-        "u_grid": list(est.u_grid),
-        "triple_grid": pipeline.triple_grid(est.table, config),
-    }
-    boundary = None
-    if ns.beta_grid:
-        betas = np.array(_parse_floats(ns.beta_grid))
-        boundary = sim.boundary_functionals(bundle, betas)
-        summary["boundary"] = {
-            "beta": list(betas),
-            "z0": list(boundary.z0),
-            "z1": list(boundary.z1),
-            "z0_vanishing": boundary.z0_vanishing,
-            "z1_vanishing": boundary.z1_vanishing,
-        }
-    if ns.out:
-        outdir = Path(ns.out)
-        est.write(outdir)
-        if boundary is not None:
-            tio.write_csv(outdir / "boundary.csv", ["beta", "z0", "z1"],
-                          [boundary.beta_grid, boundary.z0, boundary.z1])
-        if ns.write_paths:
-            ids = np.arange(len(bundle))
-            tio.write_csv(
-                outdir / "paths.csv",
-                ["path_id"] + [tio.fmt(t) for t in bundle.times],
-                [ids] + [bundle.values[:, j] for j in range(bundle.times.size)],
-            )
-        tio.write_json(outdir / "summary.json", summary)
-    print(json.dumps(tio._jsonable(summary), sort_keys=True))
-    return 0
+    betas = _parse_floats(ns.beta_grid) if ns.beta_grid else None
+    return _finish(ns, pipeline.simulate(*_run_inputs(ns), betas, ns.write_paths))
 
 
 def cmd_verify(ns) -> int:
@@ -453,7 +424,8 @@ def run(argv=None) -> int:
     ns = ap.parse_args(argv)
     try:
         if ns.config:
-            ns = ap.parse_args(argv[:1] + _config_flags(ns) + argv[1:])
+            sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+            ns = ap.parse_args(argv[:1] + _config_flags(ns, sub.choices[ns.cmd]) + argv[1:])
         return ns.func(ns)
     except B.BoundUnavailable as e:
         print(f"bound unavailable: {e}", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""Text I/O: CSV tables, dense matrices with a time header, JSON reports.
+"""Text I/O: CSV tables, JSON reports, and dense matrices with a time header
+(``write_csv`` of ``[fmt(t) for t in times]`` and ``list(m.T)``; ``read_matrix``).
 
 Floats are written with 17 significant digits so repeated runs with the same
 configuration produce byte-identical files.  Tables are written in blocks of
@@ -17,7 +18,6 @@ __all__ = [
     "fmt",
     "write_csv",
     "read_two_columns",
-    "write_matrix",
     "read_matrix",
     "write_json",
 ]
@@ -112,16 +112,6 @@ def read_two_columns(path) -> tuple[np.ndarray, np.ndarray]:
     if not a:
         raise ValueError(f"no data rows in {path}")
     return np.asarray(a), np.asarray(b)
-
-
-def write_matrix(path, times: np.ndarray, m: np.ndarray) -> None:
-    """Dense matrix with a header row of grid times."""
-    m = np.asarray(m)
-    rows = max(1, _BLOCK_CELLS // max(m.shape[1], 1))
-    with Path(path).open("w") as fh:
-        fh.write(",".join(fmt(t) for t in times) + "\n")
-        for lo in range(0, m.shape[0], rows):
-            _write_rows(fh, _text(m[lo : lo + rows]))
 
 
 def read_matrix(path) -> tuple[np.ndarray, np.ndarray]:

@@ -107,6 +107,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
+        if self.u_points < 1:
+            raise ValueError("u_points must be positive")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0,1)")
         p = np.asarray(self.p_grid, dtype=float)

@@ -34,7 +34,6 @@ TRACED_ARGUMENTS = [
     ("paths", "ps_module_matrix", ["times", "values", "delta"]),
     ("gls", "moment_tail_equivalence", ["sample"]),
     ("io", "write_csv", ["path"]),
-    ("io", "write_matrix", ["path"]),
     ("io", "write_json", ["path"]),
 ]
 

@@ -21,7 +21,7 @@ from skorotail import io as tio
 from skorotail.cli import _process_spec, _sim_config, build_parser, run
 from skorotail.entropy import SemiDistanceGrid, scaled_window_modulus
 from skorotail.gls import PsiFunction
-from skorotail.io import read_matrix, read_two_columns, write_csv, write_matrix
+from skorotail.io import read_matrix, read_two_columns, write_csv
 from skorotail.paths import GFunction
 from skorotail.simulate import ProcessSpec, SimConfig, generate_paths
 
@@ -223,6 +223,20 @@ class TestBound:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["kappa", "--delta", "0.6"], ["kappa"],
+    ["bound", "k-constant"], ["bound", "rosenthal"], ["bound", "entropy-series"],
+    ["bound", "exp-envelope"], ["bound", "min-tail-fenchel"], ["bound", "clt-envelope"],
+], ids=" ".join)
+def test_out_that_would_be_ignored_exits_2(args, tmp_path, capsys):
+    # these print a value and have no table to write
+    out = tmp_path / "f.csv"
+    assert run([*args, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("error:") and "--out" in printed.err
+    assert not out.exists()
+
+
 class TestEntropyCli:
     def test_counts(self, capsys):
         assert run(["entropy", "--epsilon", "0.25,0.1", "--gap-power", "1",
@@ -231,12 +245,10 @@ class TestEntropyCli:
         assert "count=2" in out and "count=5" in out
 
     def test_matrix_roundtrip(self, tmp_path, capsys):
-        from skorotail.io import write_matrix
-
         t = np.linspace(0, 1, 5)
         q = np.abs(t[:, None] - t[None, :])
         f = tmp_path / "q.csv"
-        write_matrix(f, t, q)
+        write_csv(f, [tio.fmt(x) for x in t], list(q.T))
         t2, q2 = read_matrix(f)
         assert np.array_equal(t, t2) and np.array_equal(q, q2)
         assert run(["entropy", "--epsilon", "0.5", "--matrix", str(f)]) == 0
@@ -406,6 +418,39 @@ class TestSimulateVerify:
         assert run(["clt", *self.CLT_SMALL, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("mark, error", [
+        ("-0.5", "must lie in [0, 1]"), ("1.5", "must lie in [0, 1]"),
+        ("0.5,nan", "must lie in [0, 1]"),
+        ("0.01", "same on every path"), ("0", "same on every path"),
+    ])
+    def test_clt_t_mark_outside_the_grid_or_at_a_constant_marginal_exits_2(self, mark, error,
+                                                                         tmp_path, capsys):
+        # -0.5 and 1.5 tested the t=1 marginal; 0.01 and 0, before the first grid
+        # step, the column of zeros, whose Anderson-Darling statistic is NaN
+        out = tmp_path / "clt"
+        assert run(["clt", *self.CLT_SMALL, f"--t-marks={mark}", "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith("error:") and error in printed.err
+        assert not out.exists()
+
+    def test_clt_report_is_strict_json(self, tmp_path, capsys):
+        def no_constant(name):
+            raise ValueError(f"{name} in a report")
+
+        out = tmp_path / "clt"
+        assert run(["clt", *self.CLT_SMALL, "--t-marks", "0.25,0.5,1", "--out", str(out)]) == 0
+        for text in (read_out(capsys), (out / "report.json").read_text()):
+            rep = json.loads(text, parse_constant=no_constant)
+            assert list(rep["normality"]) == ["0.25", "0.5", "1"]
+
+    @pytest.mark.parametrize("cmd", ["simulate", "verify"])
+    def test_u_points_below_one_exits_2(self, cmd, tmp_path, capsys):
+        # simulate wrote tail tables with no rows, verify failed with an unrelated message
+        out = tmp_path / "run"
+        assert run([cmd, *SMALL_SIM, "--u-points", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: u_points must be positive\n"
+        assert not out.exists()
+
     def test_clt_subcommand(self, tmp_path, capsys):
         out = tmp_path / "clt"
         rc = run(["clt", "--process", "compound-poisson", "--rate", "3",
@@ -463,6 +508,27 @@ class TestConfigAsFlags:
         assert run(["simulate", *self.SIM, "--config", str(cfg), "--out", str(a)]) == 0
         assert run(["simulate", *self.SIM, "--seed", "9", "--out", str(b)]) == 0
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("cfg", [{"paths": False}, {"u_points": False, "seed": 3}])
+    def test_false_on_a_flag_that_takes_a_value_exits_2(self, cfg, tmp_path, capsys):
+        # it used to add nothing, so the run went on at the default
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run(["simulate", *self.SIM, "--config", str(tmp_path / "cfg.json")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("error: config key ") and "takes a value" in printed.err
+
+    def test_false_leaves_an_on_off_flag_to_the_command_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strict": False, "write_paths": False}))
+        strict = {}
+        for flags in ([], ["--strict"]):
+            assert run(["verify", *self.SIM, "--config", str(cfg), *flags]) == 0
+            strict[bool(flags)] = [c["strict"] for c in json.loads(read_out(capsys))["checks"]]
+        assert strict == {False: [False, False], True: [True, True]}
+        out = tmp_path / "s"
+        assert run(["simulate", *self.SIM, "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "summary.json").exists() and not (out / "paths.csv").exists()
 
     def test_bound_config_matches_flags_and_command_line_wins(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -551,5 +617,5 @@ class TestWriterMatchesPerValueFormat:
         m = np.array(data.draw(st.lists(elements, min_size=rows * cols, max_size=rows * cols)),
                      dtype=np.float32 if single else np.float64).reshape(rows, cols)
         times = np.linspace(0.0, 1.0, cols)
-        got = self.written(write_matrix, block_cells, times, m)
+        got = self.written(write_csv, block_cells, [tio.fmt(t) for t in times], list(m.T))
         assert got == reference_matrix(times, m)

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from skorotail import pipeline
 from skorotail.bounds import TailCurve, moment_global_bound, moment_module_bound
+from skorotail.cli import run as cli_run
+from skorotail.io import read_matrix
 from skorotail.simulate import (
     ProcessSpec,
     SimConfig,
@@ -63,6 +67,40 @@ def test_verify_writes_estimation_bounds_and_report(tmp_path):
         "envelope.csv", "moments.csv", "pair_norms.csv", "report.json",
         "tail_delta.csv", "tail_kappa_0.1.csv", "tail_kappa_0.2.csv",
     ]
+
+
+# SPEC and CONFIG as CLI flags
+SIM_FLAGS = ["--rate", "3", "--grid", "24", "--paths", "400", "--seed", "5",
+             "--u-points", "8", "--h", "0.1,0.2"]
+
+
+@pytest.mark.parametrize("beta_grid, write_paths", [
+    (None, False), ([0.05, 0.1, 0.3], False), (None, True), ([0.05, 0.3], True)])
+def test_simulate_writes_what_the_cli_writes(beta_grid, write_paths, tmp_path, capsys):
+    run = pipeline.simulate(SPEC, CONFIG, beta_grid=beta_grid, write_paths=write_paths)
+    run.write(tmp_path / "lib")
+    flags = [] if beta_grid is None else ["--beta-grid", ",".join(map(str, beta_grid))]
+    flags += ["--write-paths"] if write_paths else []
+    assert cli_run(["simulate", *SIM_FLAGS, *flags, "--out", str(tmp_path / "cli")]) == 0
+    assert run.report == json.loads(capsys.readouterr().out)
+    assert run.exit_code == 0
+    written = {d: {f.name: f.read_bytes() for f in (tmp_path / d).iterdir()}
+               for d in ("lib", "cli")}
+    assert written["lib"] == written["cli"]
+    names = {"summary.json", "moments.csv", "pair_norms.csv", "envelope.csv",
+             "tail_delta.csv", "tail_kappa_0.1.csv", "tail_kappa_0.2.csv"}
+    names |= {"boundary.csv"} if beta_grid else set()
+    names |= {"paths.csv"} if write_paths else set()
+    assert set(written["lib"]) == names
+    assert ("boundary" in run.report) == (beta_grid is not None)
+
+
+def test_pair_norms_csv_is_the_matrix_with_a_time_header(tmp_path):
+    est = pipeline.estimate(SPEC, CONFIG)
+    pipeline.Run({}, est.tables()).write(tmp_path)
+    times, m = read_matrix(tmp_path / "pair_norms.csv")
+    assert np.array_equal(times, est.table.pair_times)
+    assert np.array_equal(m, est.table.pair_norms)
 
 
 def test_check_fails_on_a_curve_below_the_tail():

@@ -119,6 +119,13 @@ class TestProcessSpec:
         assert not ProcessSpec("uniform-jump").centered
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("u_points", [0, -1])
+    def test_u_points_below_one_rejected(self, u_points):
+        with pytest.raises(ValueError, match="u_points must be positive"):
+            SimConfig(u_points=u_points)
+
+
 class TestPathBundle:
     @pytest.mark.parametrize("times", [
         [0.0, 0.6, 0.2, 0.8, 1.0],  # unsorted: the module would miss triples
