@@ -4,6 +4,7 @@ Subcommands
 -----------
 kappa      path statistics: span-constrained module and global statistic
 bound      evaluate a constant, tail bound or envelope by name
+           (``bound <name>`` takes only the flags that name reads)
 entropy    covering numbers and metric entropy of [0,1] under a pair function
 conjugate  convex (Young-Fenchel) conjugate of a tabulated function
 simulate   seeded path generation plus empirical estimation
@@ -14,10 +15,10 @@ Every flag's type, default and choices live in the parser.  A flat JSON
 config file (``--config``) is read as flags placed before the command line's
 own: key ``k`` with value ``v`` is ``--k=v``, a list is its comma-joined items,
 ``true`` is the bare flag and ``false`` adds nothing (an error if the flag takes
-a value); keys that are not flags of the command are skipped, and every value
-is checked as its flag is.  A run with identical flags, config and seed writes
-byte-identical outputs.  Invalid input, or ``--out`` on a command that writes no
-file, exits 2, and an entropy series that diverges exits 3.
+a value); keys that are not flags of the command (or bound name) are skipped,
+and every value is checked as its flag is.  A run with identical flags, config
+and seed writes byte-identical outputs.  Invalid input, or ``--out`` on a
+command that writes no file, exits 2; an entropy series that diverges exits 3.
 """
 
 from __future__ import annotations
@@ -74,12 +75,11 @@ def _nu_function(ns):
     return lambda p: c * np.asarray(p, dtype=float) ** m
 
 
-def _config_flags(ns, parser: argparse.ArgumentParser) -> list[str]:
-    """The ``--config`` file as flags of the parsed command ``ns`` and its ``parser``."""
+def _config_flags(ns) -> list[str]:
+    """The ``--config`` file as flags of the parsed command ``ns``."""
     cfg = json.loads(Path(ns.config).read_text())
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a flat JSON object")
-    switches = {a.dest for a in parser._actions if isinstance(a, argparse._StoreTrueAction)}
     flags = []
     for key, value in cfg.items():
         if key not in vars(ns) or key in ("cmd", "func", "name", "config"):
@@ -88,7 +88,7 @@ def _config_flags(ns, parser: argparse.ArgumentParser) -> list[str]:
         if value is None or isinstance(value, dict):
             raise ValueError(f"config key {key!r} needs a number, string, list or "
                              f"boolean, got {json.dumps(value)}")
-        if value is False and key not in switches:
+        if value is False and not isinstance(vars(ns)[key], bool):  # on/off flags hold bools
             raise ValueError(f"config key {key!r} takes a value, got false")
         if isinstance(value, list):
             value = ",".join(map(str, value))
@@ -223,81 +223,100 @@ def cmd_conjugate(ns) -> int:
     return 0
 
 
-def cmd_bound(ns) -> int:
-    name = ns.name
-    if ns.out and name not in ("power-global", "power-module", "moment-global",
-                               "moment-module", "clt"):
-        raise ValueError(f"bound {name} prints a value and writes no --out file")
-    out_curve = env = None
-    if name == "k-constant":
-        print(tio.fmt(B.chaining_constant(ns.alpha, ns.beta, ns.mode)))
-    elif name == "rosenthal":
-        print(tio.fmt(B.rosenthal_constant(ns.p)))
-    elif name in ("power-global", "power-module"):
-        g = _g_function(ns)
-        u = _parse_grid(ns.u)
-        pair = (ns.alpha, ns.beta)
-        if name == "power-global":
-            out_curve = B.power_global_bound(pair, g, u, mode=ns.mode)
-        else:
-            out_curve = B.power_module_bound(pair, g, ns.h, u, mode=ns.mode)
-    elif name in ("moment-global", "moment-module"):
-        g = _g_function(ns)
-        u = _parse_grid(ns.u)
-        nu = _nu_function(ns)
-        if name == "moment-global":
-            out_curve = B.moment_global_bound(nu, g, u, b=ns.b)
-        else:
-            out_curve = B.moment_module_bound(nu, g, ns.h, u, b=ns.b)
-    elif name == "entropy-series":
-        covering = lambda e: e ** (-ns.gamma)
-        lam = lambda x: x ** (2 * ns.beta)
-        if ns.preset == "geometric":
-            pair = B.geometric_sequences(ns.seq_s, ns.seq_theta)
-        else:
-            pair = B.polynomial_sequences(ns.seq_nu)
-        u0 = float(_parse_grid(ns.u)[0])
-        res = B.entropy_series_bound(covering, lam, pair, u0)
-        print(f"value={tio.fmt(res.value)} remainder={tio.fmt(res.remainder)} "
-              f"terms={res.terms_used} pair={res.pair_label}")
-    elif name == "exp-envelope":
-        g = _g_function(ns)
-        u0 = float(_parse_grid(ns.u)[0])
-        env = B.exp_tail_envelopes(ns.c1, ns.m, g, ns.h, u0)
-    elif name == "min-tail-fenchel":
-        if ns.psi_file:
-            grid, vals = tio.read_two_columns(ns.psi_file)
-            psi = PsiFunction(grid, vals, b=np.inf)
-        else:
-            psi = PsiFunction.from_callable(lambda p: p**ns.psi_power, b=np.inf,
-                                            p_max=64.0)
-        u0 = float(_parse_grid(ns.u)[0])
-        res = B.min_tail_fenchel(psi, ns.d, u0)
-        print(f"value={tio.fmt(res.value)} p={tio.fmt(res.p_star)} "
-              f"at_edge={tio.fmt(res.at_edge)}")
-    else:  # clt, clt-envelope
-        g = _g_function(ns)
-        if name == "clt":
-            u = _parse_grid(ns.u)
-            gc, mc = B.clt_bounds(_nu_function(ns), g, ns.h, u, b=ns.b)
-            for uu, gg, mm in zip(u, gc.probs, mc.probs):
-                print(f"{tio.fmt(uu)},{tio.fmt(gg)},{tio.fmt(mm)}")
-            if ns.out:
-                tio.write_csv(ns.out, ["u", "global_bound", "module_bound"],
-                              [u, gc.probs, mc.probs])
-            return 0
-        u0 = float(_parse_grid(ns.u)[0])
-        env = B.clt_exp_envelope(ns.c1, ns.m, ns.s, g, ns.h, u0)
-    if env is not None:
-        print(f"delta={tio.fmt(env.delta_value)} kappa={tio.fmt(env.kappa_value)} "
-              f"c2={tio.fmt(env.c2)} c3={tio.fmt(env.c3)} "
-              f"delta_in_range={tio.fmt(env.delta_in_range)} "
-              f"kappa_in_range={tio.fmt(env.kappa_in_range)}")
-    if out_curve is not None:
-        for uu, pp, par in zip(out_curve.thresholds, out_curve.probs, out_curve.params):
-            print(f"{tio.fmt(uu)},{tio.fmt(pp)},{tio._csv_field(str(par))}")
-        if ns.out:
-            tio.write_csv(ns.out, *out_curve.table())
+def _envelope(env) -> str:
+    return (f"delta={tio.fmt(env.delta_value)} kappa={tio.fmt(env.kappa_value)} "
+            f"c2={tio.fmt(env.c2)} c3={tio.fmt(env.c3)} "
+            f"delta_in_range={tio.fmt(env.delta_in_range)} "
+            f"kappa_in_range={tio.fmt(env.kappa_in_range)}")
+
+
+def _entropy_series(ns) -> str:
+    pair = (B.geometric_sequences(ns.seq_s, ns.seq_theta) if ns.preset == "geometric"
+            else B.polynomial_sequences(ns.seq_nu))
+    res = B.entropy_series_bound(lambda e: e ** (-ns.gamma), lambda x: x ** (2 * ns.beta),
+                                 pair, ns.u)
+    return (f"value={tio.fmt(res.value)} remainder={tio.fmt(res.remainder)} "
+            f"terms={res.terms_used} pair={res.pair_label}")
+
+
+def _min_tail_fenchel(ns) -> str:
+    psi = (PsiFunction(*tio.read_two_columns(ns.psi_file), b=np.inf) if ns.psi_file
+           else PsiFunction.from_callable(lambda p: p**ns.psi_power, b=np.inf, p_max=64.0))
+    res = B.min_tail_fenchel(psi, ns.d, ns.u)
+    return f"value={tio.fmt(res.value)} p={tio.fmt(res.p_star)} at_edge={tio.fmt(res.at_edge)}"
+
+
+def _clt(ns) -> tuple[list, list]:
+    gc, mc = B.clt_bounds(_nu_function(ns), _g_function(ns), ns.h, _parse_grid(ns.u), b=ns.b)
+    return ["u", "global_bound", "module_bound"], [gc.thresholds, gc.probs, mc.probs]
+
+
+# Every flag of a ``bound`` name, declared once as ``--<key>``, except that
+# ``u`` is a scalar bound's threshold and ``u-grid`` a curve's grid, both ``--u``.
+_BOUND_FLAGS = {
+    "alpha": dict(type=float, default=2.0, help="power-bound exponent alpha > 1"),
+    "beta": dict(type=float, default=1.0, help="power-bound exponent beta > 0"),
+    "mode": dict(default="closed", choices=["closed", "optimized"], help="chaining-constant form"),
+    "p": dict(type=float, default=2.0, help="moment order"),
+    "u": dict(type=float, default=1.0, help="threshold"),
+    "u-grid": dict(default="1:100:20", help="threshold grid spec lo:hi:n or comma list"),
+    "h": dict(type=float, default=0.05, help="module span"),
+    "b": dict(type=float, default=np.inf, help="upper moment-order support"),
+    "c1": dict(type=float, default=1.0, help="moment-growth coefficient"),
+    "m": dict(type=float, default=1.0, help="moment-growth power"),
+    "s": dict(type=float, default=0.0, help="moment-growth log power"),
+    "d": dict(type=int, default=1, help="number of jointly small variables"),
+    "gamma": dict(type=float, default=0.5, help="covering-number power N = eps^-gamma"),
+    "preset": dict(default="geometric", choices=["geometric", "polynomial"],
+                   help="entropy-series sequence pair"),
+    "seq-s": dict(type=float, default=0.1, help="geometric scale ratio"),
+    "seq-theta": dict(type=float, default=0.6, help="geometric weight ratio"),
+    "seq-nu": dict(type=float, default=2.0, help="polynomial weight power"),
+    "nu-power": dict(default="1,0.5", help="c,m for nu(p) = c p^m"),
+    "nu-file": dict(help="two-column (p, nu) table"),
+    "psi-power": dict(type=float, default=0.5, help="a for psi(p) = p^a"),
+    "psi-file": dict(help="two-column (p, psi) table"),
+    "g-slope": dict(type=float, default=1.0, help="linear envelope slope"),
+    "g-file": dict(help="two-column (t, G) envelope table"),
+    "config": dict(help="JSON file of flag values; the command line wins"),
+    "out": dict(help="CSV file of the curve"),
+}
+# a table file and the parameter it replaces exclude each other
+_FILE_OR_PARAM = {"g": "g-slope g-file", "nu": "nu-power nu-file", "psi": "psi-power psi-file"}
+
+# Each bound name: the flags it reads and its evaluator, which returns the value
+# or line to print, or a curve's (header, columns).
+_BOUNDS = {
+    "k-constant": ("alpha beta mode", lambda ns: B.chaining_constant(ns.alpha, ns.beta, ns.mode)),
+    "rosenthal": ("p", lambda ns: B.rosenthal_constant(ns.p)),
+    "power-global": ("alpha beta mode g u-grid out", lambda ns: B.power_global_bound(
+        (ns.alpha, ns.beta), _g_function(ns), _parse_grid(ns.u), mode=ns.mode).table()),
+    "power-module": ("alpha beta mode g h u-grid out", lambda ns: B.power_module_bound(
+        (ns.alpha, ns.beta), _g_function(ns), ns.h, _parse_grid(ns.u), mode=ns.mode).table()),
+    "moment-global": ("b g nu u-grid out", lambda ns: B.moment_global_bound(
+        _nu_function(ns), _g_function(ns), _parse_grid(ns.u), b=ns.b).table()),
+    "moment-module": ("b g h nu u-grid out", lambda ns: B.moment_module_bound(
+        _nu_function(ns), _g_function(ns), ns.h, _parse_grid(ns.u), b=ns.b).table()),
+    "entropy-series": ("beta gamma preset seq-s seq-theta seq-nu u", _entropy_series),
+    "exp-envelope": ("c1 m g h u", lambda ns: _envelope(
+        B.exp_tail_envelopes(ns.c1, ns.m, _g_function(ns), ns.h, ns.u))),
+    "min-tail-fenchel": ("psi d u", _min_tail_fenchel),
+    "clt": ("b g h nu u-grid out", _clt),
+    "clt-envelope": ("c1 m s g h u", lambda ns: _envelope(
+        B.clt_exp_envelope(ns.c1, ns.m, ns.s, _g_function(ns), ns.h, ns.u))),
+}
+
+
+def _print_bound(evaluate, ns) -> int:
+    """Print a bound's value, or its curve's rows, also written to ``--out`` as CSV."""
+    value = evaluate(ns)
+    if not isinstance(value, tuple):
+        print(tio.fmt(value))
+        return 0
+    for row in zip(*value[1]):
+        print(",".join(tio._csv_field(tio.fmt(x)) for x in row))
+    if ns.out:
+        tio.write_csv(ns.out, *value)
     return 0
 
 
@@ -332,48 +351,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("kappa", help="span-constrained module and global statistic of a step path")
     p.add_argument("--path", help="two-column (time, value) file")
-    p.add_argument("--delta", help="comma list of span constraints")
-    p.add_argument("--delta-grid", help="grid spec lo:hi:n or comma list")
+    delta = p.add_mutually_exclusive_group()
+    delta.add_argument("--delta", help="comma list of span constraints")
+    delta.add_argument("--delta-grid", help="grid spec lo:hi:n or comma list")
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_kappa)
 
-    p = add("bound", help="evaluate a tail bound by name")
-    p.add_argument("name", choices=[
-        "k-constant", "rosenthal", "power-global", "power-module",
-        "moment-global", "moment-module", "entropy-series", "exp-envelope",
-        "min-tail-fenchel", "clt", "clt-envelope",
-    ])
-    p.add_argument("--alpha", type=float, default=2.0,
-                   help="power-bound exponent alpha > 1")
-    p.add_argument("--beta", type=float, default=1.0, help="power-bound exponent beta > 0")
-    p.add_argument("--mode", default="closed", choices=["closed", "optimized"],
-                   help="chaining-constant form")
-    p.add_argument("--p", type=float, default=2.0, help="moment order")
-    p.add_argument("--u", default="1:100:20",
-                   help="threshold (or grid spec for curve bounds)")
-    p.add_argument("--h", type=float, default=0.05, help="module span")
-    p.add_argument("--b", type=float, default=np.inf, help="upper moment-order support")
-    p.add_argument("--c1", type=float, default=1.0, help="moment-growth coefficient")
-    p.add_argument("--m", type=float, default=1.0, help="moment-growth power")
-    p.add_argument("--s", type=float, default=0.0, help="moment-growth log power")
-    p.add_argument("--d", type=int, default=1, help="number of jointly small variables")
-    p.add_argument("--gamma", type=float, default=0.5,
-                   help="covering-number power N = eps^-gamma")
-    p.add_argument("--preset", default="geometric", choices=["geometric", "polynomial"],
-                   help="entropy-series sequence pair")
-    p.add_argument("--seq-s", type=float, default=0.1, help="geometric scale ratio")
-    p.add_argument("--seq-theta", type=float, default=0.6, help="geometric weight ratio")
-    p.add_argument("--seq-nu", type=float, default=2.0, help="polynomial weight power")
-    p.add_argument("--nu-power", default="1,0.5", help="c,m for nu(p) = c p^m")
-    p.add_argument("--nu-file", help="two-column (p, nu) table")
-    p.add_argument("--psi-power", type=float, default=0.5, help="a for psi(p) = p^a")
-    p.add_argument("--psi-file", help="two-column (p, psi) table")
-    p.add_argument("--g-slope", type=float, default=1.0, help="linear envelope slope")
-    p.add_argument("--g-file", help="two-column (t, G) envelope table")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bound)
+    p = add("bound", help="evaluate a constant, tail bound or envelope by name")
+    names = p.add_subparsers(dest="name", required=True)
+    for name, (keys, evaluate) in _BOUNDS.items():
+        # no abbreviations: --h or --b would otherwise stand for --help or --beta
+        q = names.add_parser(name, allow_abbrev=False,
+                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for key in keys.split() + ["config"]:
+            group = q.add_mutually_exclusive_group() if key in _FILE_OR_PARAM else q
+            for k in _FILE_OR_PARAM.get(key, key).split():
+                group.add_argument("--u" if k == "u-grid" else "--" + k, **_BOUND_FLAGS[k])
+        q.set_defaults(func=functools.partial(_print_bound, evaluate))
+    names.choices["min-tail-fenchel"].set_defaults(u=2.0)  # the bound needs u > 1
 
     p = add("entropy", help="covering numbers of [0,1] under a pair function")
     p.add_argument("--epsilon", required=True, help="comma list of radii")
@@ -424,8 +420,8 @@ def run(argv=None) -> int:
     ns = ap.parse_args(argv)
     try:
         if ns.config:
-            sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-            ns = ap.parse_args(argv[:1] + _config_flags(ns, sub.choices[ns.cmd]) + argv[1:])
+            words = [ns.cmd, ns.name] if ns.cmd == "bound" else [ns.cmd]  # they chose the parser
+            ns = ap.parse_args(words + _config_flags(ns) + argv[len(words):])
         return ns.func(ns)
     except B.BoundUnavailable as e:
         print(f"bound unavailable: {e}", file=sys.stderr)

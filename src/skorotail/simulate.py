@@ -414,8 +414,8 @@ class BoundaryEstimate:
 
 def boundary_functionals(bundle: PathBundle, beta_grid) -> BoundaryEstimate:
     betas = np.asarray(beta_grid, dtype=float)
-    if np.any(betas <= 0) or np.any(betas >= 0.5) or not np.all(np.diff(betas) > 0):
-        raise ValueError("beta grid must be increasing inside (0, 1/2)")
+    if not betas.size or np.any((betas <= 0) | (betas >= 0.5)) or not np.all(np.diff(betas) > 0):
+        raise ValueError("beta grid must be nonempty and increasing inside (0, 1/2)")
     t = bundle.times
     v = bundle.values
     z0 = np.empty(betas.size)

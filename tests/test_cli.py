@@ -31,9 +31,21 @@ def read_out(capsys):
 
 
 def bound_names():
-    """The names ``bound`` accepts, as its parser lists them."""
+    """The names ``bound`` accepts, each with its own parser, as ``build_parser`` makes them."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return next(a for a in sub.choices["bound"]._actions if a.dest == "name").choices
+
+
+def flags_of(parser) -> set[str]:
+    return {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}
+
+
+def exit_code(argv) -> int:
+    """``run``'s return value, or the code of the ``SystemExit`` the parser raises."""
+    try:
+        return run(argv)
+    except SystemExit as e:
+        return e.code
 
 
 # ``--u 2:100:4`` as the CLI parses it
@@ -61,6 +73,16 @@ class TestHelp:
             run(["verify", "--help"])
         assert exc.value.code == 0
         assert "(default: 10000)" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("name", bound_names())
+    def test_bound_name_help_states_each_default(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bound", name, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for a in bound_names()[name]._actions:
+            if a.dest != "help":
+                assert f"{a.help} (default: {a.default})" in text, a.option_strings
 
 
 class TestDefaults:
@@ -105,11 +127,50 @@ class TestKappa:
         assert "'0.5,x2'" in capsys.readouterr().err
 
 
+# the flags each bound name reads, besides --config
+READS = {
+    "k-constant": "--alpha --beta --mode",
+    "rosenthal": "--p",
+    "power-global": "--alpha --beta --mode --g-slope --g-file --u --out",
+    "power-module": "--alpha --beta --mode --g-slope --g-file --h --u --out",
+    "moment-global": "--b --g-slope --g-file --nu-power --nu-file --u --out",
+    "moment-module": "--b --g-slope --g-file --h --nu-power --nu-file --u --out",
+    "entropy-series": "--beta --gamma --preset --seq-s --seq-theta --seq-nu --u",
+    "exp-envelope": "--c1 --m --g-slope --g-file --h --u",
+    "min-tail-fenchel": "--psi-power --psi-file --d --u",
+    "clt": "--b --g-slope --g-file --h --nu-power --nu-file --u --out",
+    "clt-envelope": "--c1 --m --s --g-slope --g-file --h --u",
+}
+
+
 class TestBound:
     @pytest.mark.parametrize("name", bound_names())
     def test_every_listed_name_evaluates(self, name, capsys):
-        assert run(["bound", name, "--u", "2:100:4"]) == 0
+        # at its own defaults: min-tail-fenchel needs u > 1
+        assert run(["bound", name]) == 0
         assert read_out(capsys)
+
+    def test_each_name_takes_the_flags_it_reads(self):
+        parsers = bound_names()
+        assert {n: flags_of(p) for n, p in parsers.items()} == {
+            n: set(f"{READS[n]} --config".split()) for n in READS}
+        assert sum(len(flags_of(p)) for p in parsers.values()) == 77
+
+    @pytest.mark.parametrize("name", bound_names())
+    def test_a_flag_the_name_does_not_read_exits_2(self, name, capsys):
+        every = set().union(*map(flags_of, bound_names().values()))
+        for flag in sorted(every - flags_of(bound_names()[name])):
+            assert exit_code(["bound", name, flag, "1"]) == 2, flag
+            printed = capsys.readouterr()
+            assert printed.out == "" and f"unrecognized arguments: {flag} 1" in printed.err
+
+    @pytest.mark.parametrize("name", ["entropy-series", "exp-envelope", "min-tail-fenchel",
+                                      "clt-envelope"])
+    def test_scalar_bound_takes_one_threshold(self, name, capsys):
+        # a grid used to be cut to its first point
+        assert exit_code(["bound", name, "--u", "3,50"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and "invalid float value: '3,50'" in printed.err
 
     @pytest.mark.parametrize("name", ["moment-global", "moment-module"])
     def test_moment_bound_reads_nu_and_g_tables(self, name, tmp_path, capsys):
@@ -229,12 +290,27 @@ class TestBound:
     ["bound", "exp-envelope"], ["bound", "min-tail-fenchel"], ["bound", "clt-envelope"],
 ], ids=" ".join)
 def test_out_that_would_be_ignored_exits_2(args, tmp_path, capsys):
-    # these print a value and have no table to write
+    # these print a value and have no table to write; a bound name's parser has no --out
     out = tmp_path / "f.csv"
-    assert run([*args, "--out", str(out)]) == 2
+    assert exit_code([*args, "--out", str(out)]) == 2
     printed = capsys.readouterr()
-    assert printed.out == "" and printed.err.startswith("error:") and "--out" in printed.err
+    error = ("error: unrecognized arguments: --out" if args[0] == "bound"
+             else "error: kappa writes no --out file")
+    assert printed.out == "" and error in printed.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["bound", "power-module", "--g-file", "g.csv", "--g-slope", "2"],
+    ["bound", "clt", "--nu-file", "nu.csv", "--nu-power", "1,0.5"],
+    ["bound", "min-tail-fenchel", "--psi-file", "psi.csv", "--psi-power", "1"],
+    ["kappa", "--delta", "0.6", "--delta-grid", "0.1,0.5"],
+], ids=lambda args: f"{args[-4]} {args[-2]}")
+def test_a_file_and_the_parameter_it_replaces_exclude_each_other(args, capsys):
+    # the parameter used to be dropped without a word
+    assert exit_code(args) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and f"argument {args[-2]}: not allowed with" in printed.err
 
 
 class TestEntropyCli:

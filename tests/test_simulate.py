@@ -452,6 +452,8 @@ class TestBoundaryFunctionals:
             boundary_functionals(b, np.array([0.0, 0.1]))
         with pytest.raises(ValueError):
             boundary_functionals(b, np.array([0.3, 0.2]))
+        with pytest.raises(ValueError, match="nonempty"):  # was an IndexError
+            boundary_functionals(b, [])
 
 
 class TestPartialSums:
