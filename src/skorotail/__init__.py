@@ -15,7 +15,6 @@ from .bounds import (
     clt_exp_envelope,
     entropy_series_bound,
     exp_tail_envelopes,
-    factored_module_bound,
     factored_module_term,
     geometric_sequences,
     min_tail_2d,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -57,7 +57,6 @@ __all__ = [
     "MinTailFenchel",
     "pizier_min_bound",
     "factored_module_term",
-    "factored_module_bound",
     "rosenthal_constant",
     "clt_bounds",
     "clt_exp_envelope",
@@ -337,7 +336,10 @@ def _series_try(
     prev = None
     ratios: list[float] = []
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        term = covering(pair.eps(k + 1)) * pair.eps(k) / lam(u * pair.theta(k))
+        scale = pair.eps(k + 1)
+        if not scale > 0:
+            return None  # the scales underflowed before the remainder was certified
+        term = covering(scale) * pair.eps(k) / lam(u * pair.theta(k))
         if not np.isfinite(term) or term < 0:
             return None
         total += term
@@ -732,29 +734,6 @@ def factored_module_term(
         + (l * p - 1) * math.log(om)
     )
     return min(1.0, math.exp(log_term))
-
-
-def factored_module_bound(
-    z: Callable[[float], float], v: GFunction, l: float, b: float, h: float, u: float
-) -> NoReturn:
-    """Infimum of ``factored_module_term`` over the stated admissible range
-    p in [2, min(b, 1/l)).
-
-    The stated range never intersects the term's own requirement l*p > 1:
-    for l >= 1/2 it is empty outright, and for l < 1/2 every p in it has
-    l*p < 1.  ``BoundUnavailable`` is therefore raised rather than guessing
-    a repaired constraint; use ``factored_module_term`` directly to evaluate
-    at an explicitly chosen order.
-    """
-    hi = min(b, 1.0 / l)
-    if hi <= 2.0:
-        raise BoundUnavailable(
-            f"empty admissible range [2, min(b, 1/l)) = [2, {hi:g}) for l={l:g}, b={b:g}"
-        )
-    raise BoundUnavailable(
-        f"the stated range [2, {hi:g}) contains no order with l*p > 1 "
-        f"for l={l:g}; evaluate factored_module_term at a chosen p instead"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +35,10 @@ __all__ = [
     "global_stat_brute",
     "ps_module_brute",
 ]
+
+
+_BLOCK_CELLS = 1 << 18  # window cells per block of ``_window_maxima``
+_LOOP_WINDOWS = 128  # windows from which ``_reach`` steps through positions
 
 
 def _worker_count() -> int:
@@ -133,21 +138,27 @@ def triple_min(path: SampledPath, r: float, s: float, t: float) -> float:
     return min(abs(fs - fr), abs(ft - fs))
 
 
-def _arm_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each grid index s: max_{r<=s} |v[s]-v[r]| and max_{t>=s} |v[t]-v[s]|.
-
-    Works on a (m, n) matrix of paths; returns two (m, n) arrays.
-    """
-    v = np.atleast_2d(values)
-    return _reach(v), _reach(v[:, ::-1])[:, ::-1]
+def _arm_maxima(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each position s along axis 0 of an array of windows (one window
+    per index of the other axes): max_{r<=s} |x[s]-x[r]| and
+    max_{t>=s} |x[t]-x[s]|, as two arrays of its shape."""
+    return _reach(windows), _reach(windows[::-1])[::-1]
 
 
-def _reach(v: np.ndarray) -> np.ndarray:
-    """max_{r<=s} |v[s]-v[r]| along rows, from running minima and maxima."""
-    below = np.minimum.accumulate(v, axis=1)
-    np.subtract(v, below, out=below)
-    above = np.maximum.accumulate(v, axis=1)
-    np.subtract(above, v, out=above)
+def _reach(x: np.ndarray) -> np.ndarray:
+    """max_{r<=s} |x[s]-x[r]| along axis 0, from running minima and maxima.
+    From ``_LOOP_WINDOWS`` windows on, these are taken one position at a
+    time over all windows at once, which beats numpy's accumulate there."""
+    if x[0].size < _LOOP_WINDOWS:
+        below, above = np.minimum.accumulate(x, axis=0), np.maximum.accumulate(x, axis=0)
+    else:
+        below, above = np.empty_like(x), np.empty_like(x)
+        below[0] = above[0] = x[0]
+        for s in range(1, len(x)):
+            np.minimum(below[s - 1], x[s], out=below[s])
+            np.maximum(above[s - 1], x[s], out=above[s])
+    np.subtract(x, below, out=below)
+    np.subtract(above, x, out=above)
     return np.maximum(below, above, out=below)
 
 
@@ -161,9 +172,10 @@ def triple_min_sup(path: SampledPath) -> float:
 
 
 def triple_min_sup_matrix(values: np.ndarray) -> np.ndarray:
-    """Vectorized ``triple_min_sup`` over rows of a (m, n) value matrix."""
-    left, right = _arm_maxima(values)
-    return np.minimum(left, right, out=left).max(axis=1)
+    """Vectorized ``triple_min_sup`` over rows of a (m, n) value matrix: the
+    one window [0, n-1] of ``_window_maxima``."""
+    v = np.atleast_2d(np.asarray(values, dtype=float))
+    return _window_maxima(v, np.full(v.shape[1], v.shape[1] - 1))
 
 
 def ps_module(path: SampledPath, delta: float) -> float:
@@ -180,11 +192,9 @@ def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.
     grid of [0,1] (checked as ``_unit_grid`` checks it).
 
     The admissible triples are exactly the triples inside the span windows
-    [r, cap(r)], cap(r) the last index t with times[t] - times[r] <= delta,
-    so the module is the largest ``triple_min_sup`` over those windows; each
-    row is visited only at the windows where it jumps (``_window_maxima``).
-    Rows are independent: one block of them per available CPU goes to a
-    thread pool, and the result is the same for any number of workers.
+    [lo, cap(lo)], cap(lo) the last index t with times[t] - times[lo] <=
+    delta, so the module is the largest ``triple_min_sup`` over those
+    windows (``_window_maxima``).
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta={delta} outside [0,1]")
@@ -192,43 +202,127 @@ def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.
     # the brute force's difference predicate; subtraction is monotone, so
     # each row's admissible indices form a prefix and caps never decrease
     caps = (t[None, :] - t[:, None] <= delta).sum(axis=1) - 1
-    workers = min(_worker_count(), v.shape[0])
-    if workers <= 1:
-        return _window_maxima(v, caps)
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(_window_maxima, rows, caps)
-                   for rows in np.array_split(v, workers)]
-        return np.concatenate([f.result() for f in futures])
+    return _window_maxima(v, caps)
 
 
 def _window_maxima(v: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Per row of ``v``, the largest triple minimum inside any span window
-    [lo, caps[lo]].
+    """Per row of ``v``, the largest triple minimum inside any window
+    [lo, caps[lo]] (``caps`` nondecreasing, caps[lo] >= lo).
 
-    A row is visited at window lo only where that window can hold its
-    module.  If the row does not move at lo (v[lo] == v[lo+1]), a triple
-    from lo has the same value from lo+1 (or is 0), and the window at lo+1
-    reaches at least as far.  Windows sharing a cap nest inside the run's
-    first one, so within a run only the row's first move counts; and a
-    window holding fewer than two moves has statistic 0.
+    Windows sharing a cap nest inside the run's first one, and a window of
+    under three points holds only zero triple minima, so the first windows
+    of at least three points of the runs hold every row's maximum.  A row
+    that moves at half its steps or more is read at all of them
+    (``_slice_blocks``); any other row only where its jump list says a
+    window can hold its maximum (``_jump_blocks``).  The windows go in
+    blocks of about ``_BLOCK_CELLS`` cells to a pool with one thread per
+    available CPU, and the row maxima are taken with one scatter, so the
+    result is the same for any number of workers.
     """
     m, n = v.shape
-    moves = np.ascontiguousarray((v[:, 1:] != v[:, :-1]).T)
-    counts = np.zeros((n, m), dtype=np.int32)  # moves before each index
-    np.cumsum(moves, axis=0, out=counts[1:])
+    run_lo = np.searchsorted(caps, caps)  # first window sharing each cap
+    moves = v[:, 1:] != v[:, :-1]
+    dense = 2 * np.count_nonzero(moves, axis=1) >= n - 1
+    blocks = [*_slice_blocks(v, np.flatnonzero(dense), caps, run_lo),
+              *_jump_blocks(v, moves, np.flatnonzero(~dense), caps, run_lo)]
     best = np.zeros(m)
-    run_lo = 0
-    for lo in range(n - 1):
-        if caps[lo] != caps[run_lo]:
-            run_lo = lo
-        hi = caps[lo] + 1
-        idx = np.flatnonzero(moves[lo] & (counts[lo] == counts[run_lo])
-                             & (counts[hi - 1] - counts[lo] >= 2))
-        if idx.size == 0:
-            continue
-        left, right = _arm_maxima(v[:, lo:hi] if idx.size == m else v[idx, lo:hi])
-        best[idx] = np.maximum(best[idx], np.minimum(left, right, out=left).max(axis=1))
+    if not blocks:
+        return best
+    workers = min(_worker_count(), len(blocks))
+    if workers <= 1:
+        maxima = list(map(_block_maxima, blocks))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            maxima = list(pool.map(_block_maxima, blocks))
+    np.maximum.at(best, np.concatenate([b[0] for b in blocks]), np.concatenate(maxima))
     return best
+
+
+def _block_maxima(block) -> np.ndarray:
+    """The largest triple minimum in each window of a block (rows, windows):
+    ``windows`` holds the windows along axis 0, or is the function that
+    gathers them, and the maxima over all but its last axis are per row."""
+    rows, windows = block
+    x = windows() if callable(windows) else windows
+    left, right = _arm_maxima(x)
+    return np.minimum(left, right, out=left).max(axis=0).reshape(-1, rows.size).max(axis=0)
+
+
+def _slice_blocks(v, ids, caps, run_lo):
+    """Blocks reading the rows ``ids`` at every run's first window of at
+    least three points.  A stretch of such windows of one width, each next
+    one a step on, is a strided view (width, windows, rows) of the rows'
+    transpose, cut by windows and then by rows; nothing is gathered."""
+    n = v.shape[1]
+    lo = np.arange(n)
+    lo = lo[(run_lo == lo) & (caps >= lo + 2)]
+    if ids.size == 0 or lo.size == 0:
+        return
+    tv = np.ascontiguousarray(v.T if ids.size == v.shape[0] else v[ids].T)
+    k = ids.size
+    width = caps[lo] - lo + 1
+    cuts = np.flatnonzero((np.diff(lo) != 1) | (np.diff(width) != 0)) + 1
+    for a, b in zip([0, *cuts], [*cuts, lo.size]):
+        w = int(width[a])
+        x = np.lib.stride_tricks.sliding_window_view(tv[lo[a] : lo[b - 1] + w], w, axis=0)
+        x = x.transpose(2, 0, 1)  # x[j, i, r] = v[ids[r], lo[a + i] + j]
+        step = min(k, max(1, _BLOCK_CELLS // w))  # rows per block
+        wins = max(1, _BLOCK_CELLS // (w * step))  # windows per block
+        for i in range(0, b - a, wins):
+            for r in range(0, k, step):
+                yield ids[r : r + step], x[:, i : i + wins, r : r + step]
+
+
+def _jump_blocks(v, moves, ids, caps, run_lo):
+    """Blocks reading the rows ``ids`` from their jump list, at a move lo
+    only: if the row does not move at lo (v[lo] == v[lo+1]), a triple from
+    lo has the same value from lo+1 (or is 0), and the window at lo+1
+    reaches at least as far.  Within a run of windows sharing a cap only the
+    row's first move counts, and a window holding fewer than two moves has
+    statistic 0.  So a row is visited at its move lo when its previous move
+    lies before lo's run and its next move before caps[lo].
+
+    A visit reads the row's run values from lo to caps[lo], padded with the
+    last one, which changes no supremum.  The visits, sorted by width, go in
+    blocks of about ``_BLOCK_CELLS`` cells, each gathered by its worker into
+    one (width, visits) array.
+    """
+    if ids.size == 0:
+        return
+    n = v.shape[1]
+    rows, cols = np.nonzero(moves if ids.size == v.shape[0] else moves[ids])
+    rows = ids[rows]
+    # a row's moves are adjacent in the list; -1 and n stand for none
+    same = rows[1:] == rows[:-1]
+    prev, nxt = np.full(rows.size, -1), np.full(rows.size, n)
+    prev[1:] = np.where(same, cols[:-1], -1)
+    nxt[:-1] = np.where(same, cols[1:], n)
+    first = np.flatnonzero((prev < run_lo[cols]) & (nxt < caps[cols]))
+    if first.size == 0:
+        return
+    # a visit's moves end at the row's first move at or past its cap
+    key = rows * n + cols
+    count = np.searchsorted(key, rows[first] * n + caps[cols[first]]) - first
+    order = np.argsort(count, kind="stable")
+    first, count = first[order], count[order]
+    flat = v.reshape(-1)
+    before, after = flat[key[first]], flat[key + 1]
+    ends = np.cumsum(count + 1)
+    cuts = np.searchsorted(ends, np.arange(_BLOCK_CELLS, ends[-1], _BLOCK_CELLS))
+    edges = np.unique([0, *cuts, first.size])
+    for a, b in zip(edges[:-1], edges[1:]):
+        yield rows[first[a:b]], partial(_run_values, before[a:b], after, first[a:b], count[a:b])
+
+
+def _run_values(before, after, first, count):
+    """The (width, visits) array of the visits' run values: the value before
+    move ``first``, then the value after each of the ``count`` moves from
+    it, padded with the last one; ``count`` is sorted."""
+    x = np.empty((int(count[-1]) + 1, first.size))
+    x[0] = before
+    steps = np.arange(1, len(x))[:, None]
+    np.take(after, first + np.minimum(steps, count) - 1, out=x[1:])
+    return x
 
 
 def global_stat_brute(path: SampledPath) -> float:

@@ -145,8 +145,9 @@ def simulate(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None, beta_gri
 def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=None,
         strict: bool = False) -> Run:
     """Estimate the summand's nu and G, then check the Rosenthal-scaled bounds
-    (span ``config.h_grid[0]``) against the tails of normalized sums of n
-    summands for each n in ``n_list``, all from one seed stream.  The largest
+    against the tails of normalized sums of n summands for each n in
+    ``n_list``: the global statistic once per n, and the module at every
+    span in ``config.h_grid``, all from one seed stream.  The largest
     sum's marginal at each time in ``t_marks`` (in [0, 1], and not the same
     on every path) gets an Anderson-Darling test at level 1%."""
     from scipy.stats import anderson  # loaded only by this command
@@ -159,13 +160,15 @@ def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=No
     stats = {n: b.global_stats() for n, b in bundles.items()}
     if u_grid is None:
         u_grid = sim.quantile_u_grid(np.concatenate(list(stats.values())), config.u_points)
-    h = config.h_grid[0]
-    gcurve, mcurve = clt_bounds(table, envelope, h, u_grid)
+    curves = {h: clt_bounds(table, envelope, h, u_grid) for h in config.h_grid}
+    gcurve = curves[config.h_grid[0]][0]  # the same at every span
+    module = {h: mcurve for h, (_, mcurve) in curves.items()}
     tail = lambda s: sim.empirical_tail(s, u_grid, config.confidence)
     checks = []
     for n, b in bundles.items():
-        checks += [(f"global_n={n}", gcurve, tail(stats[n])),
-                   (f"module_n={n}_h={h:g}", mcurve, tail(b.module_stats(h)))]
+        checks.append((f"global_n={n}", gcurve, tail(stats[n])))
+        checks += [(f"module_n={n}_h={h:g}", curve, tail(b.module_stats(h)))
+                   for h, curve in module.items()]
 
     n_big = max(n_list)
     vb = bundles[n_big]
@@ -183,6 +186,8 @@ def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=No
         }
     report = {"process": spec.kind, "seed": config.seed, "n_list": n_list,
               "normality_n": n_big, "normality": normality}
-    tables = {"clt_bounds.csv": (["u", "global_bound", "module_bound"],
-                                 [u_grid, gcurve.probs, mcurve.probs])}
+    # the first span's column keeps its name; each further span adds one
+    names = ["module_bound"] + [f"module_bound_h={h:g}" for h in config.h_grid[1:]]
+    tables = {"clt_bounds.csv": (["u", "global_bound", *names],
+                                 [u_grid, gcurve.probs, *(c.probs for c in module.values())])}
     return _run(report, checks, strict, tables)

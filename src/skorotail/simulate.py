@@ -166,12 +166,20 @@ def _generate(spec: ProcessSpec, m: int, rng: np.random.Generator) -> np.ndarray
         return np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
     if spec.kind == "empirical":
         ss = spec.sample_size
-        u = np.sort(rng.uniform(0.0, 1.0, (m, ss)), axis=1)
-        counts = np.stack([np.searchsorted(u[i], times, side="right") for i in range(m)])
-        return np.sqrt(ss) * (counts / ss - times[None, :])
+        return np.sqrt(ss) * (_draws_up_to(times, rng.uniform(0.0, 1.0, (m, ss))) / ss
+                              - times[None, :])
     # uniform_jump
     u = rng.uniform(0.0, 1.0, m)
     return (times[None, :] >= u[:, None]).astype(float)
+
+
+def _draws_up_to(times: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """counts[i, j]: the draws u[i] <= times[j], from each draw's first grid
+    index at or past it (draws lie below times[-1]), counted per row and cell
+    and summed along the grid."""
+    m, n = u.shape[0], times.size
+    first = np.searchsorted(times, u, side="left") + n * np.arange(m)[:, None]
+    return np.bincount(first.ravel(), minlength=m * n).reshape(m, n).cumsum(axis=1)
 
 
 def generate_paths(

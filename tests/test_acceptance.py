@@ -275,8 +275,9 @@ def test_criterion_8_clt_suite():
     for tm, res in run.report["normality"].items():
         assert not res["rejected_at_1pct"], (tm, res)
 
-    # uniform-in-n domination of the global-statistic and module tails
-    assert len(run.report["checks"]) == 6
+    # uniform-in-n domination of the global-statistic and module tails: one
+    # global check per n and one module check per (n, h), h in (0.05, 0.1)
+    assert len(run.report["checks"]) == 9
     for check in run.report["checks"]:
         assert check["overall_pass"], (check["label"], check["failures"])
 

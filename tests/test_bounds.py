@@ -17,7 +17,6 @@ from skorotail.bounds import (
     clt_exp_envelope,
     entropy_series_bound,
     exp_tail_envelopes,
-    factored_module_bound,
     factored_module_term,
     geometric_sequences,
     joint_moment,
@@ -461,16 +460,6 @@ class TestFactoredModule:
             for h in (0.2, 0.05, 0.01, 0.001)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_stated_range_empty_for_large_l(self):
-        with pytest.raises(BoundUnavailable, match="empty admissible range"):
-            factored_module_bound(lambda p: 1.0, GFunction.linear(), 2.0, 16.0, 0.05, 10.0)
-
-    def test_stated_range_never_satisfies_term_condition(self):
-        # for small l the range [2, 1/l) is nonempty but l*p stays below 1
-        with pytest.raises(BoundUnavailable, match="l\\*p > 1"):
-            factored_module_bound(lambda p: 1.0, GFunction.linear(), 0.25, 16.0,
-                                  0.05, 3.0)
 
     def test_needs_chaining_exponent(self):
         with pytest.raises(ValueError, match="l\\*p"):

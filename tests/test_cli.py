@@ -268,6 +268,15 @@ class TestBound:
                   "--u", "1.0"])
         assert rc == 3
 
+    def test_entropy_series_scales_underflowing_exit_code(self, capsys):
+        # eps(k) = 0.2^(k-1) reaches 0.0 before the remainder is certified; the
+        # covering number e^(-gamma) at scale 0 raised ZeroDivisionError
+        rc = run(["bound", "entropy-series", "--gamma", "0.3", "--beta", "0.8",
+                  "--seq-s", "0.2", "--seq-theta", "0.5", "--u", "3"])
+        assert rc == 3
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith("bound unavailable:")
+
     def test_clt_envelope_flags_threshold_below_e(self, capsys):
         # the closed forms are stated for u >= e: a value at u = 1 is no bound
         assert run(["bound", "clt-envelope", "--u", "1"]) == 0
@@ -526,6 +535,22 @@ class TestSimulateVerify:
         assert run([cmd, *SMALL_SIM, "--u-points", "0", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: u_points must be positive\n"
         assert not out.exists()
+
+    def test_clt_checks_every_span(self, tmp_path, capsys):
+        # the default --h 0.05,0.1: one global check per n, one module check per (n, h)
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        small = [a for a in self.CLT_SMALL if a not in ("--h", "0.1")]
+        assert run(["clt", *small, "--n", "1,4", "--out", str(both)]) == 0
+        assert run(["clt", *small, "--n", "1,4", "--h", "0.1", "--out", str(alone)]) == 0
+        checks = json.loads((both / "report.json").read_text())["checks"]
+        assert [c["label"] for c in checks] == [
+            "global_n=1", "module_n=1_h=0.05", "module_n=1_h=0.1",
+            "global_n=4", "module_n=4_h=0.05", "module_n=4_h=0.1"]
+        # each span's checks are the ones a run at that span alone makes
+        single = {c["label"]: c for c in json.loads((alone / "report.json").read_text())["checks"]}
+        assert [c for c in checks if "0.05" not in c["label"]] == list(single.values())
+        header = (both / "clt_bounds.csv").read_text().splitlines()[0]
+        assert header == "u,global_bound,module_bound,module_bound_h=0.1"
 
     def test_clt_subcommand(self, tmp_path, capsys):
         out = tmp_path / "clt"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from skorotail.paths import (
     ps_module_matrix,
     triple_min,
     triple_min_sup,
+    triple_min_sup_matrix,
 )
 
 TWO_JUMP = SampledPath(np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 1.0, 2.0, 2.0]))
@@ -232,6 +235,75 @@ class TestModuleVisitsOnlyJumps:
                     # every row moves at every step: whole windows, no gather
                     assert np.array_equal(ps_module_matrix(t, values[5:], delta), brute[5:])
         assert mid_grid_runs > 100
+
+
+def mostly_moving_rows(rng, n):
+    """Two rows that move at half and at three quarters of their steps, on
+    small integer levels: read whole, like rows that move at every step."""
+    rows = []
+    for still in ((n - 1) // 2, (n - 1) // 4):
+        steps = rng.choice([-2.0, -1.0, 1.0, 2.0], size=n)
+        steps[rng.choice(np.arange(1, n), size=still, replace=False)] = 0.0
+        rows.append(steps.cumsum())
+    return np.array(rows)
+
+
+class TestJumpListKernels:
+    """Both statistics read rows that move at under half their steps from
+    their jump list and all other rows as slices, in blocks of windows that
+    a thread pool shares out; every block size, worker count and bundle
+    size gives the brute force's values."""
+
+    def cases(self):
+        rng = np.random.default_rng(19)
+        for n in (4, 9, 17, 30):
+            uniform = np.linspace(0.0, 1.0, n)
+            # a coarse lattice: cap runs start mid-grid
+            inner = rng.choice(np.arange(1, 36), size=n - 2, replace=False)
+            lattice = np.concatenate([[0.0], np.sort(inner) / 36, [1.0]])
+            for t in (uniform, lattice):
+                values = np.vstack([mixed_rows(rng, n), mostly_moving_rows(rng, n)])
+                moved = np.count_nonzero(np.diff(values, axis=1), axis=1)
+                assert 2 * moved[-2] >= n - 1 > 2 * moved[1]  # both readings
+                gaps = np.diff(t)
+                deltas = [0.0, 1.0, 0.5 * gaps.min(), t[2] - t[0], t[-1] - t[n // 2],
+                          float(rng.uniform(gaps.min(), 0.5))]
+                yield t, values, deltas
+
+    def test_matches_brute_force(self, monkeypatch):
+        counted = []
+        block_maxima = paths._block_maxima
+        monkeypatch.setattr(paths, "_block_maxima", lambda b: counted.append(b) or block_maxima(b))
+        for t, values, deltas in self.cases():
+            rows = [SampledPath(t, row) for row in values]
+            want = {d: [ps_module_brute(p, d) for p in rows] for d in deltas}
+            glob = [global_stat_brute(p) for p in rows]
+            assert want[1.0] == glob
+            for cells, loop in itertools.product((3, 64, 1 << 18), (1, 128)):
+                monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
+                monkeypatch.setattr(paths, "_LOOP_WINDOWS", loop)  # both running extrema
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(paths, "_worker_count", lambda: workers)
+                    counted.clear()
+                    assert np.array_equal(triple_min_sup_matrix(values), glob)
+                    if cells == 3:
+                        assert len(counted) > 3  # the bundle splits into blocks
+                    for d in deltas:
+                        got = ps_module_matrix(t, values, d)
+                        assert np.array_equal(got, want[d]), (t, d, cells, workers)
+                        for i in (0, 1, 5, 7):  # m = 1: each kind of row alone
+                            assert ps_module_matrix(t, values[i : i + 1], d) == want[d][i]
+                        assert ps_module_matrix(t, values[:0], d).shape == (0,)
+            assert triple_min_sup_matrix(values[:0]).shape == (0,)
+
+    def test_two_and_three_point_grids(self):
+        for t in (np.array([0.0, 1.0]), np.array([0.0, 0.4, 1.0])):
+            values = np.array([[0.0] * t.size, np.arange(t.size) % 2, np.arange(t.size)])
+            glob = [global_stat_brute(SampledPath(t, row)) for row in values]
+            assert np.array_equal(triple_min_sup_matrix(values), glob)
+            for d in (0.0, 0.3, 0.6, 1.0):
+                brute = [ps_module_brute(SampledPath(t, row), d) for row in values]
+                assert np.array_equal(ps_module_matrix(t, values, d), brute)
 
 
 @st.composite

@@ -183,6 +183,24 @@ class TestGeneratePaths:
         mid = b.values[:, 8]
         assert abs(mid.mean()) <= 3 * mid.std() / np.sqrt(mid.size)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("sample_size", [1, 5, 16, 64])
+    def test_empirical_counts_match_per_path_search(self, seed, sample_size):
+        # the per-path loop the counts replaced: each row's sorted draws
+        # searched at every grid time
+        def loop(times, u):
+            return np.stack([np.searchsorted(np.sort(row), times, side="right") for row in u])
+
+        times = np.linspace(0.0, 1.0, 37)
+        spec = ProcessSpec("empirical", sample_size=sample_size, grid_size=times.size)
+        got = generate_paths(spec, SimConfig(n_paths=50, seed=seed)).values
+        u = np.random.default_rng(seed).uniform(0.0, 1.0, (50, sample_size))
+        ss = sample_size
+        assert np.array_equal(got, np.sqrt(ss) * (loop(times, u) / ss - times[None, :]))
+        # draws at 0 and on grid times count from that time on
+        u[0, 0], u[1, :] = 0.0, times[5]
+        assert np.array_equal(simulate._draws_up_to(times, u), loop(times, u))
+
     def test_brownian_increment_variance(self):
         spec = ProcessSpec("brownian", scale=2.0, grid_size=11)
         b = generate_paths(spec, SimConfig(n_paths=50_000, seed=4))
