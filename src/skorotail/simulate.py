@@ -14,6 +14,7 @@ of (inputs, seed).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -239,44 +240,130 @@ class MomentTable:
             raise ValueError("moment values must be nondecreasing in p")
 
 
-_TRIPLE_BLOCK = 256  # path rows per block of ``estimate_triple_moments``; fewer
-_TRIPLE_CELLS = 1 << 18  # where a power workspace would pass 2 MiB (k > 64)
+_TRIPLE_BLOCK = 256  # path rows per block of a full step; fewer
+_TRIPLE_CELLS = 1 << 18  # where a power workspace would pass 2 MiB (k > 64),
+# and the most workspace cells one block of segments takes
+# multiply-adds per matrix product: OpenBLAS runs a product this small on the
+# calling thread, so its sums do not depend on the BLAS thread count
+_TRIPLE_PRODUCT = 1 << 18
 
 
-def _triple_step(vs, ps, s, scale, ws):
+def _carve(ws, *shapes):
+    """Consecutive views of the flat workspace ``ws``, one per shape."""
+    views, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(ws[lo : lo + size].reshape(shape))
+        lo += size
+    return views
+
+
+def _segment_cells(k, s, segments):
+    """Workspace cells of one moving row with ``segments`` segments left of s."""
+    nt = k - s - 1
+    return k + 2 * nt + s + segments * (3 * nt + s + 2)
+
+
+def _triple_step(vs, moves, ps, s, scale, ws, block):
     """The sums S_s[p, r, t] over all paths of (min(|x(s)-x(r)|, |x(t)-x(s)|)
     / scale)^p for r < s < t, as ``(True, S_s)``, or as ``(False, S_s -
-    S_{s-1})`` from the terms at s and s-1 of the paths that move, when under
-    half of them do.  Every intermediate but the row sums goes into ``ws``:
-    two arm workspaces of block * k cells and two of block * max_s s(k-s-1).
-    """
+    S_{s-1})`` from the paths that move at s (``moves[s-1]``), when under half
+    of them do.  Every intermediate but the (s, k-s-1) sums goes into the flat
+    workspace ``ws``."""
+    moved = np.flatnonzero(moves[s - 1])
+    if 2 * moved.size >= vs.shape[0]:
+        return True, _full_sums(vs, ps, s, scale, ws, block)
+    return False, _segment_sums(vs, moves, moved, ps, s, scale, ws)
+
+
+def _full_sums(vs, ps, s, scale, ws, block):
+    """S_s afresh, ``block`` rows at a time: one minimum of the two arms per
+    (row, r, t) cell, then each order p as the square of the previous one
+    when p doubles it, summed over the rows."""
     m, k = vs.shape
-    a_buf, b_buf, c_buf, p_buf = ws
-    block, nt = a_buf.size // k, k - s - 1
-    moved = np.flatnonzero(vs[:, s] != vs[:, s - 1])
-    full = 2 * moved.size >= m
-    mids = (s,) if full else (s, s - 1)
-    sums = np.zeros((len(mids), ps.size, s, nt))
-    for lo in range(0, m if full else moved.size, block):
-        rows = vs[lo : lo + block] if full else vs[moved[lo : lo + block]]
+    nt = k - s - 1
+    sums = np.zeros((ps.size, s, nt))
+    for lo in range(0, m, block):
+        rows = vs[lo : lo + block]
         r = rows.shape[0]
-        a, b = a_buf[: r * s].reshape(r, s), b_buf[: r * nt].reshape(r, nt)
-        c, pw = (buf[: r * s * nt].reshape(r, s, nt) for buf in (c_buf, p_buf))
-        for out, mid in zip(sums, mids):
-            for arm, ends in ((a, rows[:, :s]), (b, rows[:, s + 1 :])):
-                np.subtract(ends, rows[:, mid : mid + 1], out=arm)
-                np.divide(np.abs(arm, out=arm), scale, out=arm)
-            # a, b >= 0, so min(a^p, b^p) = min(a, b)^p: one minimum per block
-            np.minimum(a[:, :, None], b[:, None, :], out=c)
-            cur, prev = c, 1.0
-            for j, p in enumerate(ps):
+        a, b, c, pw = _carve(ws, (r, s), (r, nt), (r, s, nt), (r, s, nt))
+        for arm, ends in ((a, rows[:, :s]), (b, rows[:, s + 1 :])):
+            np.subtract(ends, rows[:, s : s + 1], out=arm)
+            np.divide(np.abs(arm, out=arm), scale, out=arm)
+        # a, b >= 0, so min(a^p, b^p) = min(a, b)^p: one minimum per block
+        np.minimum(a[:, :, None], b[:, None, :], out=c)
+        cur, prev = c, 1.0
+        for out, p in zip(sums, ps):
+            if p == 2.0 * prev:
+                np.multiply(cur, cur, out=pw)
+            else:
+                np.power(c, p, out=pw)
+            cur, prev = pw, p
+            out += pw.sum(axis=0)
+    return sums
+
+
+def _segment_sums(vs, moves, moved, ps, s, scale, ws):
+    """S_s - S_{s-1} from the ``moved`` rows, by their segments: a step path
+    is constant on each run of left points r with one value.  Per segment g
+    of a moving row, D_p[g, t] is the term at s minus the term at s-1, and
+    the difference is A @ D_p, with A[r, g] = 1 when g covers r: each product
+    in it is exact or zero, so each cell sums only its own rows' terms.  The
+    rows go in blocks whose segments fit ``_TRIPLE_CELLS`` cells of ``ws``,
+    and each product in pieces of at most ``_TRIPLE_PRODUCT`` multiply-adds."""
+    k = vs.shape[1]
+    nt = k - s - 1
+    sums = np.zeros((ps.size, s, nt))
+    # a segment starts at r = 0 and wherever the row moves within [1, s)
+    starts = np.ones((moved.size, s), dtype=bool)
+    starts[:, 1:] = moves[: s - 1, moved].T
+    cost = _segment_cells(k, s, starts.sum(axis=1))
+    cum = np.cumsum(cost)
+    budget = max(min(ws.size, _TRIPLE_CELLS), int(cost.max(initial=0)))
+    chunk = max(1, _TRIPLE_PRODUCT // (s * nt))  # segments per product
+    lo = 0
+    while lo < moved.size:
+        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] - cost[lo] + budget, "right")))
+        r, st = hi - lo, starts[lo:hi]
+        first = np.flatnonzero(st)  # flat (row, r) index of each segment's start
+        g = first.size
+        x, idx, b_new, b_old, a_new, a_old, c_new, c_old, d, A = _carve(
+            ws, (r, k), (r, s), (r, nt), (r, nt), (g,), (g,), (g, nt), (g, nt), (g, nt), (s, g))
+        # "clip" writes straight into out ("raise" would buffer a copy); the
+        # indices are all in range
+        np.take(vs, moved[lo:hi], axis=0, out=x, mode="clip")
+        seg_row = first // s
+        level = x.ravel()[first + seg_row * (k - s)]  # the value on each segment
+        arms = ((c_new, a_new, b_new), (c_old, a_old, b_old))
+        for (c, a, b), mid in zip(arms, (s, s - 1)):
+            np.subtract(x[:, s + 1 :], x[:, mid : mid + 1], out=b)
+            np.divide(np.abs(b, out=b), scale, out=b)
+            np.subtract(level, x[seg_row, mid], out=a)
+            np.divide(np.abs(a, out=a), scale, out=a)
+            np.minimum(np.take(b, seg_row, axis=0, out=c, mode="clip"), a[:, None], out=c)
+        # the segment of each (row, r) is the count of starts up to it, less one
+        idx = idx.view(np.int64)
+        idx[...] = st  # a cumsum that casts the bools would allocate a copy
+        np.cumsum(idx.ravel(), out=idx.ravel())
+        np.add(idx, np.arange(s) * g - 1, out=idx)
+        A.fill(0.0)
+        A.put(idx, 1.0)
+        # c holds min(a, b), then each order in turn: the square of the last
+        # one when p doubles it, else the min again to the power p
+        prev = 1.0
+        for out, p in zip(sums, ps):
+            for c, a, b in arms:
                 if p == 2.0 * prev:
-                    np.multiply(cur, cur, out=pw)
+                    np.multiply(c, c, out=c)
                 else:
-                    np.power(c, p, out=pw)
-                cur, prev = pw, p
-                out[j] += pw.sum(axis=0)
-    return full, sums[0] if full else sums[0] - sums[1]
+                    np.minimum(np.take(b, seg_row, axis=0, out=c, mode="clip"), a[:, None], out=c)
+                    np.power(c, p, out=c)
+            prev = p
+            np.subtract(c_new, c_old, out=d)
+            for lo_g in range(0, g, chunk):
+                out += A[:, lo_g : lo_g + chunk] @ d[lo_g : lo_g + chunk]
+        lo = hi
+    return sums
 
 
 def estimate_triple_moments(bundle: PathBundle, p_grid=None, stride: int = 1) -> MomentTable:
@@ -289,14 +376,18 @@ def estimate_triple_moments(bundle: PathBundle, p_grid=None, stride: int = 1) ->
     The float64 per-pair sums S_s over the paths are a running sum over the
     middle point s: a path with x(s) == x(s-1) has bitwise the same terms at
     s as at s-1 (row r = s is zero), so S_s is S_{s-1} plus the new-minus-old
-    terms of the paths that move at s.  When at least half the paths move
-    (Brownian and empirical paths, partial sums), S_s is summed afresh, which
-    also resets any rounding drift.  Both take one minimum of the two arms per
-    block of rows and each order p as the square of the previous one when p
-    doubles it (the default 2, 4, ..., 32 needs squarings only).  A pool with
-    one worker per CPU computes the S_s, at most two middle points per worker
-    ahead; this thread applies them in s order and keeps the running max, so
-    the result is byte-identical for any worker count.
+    terms of the paths that move at s.  A step path is constant on each
+    segment, a run of left points with one value, so those terms are formed
+    once per segment and put onto the rows r by a product with a 0/1 matrix:
+    each cell adds only its own paths' terms, so no rounding from other cells
+    enters it.  When at least half the paths move (Brownian and empirical
+    paths, partial sums), S_s is summed afresh over dense blocks of rows,
+    which also resets any rounding drift.  Each order p is the square of the
+    previous one when p doubles it (the default 2, 4, ..., 32 needs squarings
+    only).  A pool with one worker per CPU computes the S_s, at most two
+    middle points per worker ahead; this thread applies them in s order and
+    keeps the running max, so the result is byte-identical for any worker
+    count, and under OpenBLAS for any BLAS thread count.
     """
     t, v = bundle.times, bundle.values
     m, n = v.shape
@@ -307,21 +398,27 @@ def estimate_triple_moments(bundle: PathBundle, p_grid=None, stride: int = 1) ->
     ps = np.asarray(_default_p_grid() if p_grid is None else p_grid, dtype=float)
     idx = np.unique(np.concatenate([np.arange(0, n, stride), [n - 1]]))
     k = idx.size
-    vs = v if k == n else v[:, idx]
+    vs = v if k == n else v.take(idx, axis=1)  # rows stay contiguous
     # constant paths never move, so a zero scale is never divided by
     scale = float(v.max() - v.min())
     widest = max(1, ((k - 1) // 2) * (k // 2))  # max_s s(k-s-1)
     block = max(1, min(m, _TRIPLE_BLOCK, _TRIPLE_CELLS // widest))
+    # a full step's block, or one moving row with a segment at every left point
+    mids = np.arange(1, k - 1)
+    cells = max(2 * block * (k + widest), int(_segment_cells(k, mids, mids).max(initial=0)))
     workers = min(_worker_count(), k)
-    # one set of workspaces per worker, cut from one allocation: freed whole, it
-    # leaves no holes in the allocator's heap to grow the later stages' peak
-    cuts = np.cumsum([block * k, block * k, block * widest])
-    spaces = [np.split(w, cuts) for w in np.empty((workers, 2 * block * (k + widest)))]
+    # one workspace per worker, cut from one allocation: freed whole, it leaves
+    # no holes in the allocator's heap to grow the later stages' peak.  Segment
+    # blocks write at most _TRIPLE_CELLS cells of it; the rest becomes resident
+    # only when a full step writes it
+    spaces = list(np.empty((workers, cells)))
+    moves = np.empty((k - 1, m), dtype=bool)  # moves[s-1]: the paths with x(s) != x(s-1)
+    np.not_equal(vs[:, 1:].T, vs[:, :-1].T, out=moves)
 
     def step(s):
         ws = spaces.pop()  # at most ``workers`` steps run at once
         try:
-            return _triple_step(vs, ps, s, scale, ws)
+            return _triple_step(vs, moves, ps, s, scale, ws, block)
         finally:
             spaces.append(ws)
 

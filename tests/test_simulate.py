@@ -93,6 +93,22 @@ def step_family(m, n, seed):
     return jumps.cumsum(axis=1)
 
 
+def segment_family(m, n, seed):
+    """Step paths that take the segment branch at every step: sparse integer
+    jumps that often return a row to an earlier level (equal levels in
+    separate segments), and a minority of rows that move at every step, so
+    from s = 1 to s = n - 2 (a segment at every left point)."""
+    rng = np.random.default_rng(seed)
+    jumps = rng.choice([1.0, -1.0, 0.5], size=(m, n)) * (rng.random((m, n)) < 0.1)
+    jumps[:, 0] = 0.0
+    jumps[0, 1:] = 0.0
+    # 0, then 1, then back to 0, moving again at the last middle point
+    jumps[0, 1], jumps[0, n // 2], jumps[0, n - 2] = 1.0, -1.0, 0.5
+    dense = max(1, m // 4)
+    jumps[1 : 1 + dense, 1:] = rng.normal(size=(dense, n - 1))
+    return jumps.cumsum(axis=1)
+
+
 class TestProcessSpec:
     def test_kind_normalization(self):
         assert ProcessSpec("compound-poisson").kind == "compound_poisson"
@@ -252,6 +268,41 @@ class TestEstimateTripleMoments:
         moved = [np.count_nonzero(vals[:, s] != vals[:, s - 1]) for s in range(1, 9)]
         assert 2 * max(moved) >= 40 and 2 * min(moved) < 40
 
+    @pytest.mark.parametrize("n, m, p_grid, cells, product", [
+        (12, 40, (2.0, 4.0, 8.0, 16.0, 32.0), None, None),
+        (10, 33, (2.0, 3.0, 5.0, 7.5), None, None),  # orders that do not double
+        (3, 20, (2.0, 4.0), None, None),  # one step: one left and one right point
+        (16, 64, (2.0, 3.0, 4.0, 8.0), 300, 40),  # rows and products split
+    ])
+    def test_segment_branch_matches_enumeration(self, monkeypatch, n, m, p_grid, cells,
+                                                product):
+        if cells is not None:
+            monkeypatch.setattr(simulate, "_TRIPLE_CELLS", cells)
+            monkeypatch.setattr(simulate, "_TRIPLE_PRODUCT", product)
+        check_against_enumeration(n, m, p_grid, vals=segment_family(m, n, n))
+
+    def test_segment_family_takes_the_segment_branch(self):
+        for n, m in ((12, 40), (10, 33), (3, 20), (16, 64)):
+            vals = segment_family(m, n, n)
+            moved = np.count_nonzero(vals[:, 1:] != vals[:, :-1], axis=0)
+            assert np.all(moved > 0) and np.all(2 * moved < m)
+            dense = vals[1 : 1 + m // 4]
+            assert np.all(dense[:, 1:] != dense[:, :-1])  # a segment at every left point
+        row = segment_family(40, 12, 12)[0]
+        assert row[0] == row[9] != row[1] and row[10] != row[9]
+
+    @pytest.mark.parametrize("stride", [3, 4])
+    def test_strided_compound_poisson_matches_enumeration(self, stride):
+        vals = generate_paths(ProcessSpec("compound-poisson", rate=3.0, grid_size=40),
+                              SimConfig(n_paths=80, seed=stride)).values
+        x = vals[:, np.unique(np.r_[np.arange(0, 40, stride), 39])]
+        moved = np.count_nonzero(x[:, 1:] != x[:, :-1], axis=0)
+        assert 2 * moved.max() < 80  # every strided step takes the segment branch
+        check_against_enumeration(40, 80, (2.0, 4.0, 8.0), stride, vals=vals)
+
+    def test_single_path_matches_enumeration(self):
+        check_against_enumeration(9, 1, (2.0, 3.0, 4.0), vals=segment_family(1, 9, 0))
+
     def test_brownian_and_empirical_match_enumeration(self):
         for kind in ("brownian", "empirical"):
             b = generate_paths(ProcessSpec(kind, grid_size=10), SimConfig(n_paths=300, seed=2))
@@ -265,6 +316,8 @@ class TestEstimateTripleMoments:
         bundles = [generate_paths(CP_SPEC, SimConfig(n_paths=700, seed=14)),
                    generate_paths(ProcessSpec("brownian", grid_size=20),
                                   SimConfig(n_paths=300, seed=14))]
+        # the segment branch with its moving rows split into blocks and products
+        segments = PathBundle(np.linspace(0, 1, 24), segment_family(400, 24, 14))
 
         def run(b, count):
             monkeypatch.setattr(simulate, "_worker_count", lambda: count)
@@ -273,7 +326,10 @@ class TestEstimateTripleMoments:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
         try:
-            for b in bundles:
+            for b in bundles + [segments]:
+                if b is segments:
+                    monkeypatch.setattr(simulate, "_TRIPLE_CELLS", 4000)
+                    monkeypatch.setattr(simulate, "_TRIPLE_PRODUCT", 2000)
                 one, many = run(b, 1), run(b, workers)
                 for field in ("values", "raw_moments", "pair_norms"):
                     assert getattr(one, field).tobytes() == getattr(many, field).tobytes(), field
