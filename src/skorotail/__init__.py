@@ -11,7 +11,6 @@ from .bounds import (
     BoundUnavailable,
     TailCurve,
     chaining_constant,
-    clt_bounds,
     clt_exp_envelope,
     entropy_series_bound,
     exp_tail_envelopes,
@@ -26,6 +25,7 @@ from .bounds import (
     power_global_bound,
     power_module_bound,
     rosenthal_constant,
+    rosenthal_nu,
 )
 from .entropy import SemiDistanceGrid, covering_number, metric_entropy, scaled_window_modulus
 from .gls import (

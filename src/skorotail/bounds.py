@@ -11,8 +11,9 @@ into an explicit upper bound on P(statistic > u), clamped to [0,1]:
 * moment bounds: infima over p of (3 nu(p) G(1) / u)^p built from the
   natural moment function nu of the triple-minimum statistic;
 * minimum-of-variables tail bounds via joint moments and convex conjugation;
-* central-limit envelopes: the moment bounds with a Rosenthal factor, uniform
-  over the number of summands.
+* central-limit envelopes, uniform over the number of summands: the moment
+  bounds of the Rosenthal-scaled moment function K_R(p) nu(p)
+  (``rosenthal_nu``).
 
 Infima over continuous parameters are taken over finite grids, so every
 returned value is a valid (if slightly loose) bound, with the achieving
@@ -58,7 +59,7 @@ __all__ = [
     "pizier_min_bound",
     "factored_module_term",
     "rosenthal_constant",
-    "clt_bounds",
+    "rosenthal_nu",
     "clt_exp_envelope",
 ]
 
@@ -214,8 +215,8 @@ def _zero_curve(u: np.ndarray) -> TailCurve:
 def _curve_from_log(u, log_terms, params) -> TailCurve:
     """log_terms: (n_params, n_u) matrix; builds the clamped pointwise-min curve."""
     j = np.argmin(log_terms, axis=0)
-    log_best = log_terms[j, np.arange(u.size)]
-    raw = np.exp(log_best)
+    with np.errstate(over="ignore"):  # an infinite raw bound clamps to 1
+        raw = np.exp(log_terms[j, np.arange(u.size)])
     par = np.empty(len(params), dtype=object)
     par[:] = params
     return TailCurve(
@@ -749,29 +750,15 @@ def rosenthal_constant(p: float) -> float:
     return ROSENTHAL_FACTOR * p / math.log(p)
 
 
-def clt_bounds(
-    y,
-    b_env: GFunction,
-    h: float,
-    u_grid,
-    b: float = np.inf,
-    p_grid=None,
-) -> tuple[TailCurve, TailCurve]:
-    """Envelopes, uniform over the number of summands, for the tails of the
-    global statistic and the module of normalized partial-sum paths:
-
-        inf_p (3 K_R(p) y(p) B(1) / u)^p     and the module version with the
-        extra 2 (omega_B(2h))^(p-1) factor,
-
-    where y is the natural moment function of the summand process and B its
-    increment envelope."""
-    if not 0.0 < h <= 0.5:
-        raise ValueError("h must lie in (0, 1/2]")
+def rosenthal_nu(y, b: float = np.inf, p_grid=None) -> tuple[np.ndarray, np.ndarray]:
+    """The table (p, K_R(p) y(p)) of the Rosenthal-scaled moment function, for
+    any form of ``y`` that ``moment_global_bound`` takes.  Its moment bounds
+    are envelopes, uniform over the number of summands, for the tails of the
+    global statistic and the module of normalized partial-sum paths, where y
+    is the natural moment function of the summand process and the envelope
+    its increment envelope."""
     ps, vals = _nu_table(y, b, p_grid)
-    u = _u_grid(u_grid)
-    coef = 3.0 * np.array([rosenthal_constant(p) for p in ps]) * vals
-    return (_moment_curve(ps, coef, b_env, None, u),
-            _moment_curve(ps, coef, b_env, h, u))
+    return ps, np.array([rosenthal_constant(p) for p in ps]) * vals
 
 
 def clt_exp_envelope(
@@ -817,8 +804,8 @@ def clt_exp_envelope(
     u_cal = np.logspace(np.log10(u_lo), np.log10(u_lo) + 6, _ENVELOPE_CAL_POINTS)
     if u >= math.e:
         u_cal = np.sort(np.append(u_cal, u))
-    gcurve, _ = clt_bounds(y, b_env, h, u_cal, p_grid=p_eval)
-    c2 = _calibrate(gcurve.raw, rate_global(u_cal))
+    nu = rosenthal_nu(y, p_grid=p_eval)
+    c2 = _calibrate(moment_global_bound(nu, b_env, u_cal).raw, rate_global(u_cal))
     with np.errstate(divide="ignore"):  # ln u = 0 at u = 1, outside the flagged range
         delta_value = min(1.0, _safe_exp(-c2 * float(rate_global(u))))
 
@@ -834,8 +821,8 @@ def clt_exp_envelope(
     u_cal_k = np.logspace(np.log10(lo_k), np.log10(lo_k) + 6, _ENVELOPE_CAL_POINTS)
     if u > threshold:
         u_cal_k = np.sort(np.append(u_cal_k, u))
-    _, mcurve = clt_bounds(y, b_env, h, u_cal_k, p_grid=p_eval)
-    c3 = _calibrate(mcurve.raw * om / 2.0, rate_module(u_cal_k))
+    c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,
+                    rate_module(u_cal_k))
     kappa_value = min(1.0, 2.0 / om * _safe_exp(-c3 * float(rate_module(u))))
     return ExpEnvelopes(
         delta_value=delta_value,

@@ -247,7 +247,8 @@ def _min_tail_fenchel(ns) -> str:
 
 
 def _clt(ns) -> tuple[list, list]:
-    gc, mc = B.clt_bounds(_nu_function(ns), _g_function(ns), ns.h, _parse_grid(ns.u), b=ns.b)
+    nu, g, u = B.rosenthal_nu(_nu_function(ns), b=ns.b), _g_function(ns), _parse_grid(ns.u)
+    gc, mc = B.moment_global_bound(nu, g, u), B.moment_module_bound(nu, g, ns.h, u)
     return ["u", "global_bound", "module_bound"], [gc.thresholds, gc.probs, mc.probs]
 
 

@@ -321,7 +321,8 @@ def _run_values(before, after, first, count):
     x = np.empty((int(count[-1]) + 1, first.size))
     x[0] = before
     steps = np.arange(1, len(x))[:, None]
-    np.take(after, first + np.minimum(steps, count) - 1, out=x[1:])
+    # the indices are in range, and "clip" writes into out without a buffered copy
+    np.take(after, first + np.minimum(steps, count) - 1, out=x[1:], mode="clip")
     return x
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as tio
 from . import simulate as sim
-from .bounds import clt_bounds, moment_global_bound, moment_module_bound
+from .bounds import moment_global_bound, moment_module_bound, rosenthal_nu
 from .paths import GFunction
 
 __all__ = ["Estimation", "Run", "estimate", "simulate", "verify", "clt", "triple_grid"]
@@ -23,21 +23,21 @@ __all__ = ["Estimation", "Run", "estimate", "simulate", "verify", "clt", "triple
 
 @dataclass(frozen=True)
 class Estimation:
-    """Simulated paths, their natural moment function and least envelope G,
-    the threshold grid, and the simulated tails of the global statistic and
-    of the module at each span h (``tails_kappa[h]``)."""
+    """The natural moment function and least envelope G fitted on one bundle,
+    the threshold grid, and the simulated tails of each checked bundle, label
+    suffix -> (tail of the global statistic, {h: tail of the module at span h})."""
 
-    bundle: sim.PathBundle
     table: sim.MomentTable
     envelope: GFunction
     u_grid: np.ndarray
-    tail_delta: sim.TailEstimate
-    tails_kappa: dict
+    tails: dict
 
     def tables(self) -> dict:
         """The CSV tables of the estimation, name -> (header, columns)."""
-        tails = {"tail_delta.csv": self.tail_delta}
-        tails.update((f"tail_kappa_{h:g}.csv", est) for h, est in self.tails_kappa.items())
+        tails = {}
+        for suffix, (delta, kappa) in self.tails.items():
+            tails[f"tail_delta{suffix}.csv"] = delta
+            tails.update((f"tail_kappa{suffix}_{h:g}.csv", est) for h, est in kappa.items())
         return {
             "moments.csv": (["p", "nu"], [self.table.p_grid, self.table.values]),
             "pair_norms.csv": ([tio.fmt(t) for t in self.table.pair_times],
@@ -75,47 +75,53 @@ def triple_grid(table: sim.MomentTable, config: sim.SimConfig) -> dict:
     return {"points": int(table.pair_times.size), "stride": config.triple_stride}
 
 
-def _moments(bundle: sim.PathBundle, config: sim.SimConfig):
-    table = sim.estimate_triple_moments(bundle, config.p_grid, stride=config.triple_stride)
-    return table, sim.fit_g_envelope(table.pair_times, table.pair_norms)
+def estimate(fit: sim.PathBundle, checked: dict, config: sim.SimConfig,
+             u_grid=None) -> Estimation:
+    """Estimate nu and G on the ``fit`` paths, and tabulate the tails of each
+    checked bundle (label suffix -> bundle) on ``u_grid`` (default:
+    ``config.u_points`` quantiles of their pooled global statistics)."""
+    table = sim.estimate_triple_moments(fit, config.p_grid, stride=config.triple_stride)
+    envelope = sim.fit_g_envelope(table.pair_times, table.pair_norms)
+    stats = {suffix: b.global_stats() for suffix, b in checked.items()}
+    if u_grid is None:
+        u_grid = sim.quantile_u_grid(np.concatenate(list(stats.values())), config.u_points)
+    tail = lambda s: sim.empirical_tail(s, u_grid, config.confidence)
+    tails = {suffix: (tail(stats[suffix]), {h: tail(b.module_stats(h)) for h in config.h_grid})
+             for suffix, b in checked.items()}
+    return Estimation(table, envelope, u_grid, tails)
 
 
-def _run(report: dict, checks, strict: bool, tables: dict) -> Run:
-    """Check each (label, bound, tail) and finish the report with the verdicts."""
+def _check(est: Estimation, nu, config: sim.SimConfig, strict: bool, report: dict):
+    """The global curve and each span's module curve of the moment function
+    ``nu`` on the estimation's grid, each evaluated once, and the run's report
+    with the check of every tail against its curve: per label suffix, the
+    global statistic, then the module at each span."""
+    u = est.u_grid
+    gcurve = moment_global_bound(nu, est.envelope, u)
+    mcurves = {h: moment_module_bound(nu, est.envelope, h, u) for h in config.h_grid}
+    checks = []
+    for suffix, (delta, kappa) in est.tails.items():
+        checks.append((f"global{suffix}", gcurve, delta))
+        checks += [(f"module{suffix}_h={h:g}", mcurves[h], tail) for h, tail in kappa.items()]
     entries = [sim.domination_report(bound, tail, strict, label) for label, bound, tail in checks]
     report = {**report, "overall_pass": all(e["overall_pass"] for e in entries), "checks": entries}
-    return Run(report, tables)
-
-
-def estimate(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None) -> Estimation:
-    """Simulate, estimate nu and G, and tabulate the tails on ``u_grid``
-    (default: ``config.u_points`` quantiles of the global statistic)."""
-    bundle = sim.generate_paths(spec, config)
-    table, envelope = _moments(bundle, config)
-    stats = bundle.global_stats()
-    if u_grid is None:
-        u_grid = sim.quantile_u_grid(stats, config.u_points)
-    tail = lambda s: sim.empirical_tail(s, u_grid, config.confidence)
-    return Estimation(bundle, table, envelope, u_grid, tail(stats),
-                      {h: tail(bundle.module_stats(h)) for h in config.h_grid})
+    return gcurve, mcurves, report
 
 
 def verify(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None,
            strict: bool = False) -> Run:
-    """``estimate``, then check the global moment bound and the module bound
-    at every span against their tails; writes ``bound_<label>.csv`` files."""
-    est = estimate(spec, config, u_grid)
-    u = est.u_grid
-    checks = [("global", moment_global_bound(est.table, est.envelope, u), est.tail_delta)]
-    for h, tail in est.tails_kappa.items():
-        checks.append((f"module_h={h:g}",
-                       moment_module_bound(est.table, est.envelope, h, u), tail))
-    tables = est.tables()
-    tables.update((f"bound_{label.replace('=', '_')}.csv", curve.table())
-                  for label, curve, _ in checks)
-    report = {"process": spec.kind, "seed": config.seed, "n_paths": len(est.bundle),
+    """Simulate, ``estimate`` on those paths, and check the global moment
+    bound and the module bound at every span against their tails; writes
+    ``bound_<label>.csv`` files."""
+    bundle = sim.generate_paths(spec, config)
+    est = estimate(bundle, {"": bundle}, config, u_grid)
+    report = {"process": spec.kind, "seed": config.seed, "n_paths": len(bundle),
               "triple_grid": triple_grid(est.table, config)}
-    return _run(report, checks, strict, tables)
+    gcurve, mcurves, report = _check(est, est.table, config, strict, report)
+    tables = est.tables()
+    tables["bound_global.csv"] = gcurve.table()
+    tables.update((f"bound_module_h_{h:g}.csv", c.table()) for h, c in mcurves.items())
+    return Run(report, tables)
 
 
 def simulate(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None, beta_grid=None,
@@ -124,8 +130,8 @@ def simulate(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None, beta_gri
     grid and, given ``beta_grid``, the boundary functionals at those endpoint
     window widths (also ``boundary.csv``).  ``write_paths`` adds the paths as
     ``paths.csv``.  Nothing is checked, so the exit code is 0."""
-    est = estimate(spec, config, u_grid)
-    bundle = est.bundle
+    bundle = sim.generate_paths(spec, config)
+    est = estimate(bundle, {"": bundle}, config, u_grid)
     summary = {"process": spec.kind, "n_paths": len(bundle), "grid_size": spec.grid_size,
                "seed": config.seed, "g_total": est.envelope.total, "u_grid": list(est.u_grid),
                "nu": {tio.fmt(p): v for p, v in zip(est.table.p_grid, est.table.values)},
@@ -144,31 +150,23 @@ def simulate(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None, beta_gri
 
 def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=None,
         strict: bool = False) -> Run:
-    """Estimate the summand's nu and G, then check the Rosenthal-scaled bounds
-    against the tails of normalized sums of n summands for each n in
-    ``n_list``: the global statistic once per n, and the module at every
-    span in ``config.h_grid``, all from one seed stream.  The largest
-    sum's marginal at each time in ``t_marks`` (in [0, 1], and not the same
-    on every path) gets an Anderson-Darling test at level 1%."""
+    """``estimate`` nu and G on the summand paths, then check the moment
+    bounds of the Rosenthal-scaled nu against the tails of normalized sums of
+    n summands for each n in ``n_list`` (distinct): the global statistic once
+    per n, and the module at every span in ``config.h_grid``, all from one
+    seed stream.  The largest sum's marginal at each time in ``t_marks`` (in
+    [0, 1], and not the same on every path) gets an Anderson-Darling test at
+    level 1%."""
     from scipy.stats import anderson  # loaded only by this command
 
     if not all(0.0 <= tm <= 1.0 for tm in t_marks):
         raise ValueError(f"t_marks must lie in [0, 1], got {list(t_marks)}")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"n must not repeat, got {list(n_list)}")
     rng = np.random.default_rng(config.seed)
-    table, envelope = _moments(sim.generate_paths(spec, config, rng=rng), config)
+    summands = sim.generate_paths(spec, config, rng=rng)
     bundles = {n: sim.partial_sum_paths(spec, n, config, rng=rng) for n in n_list}
-    stats = {n: b.global_stats() for n, b in bundles.items()}
-    if u_grid is None:
-        u_grid = sim.quantile_u_grid(np.concatenate(list(stats.values())), config.u_points)
-    curves = {h: clt_bounds(table, envelope, h, u_grid) for h in config.h_grid}
-    gcurve = curves[config.h_grid[0]][0]  # the same at every span
-    module = {h: mcurve for h, (_, mcurve) in curves.items()}
-    tail = lambda s: sim.empirical_tail(s, u_grid, config.confidence)
-    checks = []
-    for n, b in bundles.items():
-        checks.append((f"global_n={n}", gcurve, tail(stats[n])))
-        checks += [(f"module_n={n}_h={h:g}", curve, tail(b.module_stats(h)))
-                   for h, curve in module.items()]
+    est = estimate(summands, {f"_n={n}": b for n, b in bundles.items()}, config, u_grid)
 
     n_big = max(n_list)
     vb = bundles[n_big]
@@ -186,8 +184,8 @@ def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=No
         }
     report = {"process": spec.kind, "seed": config.seed, "n_list": n_list,
               "normality_n": n_big, "normality": normality}
+    gcurve, mcurves, report = _check(est, rosenthal_nu(est.table), config, strict, report)
     # the first span's column keeps its name; each further span adds one
     names = ["module_bound"] + [f"module_bound_h={h:g}" for h in config.h_grid[1:]]
-    tables = {"clt_bounds.csv": (["u", "global_bound", *names],
-                                 [u_grid, gcurve.probs, *(c.probs for c in module.values())])}
-    return _run(report, checks, strict, tables)
+    return Run(report, {"clt_bounds.csv": (["u", "global_bound", *names], [
+        est.u_grid, gcurve.probs, *(c.probs for c in mcurves.values())])})

@@ -122,6 +122,8 @@ class SimConfig:
         for h in self.h_grid:
             if not 0.0 < h <= 0.5:
                 raise ValueError("every h must lie in (0, 1/2]")
+        if len({f"{h:g}" for h in self.h_grid}) < len(self.h_grid):  # as checks label them
+            raise ValueError(f"spans must differ in 6 significant digits, got {self.h_grid}")
 
 
 @dataclass(frozen=True)
@@ -161,10 +163,13 @@ def _generate(spec: ProcessSpec, m: int, rng: np.random.Generator) -> np.ndarray
             rows = np.repeat(np.arange(m), counts)
             cols = np.searchsorted(times, jt, side="left")
             np.add.at(vals, (rows, cols), js)
-        return np.cumsum(vals, axis=1)
+        return np.cumsum(vals, axis=1, out=vals)
     if spec.kind == "brownian":
-        inc = rng.normal(0.0, 1.0, (m, n - 1)) * (spec.scale * np.sqrt(np.diff(times)))
-        return np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+        vals = np.zeros((m, n))
+        np.multiply(rng.normal(0.0, 1.0, (m, n - 1)), spec.scale * np.sqrt(np.diff(times)),
+                    out=vals[:, 1:])
+        np.cumsum(vals[:, 1:], axis=1, out=vals[:, 1:])
+        return vals
     if spec.kind == "empirical":
         ss = spec.sample_size
         return np.sqrt(ss) * (_draws_up_to(times, rng.uniform(0.0, 1.0, (m, ss))) / ss

@@ -324,20 +324,38 @@ def test_criterion_9_boundary_functionals():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_10_reproducibility(tmp_path):
-    args = [
-        "verify", "--process", "compound-poisson", "--rate", "5", "--grid", "32",
-        "--paths", "2000", "--seed", "77", "--u-points", "12", "--h", "0.05,0.1",
-    ]
+CRITERION_10_FLAGS = ["--process", "compound-poisson", "--rate", "5", "--grid", "32",
+                      "--paths", "2000", "--seed", "77", "--u-points", "12", "--h", "0.05,0.1"]
+
+
+def run_twice(args, tmp_path):
+    """Run the command twice; return the first output directory and its file
+    names after checking that both runs wrote the same bytes."""
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert cli.run([*args, "--out", str(out1)]) == 0
     assert cli.run([*args, "--out", str(out2)]) == 0
     names1 = sorted(p.name for p in out1.iterdir())
     names2 = sorted(p.name for p in out2.iterdir())
-    assert names1 == names2 and len(names1) >= 6
+    assert names1 == names2
     for name in names1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    return out1, names1
+
+
+def test_criterion_10_reproducibility(tmp_path):
+    out1, names1 = run_twice(["verify", *CRITERION_10_FLAGS], tmp_path)
+    assert len(names1) >= 6
     rep = json.loads((out1 / "report.json").read_text())
     assert rep["overall_pass"] is True
     report(10, "reproducibility",
            f"{len(names1)} output files byte-identical across repeated runs")
+
+
+@pytest.mark.parametrize("args, names", [
+    (["simulate", "--beta-grid", "0.05,0.1", "--write-paths"],
+     ["boundary.csv", "envelope.csv", "moments.csv", "pair_norms.csv", "paths.csv",
+      "summary.json", "tail_delta.csv", "tail_kappa_0.05.csv", "tail_kappa_0.1.csv"]),
+    (["clt", "--n", "1,4", "--t-marks", "0.5"], ["clt_bounds.csv", "report.json"]),
+], ids=["simulate", "clt"])
+def test_criterion_10_reproducibility_of_simulate_and_clt(args, names, tmp_path):
+    assert run_twice([*args, *CRITERION_10_FLAGS], tmp_path)[1] == names

@@ -13,7 +13,6 @@ from skorotail.bounds import (
     TailCurve,
     chaining_constant,
     chaining_theta_form,
-    clt_bounds,
     clt_exp_envelope,
     entropy_series_bound,
     exp_tail_envelopes,
@@ -30,6 +29,7 @@ from skorotail.bounds import (
     power_global_bound,
     power_module_bound,
     rosenthal_constant,
+    rosenthal_nu,
     validate_sequence_pair,
 )
 from skorotail.gls import PsiFunction
@@ -481,21 +481,32 @@ class TestRosenthal:
             rosenthal_constant(1.5)
 
 
+def clt_curves(y, g, h, u, **kw):
+    """The global and module moment bounds of the Rosenthal-scaled ``y``."""
+    nu = rosenthal_nu(y, **kw)
+    return moment_global_bound(nu, g, u), moment_module_bound(nu, g, h, u)
+
+
 class TestCltBounds:
     def test_constant_envelope(self):
         u = np.logspace(0, 2, 6)
-        g, m = clt_bounds(np.sqrt, GFunction.constant(), 0.05, u)
+        g, m = clt_curves(np.sqrt, GFunction.constant(), 0.05, u)
         assert np.all(g.probs == 0) and np.all(m.probs == 0)
 
     def test_p2_term_oracle(self):
         u = np.array([100.0])
-        g, _ = clt_bounds(np.sqrt, GFunction.linear(), 0.05, u,
-                          p_grid=np.array([2.0]))
+        g, _ = clt_curves(np.sqrt, GFunction.linear(), 0.05, u, p_grid=np.array([2.0]))
         expected = (3 * rosenthal_constant(2.0) * math.sqrt(2) / 100) ** 2
         assert g.probs[0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.0064, abs=2e-4)
-        g_opt, _ = clt_bounds(np.sqrt, GFunction.linear(), 0.05, u)
+        g_opt, _ = clt_curves(np.sqrt, GFunction.linear(), 0.05, u)
         assert g_opt.probs[0] <= g.probs[0] + 1e-15
+
+    def test_rosenthal_nu_scales_each_order(self):
+        ps, vals = rosenthal_nu((np.array([1.5, 2.0, 8.0, 32.0]), np.array([9.0, 1.0, 2.0, 3.0])),
+                                b=32.0)
+        assert list(ps) == [2.0, 8.0]  # the orders in [2, b), as the moment bounds keep
+        assert list(vals) == [rosenthal_constant(2.0), rosenthal_constant(8.0) * 2.0]
 
 
 class TestCltEnvelope:
@@ -512,7 +523,7 @@ class TestCltEnvelope:
         y = lambda p: np.asarray(p, dtype=float)
         for u in (50.0, 200.0, 1000.0):
             env = clt_exp_envelope(1.0, 1.0, 0.0, g, 0.05, u)
-            gc, mc = clt_bounds(y, g, 0.05, np.array([u]))
+            gc, mc = clt_curves(y, g, 0.05, np.array([u]))
             assert env.delta_value >= gc.probs[0] - 1e-12
             if env.kappa_in_range:
                 assert env.kappa_value >= mc.probs[0] - 1e-12

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from unittest import mock
@@ -193,7 +194,9 @@ class TestBound:
         out = tmp_path / "clt.csv"
         assert run(["bound", "clt", "--nu-file", str(tmp_path / "nu.csv"),
                     "--u", "2:100:4", "--out", str(out)]) == 0
-        gc, mc = B.clt_bounds((ps, nus), GFunction.linear(), 0.05, U4)
+        nu = B.rosenthal_nu((ps, nus))
+        gc = B.moment_global_bound(nu, GFunction.linear(), U4)
+        mc = B.moment_module_bound(nu, GFunction.linear(), 0.05, U4)
         rows = [f"{tio.fmt(u)},{tio.fmt(a)},{tio.fmt(b)}" for u, a, b in zip(U4, gc.probs, mc.probs)]
         assert read_out(capsys).splitlines() == rows
         assert out.read_text().splitlines() == ["u,global_bound,module_bound"] + rows
@@ -231,6 +234,15 @@ class TestBound:
     def test_rosenthal(self, capsys):
         assert run(["bound", "rosenthal", "--p", "2"]) == 0
         assert float(read_out(capsys)) == pytest.approx(1.8856, abs=1e-3)
+
+    @pytest.mark.parametrize("name", ["moment-global", "power-global"])
+    def test_raw_bound_beyond_float_range_warns_nothing(self, name, capsys):
+        # +inf is the intended raw bound at u = 1e-300; it clamps to 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["bound", name, "--u", "1e-300:1e300:5"]) == 0
+        probs = [float(row.split(",")[1]) for row in read_out(capsys).splitlines()]
+        assert probs[0] == 1.0 and probs[-1] == 0.0
 
     def test_moment_global_curve(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"
@@ -534,6 +546,21 @@ class TestSimulateVerify:
         out = tmp_path / "run"
         assert run([cmd, *SMALL_SIM, "--u-points", "0", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: u_points must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, error", [
+        (["verify", *SMALL_SIM, "--h", "0.1,0.1000001"], "spans must differ"),
+        (["verify", *SMALL_SIM, "--h", "0.1,0.1"], "spans must differ"),
+        (["clt", *CLT_SMALL, "--h", "0.1,0.1"], "spans must differ"),
+        (["clt", *CLT_SMALL, "--n", "4,4"], "n must not repeat"),
+    ], ids=["verify-h-0.1,0.1000001", "verify-h-0.1,0.1", "clt-h-0.1,0.1", "clt-n-4,4"])
+    def test_repeated_span_or_summand_count_exits_2(self, args, error, tmp_path, capsys):
+        # clt --h 0.1,0.1 wrote a clt_bounds.csv with four header fields and
+        # three per row; verify wrote one check or two of one label
+        out = tmp_path / "run"
+        assert run([*args, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and error in printed.err
         assert not out.exists()
 
     def test_clt_checks_every_span(self, tmp_path, capsys):

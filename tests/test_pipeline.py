@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from skorotail import pipeline
-from skorotail.bounds import TailCurve, moment_global_bound, moment_module_bound
+from skorotail.bounds import (TailCurve, moment_global_bound, moment_module_bound,
+                              rosenthal_constant)
 from skorotail.cli import run as cli_run
 from skorotail.io import read_matrix
 from skorotail.simulate import (
@@ -95,8 +96,13 @@ def test_simulate_writes_what_the_cli_writes(beta_grid, write_paths, tmp_path, c
     assert ("boundary" in run.report) == (beta_grid is not None)
 
 
+def estimate_on_one_bundle():
+    bundle = generate_paths(SPEC, CONFIG)
+    return pipeline.estimate(bundle, {"": bundle}, CONFIG)
+
+
 def test_pair_norms_csv_is_the_matrix_with_a_time_header(tmp_path):
-    est = pipeline.estimate(SPEC, CONFIG)
+    est = estimate_on_one_bundle()
     pipeline.Run({}, est.tables()).write(tmp_path)
     times, m = read_matrix(tmp_path / "pair_norms.csv")
     assert np.array_equal(times, est.table.pair_times)
@@ -106,7 +112,7 @@ def test_pair_norms_csv_is_the_matrix_with_a_time_header(tmp_path):
 def test_check_fails_on_a_curve_below_the_tail():
     # power control: half the simulated frequencies lies below the tail's upper
     # confidence envelope at every threshold with an exceedance
-    tail = pipeline.estimate(SPEC, CONFIG).tail_delta
+    tail = estimate_on_one_bundle().tails[""][0]
     report = domination_report(TailCurve(tail.thresholds, tail.freqs / 2), tail)
     assert report["overall_pass"] is False
     assert [f["u"] for f in report["failures"]] == list(tail.thresholds[tail.freqs > 0])
@@ -121,3 +127,38 @@ def test_clt_rejects_at_the_pvalue_floor():
     assert res["statistic"] > 10.0
     assert res["pvalue"] == 0.01
     assert res["rejected_at_1pct"] is True
+
+
+def test_clt_curves_are_the_rosenthal_scaled_moment_bounds():
+    # inf_p (3 K_R(p) nu(p) G(1) / u)^p and its module form, evaluated directly
+    # on the moment table of the run's summand paths, at thresholds where the
+    # bounds fall below 1
+    u = np.logspace(1.5, 3.5, 9)
+    run = pipeline.clt(SPEC, CONFIG, [1, 4], [0.5], u_grid=u)
+    summands = generate_paths(SPEC, CONFIG, rng=np.random.default_rng(CONFIG.seed))
+    table = estimate_triple_moments(summands, CONFIG.p_grid)
+    g = fit_g_envelope(table.pair_times, table.pair_norms)
+    k_nu = np.array([rosenthal_constant(p) for p in table.p_grid]) * table.values
+    terms = (3.0 * k_nu[:, None] * g.total / u[None, :]) ** table.p_grid[:, None]
+    expected = [terms.min(axis=0)]
+    for h in CONFIG.h_grid:
+        om = g.modulus(2 * h)
+        expected.append(((2.0 * om ** (table.p_grid - 1.0))[:, None] * terms).min(axis=0))
+    header, columns = run.tables["clt_bounds.csv"]
+    assert header == ["u", "global_bound", "module_bound", "module_bound_h=0.2"]
+    assert np.array_equal(columns[0], u)
+    for got, want in zip(columns[1:], expected):
+        assert 0.0 < want.min() and want.max() < 1.0
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    checks = run.report["checks"]
+    assert [c["label"] for c in checks] == [
+        "global_n=1", "module_n=1_h=0.1", "module_n=1_h=0.2",
+        "global_n=4", "module_n=4_h=0.1", "module_n=4_h=0.2"]
+    # every n is checked against the same curves
+    assert [c["bound"] for c in checks] == [list(c) for c in columns[1:]] * 2
+
+
+def test_clt_rejects_a_repeated_summand_count():
+    # the report listed n = 4 twice over one set of checks
+    with pytest.raises(ValueError, match="n must not repeat"):
+        pipeline.clt(SPEC, CONFIG, [4, 4], [0.5])

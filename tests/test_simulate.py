@@ -141,6 +141,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="u_points must be positive"):
             SimConfig(u_points=u_points)
 
+    @pytest.mark.parametrize("h_grid", [(0.1, 0.1), (0.1, 0.1000001), (0.05, 0.2, 0.05)])
+    def test_spans_with_one_label_rejected(self, h_grid):
+        # two checks were labelled module_h=0.1, and one tail_kappa_0.1.csv
+        # overwrote the other
+        with pytest.raises(ValueError, match="spans must differ"):
+            SimConfig(h_grid=h_grid)
+        SimConfig(h_grid=(0.1, 0.100001))  # labels 0.1 and 0.100001
+
 
 class TestPathBundle:
     @pytest.mark.parametrize("times", [
@@ -164,7 +172,42 @@ class TestPathBundle:
             PathBundle([1.0], np.zeros((2, 1)))
 
 
+def generate_oracle(spec, m, seed):
+    """The expressions ``generate_paths`` used before it summed the paths in
+    place: a cumsum copy of the jumps, and a cumsum copy of the Brownian
+    increments behind a column of zeros."""
+    rng = np.random.default_rng(seed)
+    n = spec.grid_size
+    times = np.linspace(0.0, 1.0, n)
+    if spec.kind in ("compound_poisson", "poisson"):
+        counts = rng.poisson(spec.rate, m)
+        total = int(counts.sum())
+        jt = rng.uniform(0.0, 1.0, total)
+        js = (rng.normal(0.0, spec.jump_scale, total) if spec.kind == "compound_poisson"
+              else np.ones(total))
+        vals = np.zeros((m, n))
+        np.add.at(vals, (np.repeat(np.arange(m), counts), np.searchsorted(times, jt)), js)
+        return np.cumsum(vals, axis=1)
+    if spec.kind == "brownian":
+        inc = rng.normal(0.0, 1.0, (m, n - 1)) * (spec.scale * np.sqrt(np.diff(times)))
+        return np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+    if spec.kind == "empirical":
+        u = rng.uniform(0.0, 1.0, (m, spec.sample_size))
+        counts = np.stack([np.searchsorted(np.sort(row), times, side="right") for row in u])
+        return np.sqrt(spec.sample_size) * (counts / spec.sample_size - times[None, :])
+    return (times[None, :] >= rng.uniform(0.0, 1.0, m)[:, None]).astype(float)
+
+
 class TestGeneratePaths:
+    @pytest.mark.parametrize("kind", ["compound-poisson", "poisson", "brownian", "empirical",
+                                      "uniform-jump"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("m, n", [(30, 9), (400, 130)])
+    def test_matches_the_oracle_bit_for_bit(self, kind, seed, m, n):
+        spec = ProcessSpec(kind, jump_scale=1.7, scale=0.6, sample_size=5, grid_size=n)
+        got = generate_paths(spec, SimConfig(n_paths=m, seed=seed)).values
+        assert np.array_equal(got, generate_oracle(spec, m, seed))
+
     def test_deterministic_given_seed(self):
         cfg = SimConfig(n_paths=50, seed=11)
         a = generate_paths(CP_SPEC, cfg)
