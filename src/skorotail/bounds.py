@@ -564,7 +564,9 @@ def pair_pseudo_norm(xs, ys, p1: float, p2: float) -> float:
     return joint_moment(xs, ys, p1, p2) ** (1.0 / (p1 + p2))
 
 
-_JOINT_BLOCK = 100_000  # sample rows per block of ``EmpiricalJointMoment.matrix``
+# sample rows per block of ``EmpiricalJointMoment.matrix``: each block's two
+# power tables take 8 bytes per row and order
+_JOINT_BLOCK = 8192
 
 
 class EmpiricalJointMoment:

@@ -46,9 +46,8 @@ __all__ = [
 LOG_MGF_CAP = 700.0
 # chord slopes closer than this, relative to the table's slope scale, are one node
 SLOPE_MERGE_RTOL = 1e-7
-# lam rows per block of the log-mgf table: 1 to 8 rows time alike on 100k
-# draws, and the block's workspaces take 17 bytes per draw and row
-_LOG_MGF_BLOCK = 2
+# exp of anything below this is +0.0, which numpy reaches on a slow path
+_EXP_UNDERFLOW = -746.0
 # a moment sup at an order above this fraction of the largest is at the grid edge
 _EDGE_FACTOR = 0.98
 # standard errors of the mean within which ``is_centered`` holds
@@ -72,9 +71,22 @@ def lp_norms(draws: np.ndarray, ps) -> np.ndarray:
         return np.zeros_like(ps)
     with np.errstate(divide="ignore"):
         log_r = np.log(np.divide(x, c, out=x), out=x)  # -inf at zero draws: exp(-inf) = 0
+    lo = log_r.min()
     out, buf = np.empty_like(ps), np.empty_like(log_r)
+    under = np.empty(log_r.shape, dtype=bool)
     for i, p in enumerate(ps):
-        out[i] = np.mean(np.exp(np.multiply(p, log_r, out=buf), out=buf)) ** (1.0 / p)
+        np.multiply(p, log_r, out=buf)
+        # fl(p * x) is monotone in x, so p * lo is the least entry of buf;
+        # entries whose exp is +0.0 are set to 0.0 again after it, which
+        # leaves the same values in the same places for the mean
+        if p * lo < _EXP_UNDERFLOW:
+            np.less(buf, _EXP_UNDERFLOW, out=under)
+            np.copyto(buf, 0.0, where=under)
+            np.exp(buf, out=buf)
+            np.copyto(buf, 0.0, where=under)
+        else:
+            np.exp(buf, out=buf)
+        out[i] = np.mean(buf) ** (1.0 / p)
     return c * out
 
 
@@ -222,27 +234,33 @@ def _log_mgf_table(draws: np.ndarray, lams: np.ndarray) -> np.ndarray:
     runs over the rest, and the result is log1p(s / m) + log(m) + a_max.
     The split-off entries are zeroed after exp, so a row with a_max = +-inf
     gives +-inf, the value of logsumexp's unshifted fallback, without it.
+
+    fl(lam * x) is monotone in x, so the ends of the row lam * draws are lam
+    times the sample's ends.  The -lam row's shifted values (-a) - max(-a)
+    are min(a) - a, bit for bit, so it is never formed.
     """
-    out = np.full(lams.size, -np.inf)
-    a = np.empty((min(_LOG_MGF_BLOCK, lams.size), draws.size))
-    e = np.empty_like(a)
-    top = np.empty(a.shape, dtype=bool)
-    for lo in range(0, lams.size, _LOG_MGF_BLOCK):
-        block = out[lo:lo + _LOG_MGF_BLOCK]
-        ak, ek, tk = a[:block.size], e[:block.size], top[:block.size]
-        np.multiply(lams[lo:lo + block.size, None], draws, out=ak)
-        for _ in range(2):  # +lam, then -lam by negating a in place
-            a_max = ak.max(axis=1)
-            np.equal(ak, a_max[:, None], out=tk)
-            m = np.count_nonzero(tk, axis=1).astype(float)
+    ends = np.array([draws.min(), draws.max()])
+    a, e = np.empty_like(draws), np.empty_like(draws)
+    tie = np.empty(draws.shape, dtype=bool)
+    a_max = np.empty((2, lams.size))
+    s, m = np.empty_like(a_max), np.empty_like(a_max)
+    for k, lam in enumerate(lams):
+        np.multiply(lam, draws, out=a)
+        lo, hi = np.sort(lam * ends)
+        a_max[:, k] = hi, -lo
+        for sign, top in enumerate((hi, lo)):  # +lam, then -lam
+            np.equal(a, top, out=tie)
+            m[sign, k] = np.count_nonzero(tie)
             with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
-                np.subtract(ak, a_max[:, None], out=ek)
-            np.exp(ek, out=ek)
-            np.copyto(ek, 0.0, where=tk)
-            res = np.log1p(ek.sum(axis=1) / m) + np.log(m) + a_max
-            np.maximum(block, res - np.log(draws.size), out=block)
-            np.negative(ak, out=ak)
-    return out
+                if sign == 0:
+                    np.subtract(a, hi, out=e)
+                else:
+                    np.subtract(lo, a, out=e)
+            np.exp(e, out=e)
+            np.copyto(e, 0.0, where=tie)
+            s[sign, k] = e.sum()
+    res = np.log1p(s / m) + np.log(m) + a_max - np.log(draws.size)
+    return np.maximum(res[0], res[1])
 
 
 def mgf_norm(sample: EmpiricalSample, phi: PhiFunction) -> float:
@@ -435,7 +453,8 @@ def moment_tail_equivalence(
     Reports sup_p |xi|_p / (p^(1/m) log^s p) over the grid (with a flag when
     the sup sits at the grid edge, the empirical signature of divergence) and
     the best constant C2 with U(xi, x) <= exp(-C2 x^m (ln x)^(-m s)) for
-    x >= e; C2 is +inf when the sample never reaches e.
+    x >= e; C2 is +inf when the sample never reaches e.  ``p_grid`` must
+    increase strictly, and lie above 1 when s != 0, where log^s p is the weight.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -443,6 +462,10 @@ def moment_tail_equivalence(
         lo = 1.0 if s == 0.0 else 2.0
         p_grid = np.logspace(np.log10(lo), np.log10(256.0), 200, endpoint=False)
     p_grid = np.asarray(p_grid, dtype=float)
+    if p_grid.ndim != 1 or p_grid.size == 0 or np.any(np.diff(p_grid) <= 0):
+        raise ValueError("p_grid must be a nonempty, strictly increasing 1-d grid")
+    if s != 0.0 and p_grid[0] <= 1.0:
+        raise ValueError("orders must exceed 1 when s != 0")
     weights = p_grid ** (1.0 / m)
     if s != 0.0:
         weights = weights * np.log(p_grid) ** s

@@ -320,9 +320,12 @@ def _run_values(before, after, first, count):
     it, padded with the last one; ``count`` is sorted."""
     x = np.empty((int(count[-1]) + 1, first.size))
     x[0] = before
-    steps = np.arange(1, len(x))[:, None]
+    # the gather index, built in place in one array
+    idx = np.minimum(np.arange(1, len(x))[:, None], count)
+    idx += first
+    idx -= 1
     # the indices are in range, and "clip" writes into out without a buffered copy
-    np.take(after, first + np.minimum(steps, count) - 1, out=x[1:], mode="clip")
+    np.take(after, idx, out=x[1:], mode="clip")
     return x
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from skorotail import bounds
 from skorotail.bounds import (
     BoundUnavailable,
     EmpiricalJointMoment,
@@ -334,6 +336,29 @@ class TestMinTail2D:
         emp = min_tail_2d(EmpiricalJointMoment(x, y), 0.5, 0.5)
         closed = min_tail_2d(self.UNIFORM, 0.5, 0.5)
         assert emp.value == pytest.approx(closed.value, rel=0.02)
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2.5, 0)])
+    def test_matrix_blocks_against_per_cell_moments(self, blocks, extra):
+        n = int(blocks * bounds._JOINT_BLOCK) + extra
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=n), rng.pareto(1.5, n) + 1.0
+        p1s, p2s = np.array([0.1, 0.5, 1.0, 2.5, 16.0]), np.array([0.3, 1.0, 4.0, 9.5])
+        want = [[joint_moment(x, y, a, b) for b in p2s] for a in p1s]
+        got = EmpiricalJointMoment(x, y).matrix(p1s, p2s)
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_matrix_memory_stays_within_blocks(self):
+        rng = np.random.default_rng(2)
+        joint = EmpiricalJointMoment(rng.normal(size=100_000), rng.pareto(1.5, 100_000))
+        grid = np.logspace(-1, np.log10(16.0), 60)
+        tracemalloc.start()
+        try:
+            joint.matrix(grid, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two (100k, 60) power tables in one block would take 92 MiB
+        assert peak < 16 * 2**20
 
     def test_infinite_moments_warn(self):
         inf_moment = lambda p1, p2: np.inf

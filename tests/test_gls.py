@@ -54,6 +54,23 @@ class TestLpNorm:
         assert gls.lp_norms(draws, ps) == pytest.approx(want, rel=1e-14)
         assert np.array_equal(draws, keep)
 
+    @pytest.mark.parametrize("zeros", [0, 7])
+    def test_skipped_underflow_against_plain_formula(self, zeros):
+        # Pareto(1.5) draws span about 6.6 in log scale, so from order ~113
+        # on some p log(r) lie below the exp underflow; zero draws put -inf
+        # into every order's row
+        rng = np.random.default_rng(4)
+        draws = np.concatenate([rng.pareto(1.5, 20_000) + 1.0, np.zeros(zeros)])
+        rng.shuffle(draws)
+        ps = np.concatenate([np.geomspace(0.5, 256.0, 37), [1.0, 2.0, 113.0, 114.0]])
+        c = draws.max()
+        with np.errstate(divide="ignore"):
+            log_r = np.log(draws / c)
+        want = c * np.array([np.mean(np.exp(p * log_r)) ** (1 / p) for p in ps])
+        assert np.array_equal(gls.lp_norms(draws, ps), want)
+        finite = log_r[np.isfinite(log_r)]
+        assert ps.max() * finite.min() < gls._EXP_UNDERFLOW < ps.min() * finite.min()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lp_norm(np.array([]), 2)
@@ -198,8 +215,32 @@ def log_mgf_oracle(draws, lams):
                      for l in lams])
 
 
+def tied_ends(rng):
+    """min and max each drawn three times"""
+    draws = rng.normal(size=1000)
+    draws[rng.choice(draws.size, 6, replace=False)] = [-4.5, -4.5, -4.5, 3.25, 3.25, 3.25]
+    return draws
+
+
+def ties_after_rounding(rng):
+    """each end next to its neighbouring double, which lam * x rounds onto
+    the end's own product at some grid lam; the other draws are few and
+    small, so a miscounted tie shows in the last bits"""
+    draws = rng.uniform(-0.5, 0.5, 10)
+    draws[:4] = 1.75, np.nextafter(1.75, -np.inf), -1.3, np.nextafter(-1.3, np.inf)
+    return rng.permutation(draws)
+
+
+SAMPLES = {
+    "standard_t": lambda rng: rng.standard_t(3, size=2001),
+    "tied_ends": tied_ends,
+    "ties_after_rounding": ties_after_rounding,
+    "one_draw": lambda rng: np.array([-0.75]),
+}
+
+
 class TestLogMgfTable:
-    LAMS = np.linspace(0.0, 5.0, 24)[1:]  # 23, a multiple of no block size but 1
+    LAMS = np.linspace(0.0, 5.0, 24)[1:]
 
     def test_ties_at_row_max(self):
         # Rademacher: half of every row sits at its max, m = n / 2
@@ -227,12 +268,19 @@ class TestLogMgfTable:
         assert np.array_equal(table, oracle)
         assert np.all(np.isfinite(table[:2])) and np.all(table[2:] == np.inf)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_lam_count_off_the_block_size(self, block, monkeypatch):
-        monkeypatch.setattr(gls, "_LOG_MGF_BLOCK", block)
-        draws = np.random.default_rng(block).standard_t(3, size=2001)
-        assert np.array_equal(gls._log_mgf_table(draws, self.LAMS),
-                              log_mgf_oracle(draws, self.LAMS))
+    # lam grids through 0 and below it: the row ends are lam times the
+    # sample's ends, swapped for negative lam
+    @pytest.mark.parametrize("case", SAMPLES)
+    def test_lam_grids_through_zero_and_tied_ends(self, case):
+        draws = SAMPLES[case](np.random.default_rng(8))
+        lams = np.concatenate([-self.LAMS[::-2], [0.0], self.LAMS])
+        assert np.array_equal(gls._log_mgf_table(draws, lams), log_mgf_oracle(draws, lams))
+
+    def test_ties_only_after_rounding_occur(self):
+        draws = ties_after_rounding(np.random.default_rng(8))
+        for end in (draws.max(), draws.min()):
+            assert np.count_nonzero(draws == end) == 1
+            assert any(np.count_nonzero(l * draws == l * end) == 2 for l in self.LAMS)
 
     def test_natural_phi_family_of_sizes(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -417,6 +465,19 @@ class TestMomentTailEquivalence:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             moment_tail_equivalence(RADEMACHER, m=0.0)
+
+    @pytest.mark.parametrize("grid", [[1.0, 2.0, 4.0], [0.5, 2.0, 4.0]])
+    def test_log_weight_needs_orders_above_one(self, grid):
+        # log(1)^s = 0 divides by zero; log(0.5)^s is nan
+        with pytest.raises(ValueError, match="exceed 1"):
+            moment_tail_equivalence(RADEMACHER, m=2.0, s=0.5, p_grid=np.array(grid))
+        moment_tail_equivalence(RADEMACHER, m=2.0, p_grid=np.array(grid))  # s = 0
+
+    @pytest.mark.parametrize("grid", [[4.0, 2.0, 1.0], [1.0, 2.0, 2.0, 4.0], []])
+    def test_grid_must_increase_strictly(self, grid):
+        # the edge test reads the grid's last order as its largest
+        with pytest.raises(ValueError, match="strictly increasing"):
+            moment_tail_equivalence(RADEMACHER, m=2.0, p_grid=np.array(grid))
 
 
 class TestValidation:
