@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .gls import PsiFunction, conjugate_at
+from .gls import PsiFunction
 from .paths import GFunction
 
 __all__ = [
@@ -74,14 +74,6 @@ _SEQUENCE_CHECK_TERMS = 200
 # against moment bounds on orders up to _ENVELOPE_P_MAX
 _ENVELOPE_P_MAX = 256.0
 _ENVELOPE_CAL_POINTS = 60
-
-
-def _safe_exp(x: float) -> float:
-    if x < -745.0:
-        return 0.0
-    if x > 709.0:
-        return math.inf
-    return math.exp(x)
 
 
 class BoundUnavailable(RuntimeError):
@@ -212,30 +204,41 @@ def _zero_curve(u: np.ndarray) -> TailCurve:
     return TailCurve(u, zeros, raw=zeros, params=np.full(u.size, np.nan))
 
 
-def _curve_from_log(u, log_terms, params) -> TailCurve:
-    """log_terms: (n_params, n_u) matrix; builds the clamped pointwise-min curve."""
+def _envelope(g: GFunction, h) -> tuple[float, Optional[float], bool]:
+    """G(1) - G(0), omega_G(2h) (None without a span h) and whether either is 0,
+    which makes every bound built on them 0.  A span must lie in (0, 1/2]."""
+    if h is not None and not 0.0 < h <= 0.5:
+        raise ValueError("h must lie in (0, 1/2]")
+    g1 = g.total
+    om = None if h is None else g.modulus(2 * h)
+    return g1, om, g1 == 0.0 or om == 0.0
+
+
+def _grid_inf(log_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Infimum over the rows of a (n_params, n_points) table of log bound terms:
+    per column, the bound clamped to [0,1], the raw bound and the achieving row."""
     j = np.argmin(log_terms, axis=0)
     with np.errstate(over="ignore"):  # an infinite raw bound clamps to 1
-        raw = np.exp(log_terms[j, np.arange(u.size)])
+        raw = np.exp(log_terms[j, np.arange(log_terms.shape[1])])
+    return np.clip(raw, 0.0, 1.0), raw, j
+
+
+def _curve_from_log(u, log_terms, params) -> TailCurve:
+    """The clamped pointwise-infimum curve of a (n_params, n_u) log-term table."""
+    probs, raw, j = _grid_inf(log_terms)
     par = np.empty(len(params), dtype=object)
     par[:] = params
-    return TailCurve(
-        thresholds=u,
-        probs=np.clip(raw, 0.0, 1.0),
-        raw=raw,
-        params=par[j],
-    )
+    return TailCurve(thresholds=u, probs=probs, raw=raw, params=par[j])
 
 
 def _power_curve(pairs, g: GFunction, h, u_grid, mode: str) -> TailCurve:
     """Pointwise min over (alpha, beta) of K(alpha,beta) u^(-2 beta) G(1)^alpha,
     times the module factor 2 omega_G(2h)^(alpha-1) when a span h is given;
     clamped."""
+    g1, om, zero = _envelope(g, h)
     pl = _as_pairs(pairs)
     u = _u_grid(u_grid)
-    g1 = g.total
-    om = None if h is None else g.modulus(2 * h)
-    if g1 == 0.0 or om == 0.0:
+    if zero:
         return _zero_curve(u)
     rows = []
     for a, b in pl:
@@ -259,8 +262,6 @@ def power_module_bound(
 ) -> TailCurve:
     """Module version: 2 K(alpha,beta) u^(-2 beta) (G(1)-G(0))^alpha
     (omega_G(2h))^(alpha-1), minimized over pairs and clamped."""
-    if not 0.0 < h <= 0.5:
-        raise ValueError("h must lie in (0, 1/2]")
     return _power_curve(pairs, g, h, u_grid, mode)
 
 
@@ -424,15 +425,16 @@ def _nu_table(nu, b: float, p_grid) -> tuple[np.ndarray, np.ndarray]:
     return ps, vals
 
 
-def _moment_curve(ps, coef, g: GFunction, h, u: np.ndarray) -> TailCurve:
-    """Pointwise inf over p of (coef(p) G(1) / u)^p, times the module factor
+def _moment_curve(nu, g: GFunction, h, u_grid, b: float, p_grid) -> TailCurve:
+    """Pointwise inf over p of (3 nu(p) G(1) / u)^p, times the module factor
     2 omega_G(2h)^(p-1) when a span h is given; clamped."""
-    g1 = g.total
-    om = None if h is None else g.modulus(2 * h)
-    if g1 == 0.0 or om == 0.0:
+    g1, om, zero = _envelope(g, h)
+    ps, vals = _nu_table(nu, b, p_grid)
+    u = _u_grid(u_grid)
+    if zero:
         return _zero_curve(u)
     with np.errstate(divide="ignore"):
-        log_coef = np.log(coef * g1)
+        log_coef = np.log(3.0 * vals * g1)
         log_terms = ps[:, None] * (log_coef[:, None] - np.log(u)[None, :])
     if om is not None:
         log_terms = log_terms + (math.log(2.0) + (ps - 1.0) * math.log(om))[:, None]
@@ -445,18 +447,14 @@ def moment_global_bound(nu, g: GFunction, u_grid, b: float = np.inf, p_grid=None
     ``nu`` may be a callable p -> nu(p), a (p grid, values) pair, or any
     object with ``p_grid`` and ``values`` attributes (a moment table).
     """
-    ps, vals = _nu_table(nu, b, p_grid)
-    return _moment_curve(ps, 3.0 * vals, g, None, _u_grid(u_grid))
+    return _moment_curve(nu, g, None, u_grid, b, p_grid)
 
 
 def moment_module_bound(
     nu, g: GFunction, h: float, u_grid, b: float = np.inf, p_grid=None
 ) -> TailCurve:
     """Module version: 2 inf_p (3 nu(p) (G(1)-G(0)) / u)^p (omega_G(2h))^(p-1)."""
-    if not 0.0 < h <= 0.5:
-        raise ValueError("h must lie in (0, 1/2]")
-    ps, vals = _nu_table(nu, b, p_grid)
-    return _moment_curve(ps, 3.0 * vals, g, h, _u_grid(u_grid))
+    return _moment_curve(nu, g, h, u_grid, b, p_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +507,7 @@ def exp_tail_envelopes(
         raise ValueError("c1 and m must be positive")
     if u <= 0:
         raise ValueError("u must be positive")
-    g1 = g.total
-    om = g.modulus(2 * h)
+    g1, om, _ = _envelope(g, h)
     if g1 == 0.0:
         return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
     a = 3.0 * c1 * g1
@@ -523,14 +520,14 @@ def exp_tail_envelopes(
     u_cal = np.sort(np.append(a * (math.e * p_cal) ** m, u))
     delta_curve = moment_global_bound(nu, g, u_cal)
     c2 = _calibrate(delta_curve.raw, u_cal ** (1.0 / m))
-    delta_value = min(1.0, _safe_exp(-c2 * u ** (1.0 / m)))
+    delta_value = min(1.0, math.exp(-c2 * u ** (1.0 / m)))
 
     if om == 0.0:
         return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= 1.0, True)
     u_cal_k = np.sort(np.append(a * om * (math.e * p_cal) ** m, u))
     kappa_curve = moment_module_bound(nu, g, h, u_cal_k)
     c3 = _calibrate(kappa_curve.raw * om / 2.0, u_cal_k ** (1.0 / m) * om)
-    kappa_value = min(1.0, 2.0 / om * _safe_exp(-c3 * u ** (1.0 / m) * om))
+    kappa_value = min(1.0, 2.0 / om * math.exp(-c3 * u ** (1.0 / m) * om))
     threshold = (om * abs(math.log(om))) ** (-m) if 0 < om < 1 else 0.0
     return ExpEnvelopes(
         delta_value=delta_value,
@@ -634,9 +631,9 @@ def min_tail_2d(moment, u: float, v: float, p1_grid=None, p2_grid=None) -> MinTa
         warnings.warn("joint moment infinite everywhere on the grid; bound is 1",
                       RuntimeWarning, stacklevel=2)
         return MinTail2D(1.0, np.inf, np.nan, np.nan)
-    i, j = np.unravel_index(np.argmin(log_terms), log_terms.shape)
-    raw = float(np.exp(log_terms[i, j]))
-    return MinTail2D(min(1.0, raw), raw, float(p1_grid[i]), float(p2_grid[j]))
+    value, raw, k = _grid_inf(log_terms.reshape(-1, 1))
+    i, j = divmod(int(k[0]), p2_grid.size)
+    return MinTail2D(float(value[0]), float(raw[0]), float(p1_grid[i]), float(p2_grid[j]))
 
 
 @dataclass(frozen=True)
@@ -661,11 +658,9 @@ def min_tail_fenchel(psi: PsiFunction, d: int, u: float) -> MinTailFenchel:
         raise ValueError("the transform bound applies only for u > 1")
     ps = psi.grid
     psi1 = ps * np.log(psi.values)
-    star = float(conjugate_at(ps, psi1, np.array([d * math.log(u)]))[0])
-    exponents = d * ps * math.log(u) - psi1
-    k = int(np.argmax(exponents))
-    value = math.exp(-star)
-    return MinTailFenchel(min(1.0, value), float(ps[k]), bool(k == ps.size - 1))
+    # psi1*(d ln u) is the largest exponent (d ln u) p - psi1(p)
+    value, _, k = _grid_inf((psi1 - d * math.log(u) * ps)[:, None])
+    return MinTailFenchel(float(value[0]), float(ps[k[0]]), bool(k[0] == ps.size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -681,21 +676,16 @@ def pizier_min_bound(d2p, r: float, s: float, t: float, u: float, p_grid=None) -
     if p_grid is None:
         p_grid = np.logspace(-1, np.log10(32.0), 120)
     p_grid = np.asarray(p_grid, dtype=float)
-    best = np.inf
-    best_p = np.nan
-    for p in p_grid:
-        d1 = d2p(p, r, s)
-        d2 = d2p(p, s, t)
-        if not (np.isfinite(d1) and np.isfinite(d2)):
-            continue
-        if d1 == 0.0 or d2 == 0.0:
-            return 0.0, float(p)
-        log_term = p * (math.log(d1) + math.log(d2) - 2 * math.log(u))
-        if log_term < best:
-            best, best_p = log_term, float(p)
-    if not np.isfinite(best):
+    norms = [[d2p(p, r, s), d2p(p, s, t)] for p in p_grid]
+    d1, d2 = np.array(norms, dtype=float).reshape(-1, 2).T
+    finite = np.isfinite(d1) & np.isfinite(d2)
+    if not finite.any():
         raise ValueError("increment norms are nowhere finite on the p grid")
-    return min(1.0, math.exp(best)), best_p
+    # a zero norm is a -inf log term; a row with a non-finite norm is skipped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = np.where(finite, p_grid * (np.log(d1) + np.log(d2) - 2 * math.log(u)), np.inf)
+    value, _, k = _grid_inf(log_terms[:, None])
+    return float(value[0]), float(p_grid[k[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -715,28 +705,17 @@ def factored_module_term(
     """
     if u <= 0:
         raise ValueError("u must be positive")
-    if not 0.0 < h <= 0.5:
-        raise ValueError("h must lie in (0, 1/2]")
     if not l * p > 1:
         raise ValueError("need l*p > 1 for the chaining constant")
-    v1 = v.total
-    om = v.modulus(2 * h)
-    if v1 == 0.0:
-        return 0.0
+    # Z(2p)^(1/l) times the power module bound of the pair (alpha, beta) = (lp, p)
+    raw = float(power_module_bound((l * p, p), v, h, [u]).raw[0])
     zval = z(2 * p)
     if zval < 0:
         raise ValueError("Z must be nonnegative")
-    if zval == 0.0 or om == 0.0:
+    if zval == 0.0 or raw == 0.0:  # no inf * 0 for an infinite Z
         return 0.0
-    log_term = (
-        math.log(2.0)
-        + math.log(chaining_constant(l * p, p))
-        + math.log(zval) / l
-        + l * p * math.log(v1)
-        - 2 * p * math.log(u)
-        + (l * p - 1) * math.log(om)
-    )
-    return min(1.0, math.exp(log_term))
+    with np.errstate(over="ignore"):  # a Z(2p)^(1/l) beyond float range clamps to 1
+        return min(1.0, float(np.float64(zval) ** (1.0 / l) * raw))
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +763,7 @@ def clt_exp_envelope(
         raise ValueError("c1 and m must be positive")
     if u <= 0:
         raise ValueError("u must be positive")
-    b1 = b_env.total
-    om = b_env.modulus(2 * h)
+    b1, om, _ = _envelope(b_env, h)
     if b1 == 0.0:
         return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
 
@@ -798,7 +776,7 @@ def clt_exp_envelope(
 
     p_eval = np.logspace(np.log10(2.0), np.log10(_ENVELOPE_P_MAX), 400)
 
-    def rate_global(uu):
+    def rate(uu):  # the module's rate at u is the global one at u / omega
         return uu ** (m / (m + 1)) * np.abs(np.log(uu)) ** (m * (s - 1) / (m + 1))
 
     d0 = 3.0 * rosenthal_constant(2.0) * c1 * b1
@@ -807,25 +785,22 @@ def clt_exp_envelope(
     if u >= math.e:
         u_cal = np.sort(np.append(u_cal, u))
     nu = rosenthal_nu(y, p_grid=p_eval)
-    c2 = _calibrate(moment_global_bound(nu, b_env, u_cal).raw, rate_global(u_cal))
+    c2 = _calibrate(moment_global_bound(nu, b_env, u_cal).raw, rate(u_cal))
     with np.errstate(divide="ignore"):  # ln u = 0 at u = 1, outside the flagged range
-        delta_value = min(1.0, _safe_exp(-c2 * float(rate_global(u))))
+        delta_value = min(1.0, math.exp(-c2 * float(rate(u))))
 
     if om == 0.0:
         return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= math.e, True)
     threshold = math.e * om * abs(math.log(om)) ** (1 + 1.0 / m) if om < 1 else math.e * om
-
-    def rate_module(uu):
-        ratio = uu / om
-        return ratio ** (m / (m + 1)) * np.abs(np.log(ratio)) ** (m * (s - 1) / (m + 1))
 
     lo_k = max(threshold * 1.0001, u_lo)
     u_cal_k = np.logspace(np.log10(lo_k), np.log10(lo_k) + 6, _ENVELOPE_CAL_POINTS)
     if u > threshold:
         u_cal_k = np.sort(np.append(u_cal_k, u))
     c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,
-                    rate_module(u_cal_k))
-    kappa_value = min(1.0, 2.0 / om * _safe_exp(-c3 * float(rate_module(u))))
+                    rate(u_cal_k / om))
+    with np.errstate(divide="ignore"):  # ln(u/omega) = 0 at u = omega, outside the flagged range
+        kappa_value = min(1.0, 2.0 / om * math.exp(-c3 * float(rate(u / om))))
     return ExpEnvelopes(
         delta_value=delta_value,
         kappa_value=kappa_value,

@@ -51,6 +51,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
         if lo <= 0 or hi <= lo:
             raise ValueError("log grid needs 0 < lo < hi")
+        if n < 1:
+            raise ValueError("log grid needs at least one point")
         return np.logspace(np.log10(lo), np.log10(hi), n)
     return np.array(_parse_floats(spec))
 
@@ -159,7 +161,7 @@ def _run_inputs(ns):
 def _finish(ns, run: pipeline.Run) -> int:
     if ns.out:
         run.write(ns.out)
-    print(json.dumps(tio._jsonable(run.report), sort_keys=True))
+    print(json.dumps(run.report, sort_keys=True, default=tio._tolist))
     return run.exit_code
 
 

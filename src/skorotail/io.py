@@ -123,21 +123,11 @@ def read_matrix(path) -> tuple[np.ndarray, np.ndarray]:
     return times, m
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+def _tolist(obj):
+    """The json ``default`` hook: a numpy array, integer or bool as a list or
+    Python scalar (a numpy float is a ``float``, which json writes itself)."""
+    return obj.tolist()
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, default=_tolist) + "\n")

@@ -34,7 +34,7 @@ from skorotail.bounds import (
     rosenthal_nu,
     validate_sequence_pair,
 )
-from skorotail.gls import PsiFunction
+from skorotail.gls import PsiFunction, conjugate_at
 from skorotail.paths import GFunction
 
 
@@ -448,8 +448,74 @@ class TestMinTailFenchel:
         psi = PsiFunction.from_callable(np.sqrt, p_max=16.0)
         assert min_tail_fenchel(psi, 1, 1.0 + 1e-9).value > 0.9
 
+    @pytest.mark.parametrize("power", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("u", [1.01, 2.0, 7.0, 50.0])
+    def test_is_exp_of_minus_the_conjugate(self, power, d, u):
+        psi = PsiFunction.from_callable(lambda p: p**power, b=np.inf, p_max=64.0)
+        psi1 = psi.grid * np.log(psi.values)
+        star = float(conjugate_at(psi.grid, psi1, np.array([d * math.log(u)]))[0])
+        res = min_tail_fenchel(psi, d, u)
+        # np.exp and math.exp may round apart by an ulp
+        assert res.value == pytest.approx(min(1.0, math.exp(-star)), rel=4e-16, abs=0.0)
+        k = int(np.argmax(d * math.log(u) * psi.grid - psi1))
+        assert res.p_star == psi.grid[k]
+        assert res.at_edge == (k == psi.grid.size - 1)
+
+
+def pizier_loop(d2p, r, s, t, u, p_grid):
+    """The former per-order loop of ``pizier_min_bound``, kept as its oracle."""
+    best, best_p = np.inf, np.nan
+    for p in p_grid:
+        d1, d2 = d2p(p, r, s), d2p(p, s, t)
+        if not (np.isfinite(d1) and np.isfinite(d2)):
+            continue
+        if d1 == 0.0 or d2 == 0.0:
+            return 0.0, float(p)
+        log_term = p * (math.log(d1) + math.log(d2) - 2 * math.log(u))
+        if log_term < best:
+            best, best_p = log_term, float(p)
+    if not np.isfinite(best):
+        raise ValueError("increment norms are nowhere finite on the p grid")
+    return min(1.0, math.exp(best)), best_p
+
 
 class TestPizier:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_loop_on_random_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(0.1, 32.0, int(rng.integers(1, 150))))
+        a, e, c = rng.uniform(0.2, 3.0), rng.uniform(0.2, 1.5), rng.uniform(-0.5, 0.5)
+        d = lambda p, x, y: a * abs(y - x) ** e * (1 + p) ** c
+        for u in (0.2, 1.0, 3.0, 40.0):
+            val, p = pizier_min_bound(d, 0.0, 0.3, 0.7, u, p_grid=grid)
+            want, want_p = pizier_loop(d, 0.0, 0.3, 0.7, u, grid)
+            # np.log and np.exp may round apart from math's by an ulp
+            assert val == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert p == want_p
+
+    def test_zero_norm_gives_zero_at_its_first_order(self):
+        grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        d = lambda p, x, y: 0.0 if p >= 2.0 else 0.4
+        assert pizier_min_bound(d, 0.0, 0.3, 0.7, 1.0, p_grid=grid) == (0.0, 2.0)
+        assert pizier_loop(d, 0.0, 0.3, 0.7, 1.0, grid) == (0.0, 2.0)
+
+    def test_rows_with_an_infinite_norm_are_skipped(self):
+        grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        # the smallest term would be at p = 8, where the norm is infinite;
+        # at p = 1 one norm is 0 and the other infinite
+        d = lambda p, x, y: (np.inf if p == 8.0 or (p == 1.0 and x == 0.0)
+                             else 0.0 if p == 1.0 else 0.1)
+        got = pizier_min_bound(d, 0.0, 0.3, 0.7, 1.0, p_grid=grid)
+        assert got == pizier_loop(d, 0.0, 0.3, 0.7, 1.0, grid)
+        assert got[1] == 4.0 and got[0] == pytest.approx(0.1**8, rel=1e-13)
+
+    def test_a_grid_without_a_finite_row_raises(self):
+        d = lambda p, x, y: np.inf if x == 0.0 else 0.0
+        for impl in (pizier_min_bound, pizier_loop):
+            with pytest.raises(ValueError, match="nowhere finite"):
+                impl(d, 0.0, 0.3, 0.7, 1.0, np.array([1.0, 2.0]))
+
     def test_degenerate_process(self):
         val, _ = pizier_min_bound(lambda p, a, b: 0.0, 0.0, 0.25, 0.5, 1.0)
         assert val == 0.0
@@ -489,6 +555,53 @@ class TestFactoredModule:
     def test_needs_chaining_exponent(self):
         with pytest.raises(ValueError, match="l\\*p"):
             factored_module_term(lambda p: 1.0, GFunction.linear(), 0.2, 2.0, 0.05, 10.0)
+
+    @pytest.mark.parametrize("l,p,h,u,zc,slope", [
+        (0.7, 3.0, 0.2, 4.0, 2.5, 0.8),
+        (1.5, 1.0, 0.5, 30.0, 0.3, 3.0),
+        (3.0, 0.5, 0.01, 0.8, 7.0, 2.0),
+        (1.2, 4.0, 0.1, 1.0, 0.05, 1.0),  # clamped to 1
+    ])
+    def test_closed_formula(self, l, p, h, u, zc, slope):
+        z = lambda q: zc * q
+        v = GFunction.linear(slope)
+        om = v.modulus(2 * h)
+        want = (2 * kbar_oracle(l * p, p) * z(2 * p) ** (1 / l) * v.total ** (l * p)
+                * u ** (-2 * p) * om ** (l * p - 1))
+        assert factored_module_term(z, v, l, p, h, u) == pytest.approx(min(1.0, want), rel=1e-12)
+        # Z(2p)^(1/l) times the power module bound of (lp, p)
+        raw = power_module_bound((l * p, p), v, h, [u]).raw[0]
+        assert want == pytest.approx(z(2 * p) ** (1 / l) * raw, rel=1e-12)
+
+    @pytest.mark.parametrize("z,v,want", [
+        (0.0, GFunction.linear(), 0.0),
+        (np.inf, GFunction.constant(), 0.0),  # no inf * 0
+        (np.inf, GFunction.linear(), 1.0),
+    ])
+    def test_degenerate_factors(self, z, v, want):
+        with np.errstate(all="raise"):
+            val = factored_module_term(lambda p: z, v, 2.0, 2.0, 0.05, 10.0)
+        assert val == want and type(val) is float
+
+    def test_negative_z_rejected(self):
+        with pytest.raises(ValueError, match="Z must be nonnegative"):
+            factored_module_term(lambda p: -1.0, GFunction.linear(), 2.0, 2.0, 0.05, 10.0)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, 0.6])
+def test_every_span_bound_rejects_a_span_outside_the_half_interval(h):
+    g = GFunction.linear()
+    calls = [
+        lambda: power_module_bound((2.0, 1.0), g, h, [10.0]),
+        lambda: moment_module_bound(lambda p: p, g, h, [10.0]),
+        lambda: factored_module_term(lambda p: 1.0, g, 2.0, 2.0, h, 10.0),
+        # the envelopes used to return kappa = 0 at h = 0
+        lambda: exp_tail_envelopes(1.0, 1.0, g, h, 100.0),
+        lambda: clt_exp_envelope(1.0, 1.0, 0.0, g, h, 100.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"h must lie in \(0, 1/2\]"):
+            call()
 
 
 class TestRosenthal:

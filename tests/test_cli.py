@@ -296,6 +296,27 @@ class TestBound:
         assert fields["delta_in_range"] == "false"
         assert fields["kappa_in_range"] == "false"
 
+    @pytest.mark.parametrize("args", [["--h", "0.5", "--u", "1"], ["--h", "0.25", "--u", "0.5"]])
+    def test_clt_envelope_at_u_equal_to_the_modulus_warns_nothing(self, args, capsys):
+        # u = omega_G(2h) makes ln(u/omega) = 0, raised to a negative power
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["bound", "clt-envelope", *args]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        fields = dict(f.split("=") for f in printed.out.split())
+        assert fields["delta_in_range"] == "false"
+        assert fields["kappa_in_range"] == "false"
+
+    @pytest.mark.parametrize("name", ["power-module", "moment-module", "clt", "exp-envelope",
+                                      "clt-envelope"])
+    @pytest.mark.parametrize("h", ["0", "0.6"])
+    def test_span_outside_the_half_interval_exits_2(self, name, h, capsys):
+        # the envelopes used to print kappa=0 at h = 0
+        assert run(["bound", name, "--h", h]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and "error: h must lie in (0, 1/2]" in printed.err
+
     def test_invalid_alpha(self, capsys):
         assert run(["bound", "k-constant", "--alpha", "0.5", "--beta", "1"]) == 2
 
@@ -318,6 +339,18 @@ def test_out_that_would_be_ignored_exits_2(args, tmp_path, capsys):
     error = ("error: unrecognized arguments: --out" if args[0] == "bound"
              else "error: kappa writes no --out file")
     assert printed.out == "" and error in printed.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["kappa", "--delta-grid", "1:2:0"], ["conjugate", "--u-grid", "1:2:0"],
+], ids=" ".join)
+def test_a_grid_spec_of_no_points_exits_2(args, tmp_path, capsys):
+    # it used to print nothing, and kappa wrote a header-only --out file
+    out = tmp_path / "f.csv"
+    assert run([*args, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and "error: log grid needs at least one point" in printed.err
     assert not out.exists()
 
 
@@ -718,6 +751,15 @@ def tables(draw):
     order = draw(st.permutations(range(len(columns))))
     header = [f"c{j}" if j % 3 else f"c,{j}" for j in order]
     return header, [columns[j] for j in order]
+
+
+def test_write_json_writes_numpy_values_as_plain_json(tmp_path):
+    obj = {"a": np.arange(3), "b": np.int64(4), "c": np.bool_(True), "d": np.float64(0.1),
+           "e": (np.float32(0.5), np.float64(np.nan)), "f": {"g": np.array([[1.5, np.inf]])}}
+    plain = {"a": [0, 1, 2], "b": 4, "c": True, "d": 0.1, "e": [0.5, float("nan")],
+             "f": {"g": [[1.5, float("inf")]]}}
+    tio.write_json(tmp_path / "r.json", obj)
+    assert (tmp_path / "r.json").read_text() == json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
 
 class TestWriterMatchesPerValueFormat:
