@@ -341,7 +341,10 @@ def _series_try(
         scale = pair.eps(k + 1)
         if not scale > 0:
             return None  # the scales underflowed before the remainder was certified
-        term = covering(scale) * pair.eps(k) / lam(u * pair.theta(k))
+        growth = lam(u * pair.theta(k))
+        if not growth > 0:
+            return None  # the growth underflowed to 0: an infinite term
+        term = covering(scale) * pair.eps(k) / growth
         if not np.isfinite(term) or term < 0:
             return None
         total += term
@@ -471,6 +474,12 @@ def _calibrate(raw: np.ndarray, rate: np.ndarray) -> float:
     return float(np.min(-np.log(raw[mask]) / rate[mask]))
 
 
+def _decay(c: float, rate, scale: float = 1.0) -> float:
+    """exp(-c rate scale) for a calibrated c >= 0; 1 at c = 0, also where the
+    rate overflowed to inf."""
+    return math.exp(-c * rate * scale) if c > 0 else 1.0
+
+
 @dataclass(frozen=True)
 class ExpEnvelopes:
     """Stretched-exponential envelopes of the moment bounds under
@@ -512,6 +521,11 @@ def exp_tail_envelopes(
         return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
     a = 3.0 * c1 * g1
     nu = lambda p: c1 * p**m
+
+    def rate(uu):  # uu^(1/m) in float64: inf beyond float range, not an error
+        with np.errstate(over="ignore"):
+            return np.float64(uu) ** (1.0 / m)
+
     p_cal = np.logspace(np.log10(2.0), np.log10(_ENVELOPE_P_MAX / 4.0), _ENVELOPE_CAL_POINTS)
     # thresholds where each calibration p is the unconstrained optimum; the
     # query threshold joins the grid so domination there is by construction,
@@ -519,15 +533,15 @@ def exp_tail_envelopes(
     # of the same bound a direct call produces
     u_cal = np.sort(np.append(a * (math.e * p_cal) ** m, u))
     delta_curve = moment_global_bound(nu, g, u_cal)
-    c2 = _calibrate(delta_curve.raw, u_cal ** (1.0 / m))
-    delta_value = min(1.0, math.exp(-c2 * u ** (1.0 / m)))
+    c2 = _calibrate(delta_curve.raw, rate(u_cal))
+    delta_value = _decay(c2, rate(u))
 
     if om == 0.0:
         return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= 1.0, True)
     u_cal_k = np.sort(np.append(a * om * (math.e * p_cal) ** m, u))
     kappa_curve = moment_module_bound(nu, g, h, u_cal_k)
-    c3 = _calibrate(kappa_curve.raw * om / 2.0, u_cal_k ** (1.0 / m) * om)
-    kappa_value = min(1.0, 2.0 / om * math.exp(-c3 * u ** (1.0 / m) * om))
+    c3 = _calibrate(kappa_curve.raw * om / 2.0, rate(u_cal_k) * om)
+    kappa_value = min(1.0, 2.0 / om * _decay(c3, rate(u), om))
     threshold = (om * abs(math.log(om))) ** (-m) if 0 < om < 1 else 0.0
     return ExpEnvelopes(
         delta_value=delta_value,
@@ -769,7 +783,8 @@ def clt_exp_envelope(
 
     def y(p):
         p = np.asarray(p, dtype=float)
-        out = c1 * p ** (1.0 / m)
+        with np.errstate(over="ignore"):  # the moment table drops an order whose y is inf
+            out = c1 * p ** (1.0 / m)
         if s != 0.0:
             out = out * np.log(p) ** s
         return out
@@ -787,11 +802,15 @@ def clt_exp_envelope(
     nu = rosenthal_nu(y, p_grid=p_eval)
     c2 = _calibrate(moment_global_bound(nu, b_env, u_cal).raw, rate(u_cal))
     with np.errstate(divide="ignore"):  # ln u = 0 at u = 1, outside the flagged range
-        delta_value = min(1.0, math.exp(-c2 * float(rate(u))))
+        delta_value = _decay(c2, float(rate(u)))
 
     if om == 0.0:
         return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= math.e, True)
-    threshold = math.e * om * abs(math.log(om)) ** (1 + 1.0 / m) if om < 1 else math.e * om
+    with np.errstate(over="ignore"):  # in float64, an overflow is inf, not an error
+        threshold = (math.e * om * np.float64(abs(math.log(om))) ** (1 + 1.0 / m) if om < 1
+                     else math.e * om)
+    if threshold == np.inf:  # the module form's range u > threshold is empty
+        return ExpEnvelopes(delta_value, 1.0, c2, 0.0, bool(u >= math.e), False)
 
     lo_k = max(threshold * 1.0001, u_lo)
     u_cal_k = np.logspace(np.log10(lo_k), np.log10(lo_k) + 6, _ENVELOPE_CAL_POINTS)
@@ -800,7 +819,7 @@ def clt_exp_envelope(
     c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,
                     rate(u_cal_k / om))
     with np.errstate(divide="ignore"):  # ln(u/omega) = 0 at u = omega, outside the flagged range
-        kappa_value = min(1.0, 2.0 / om * math.exp(-c3 * float(rate(u / om))))
+        kappa_value = min(1.0, 2.0 / om * _decay(c3, float(rate(u / om))))
     return ExpEnvelopes(
         delta_value=delta_value,
         kappa_value=kappa_value,

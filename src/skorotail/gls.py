@@ -59,6 +59,34 @@ def lp_norm(draws: np.ndarray, p: float) -> float:
     return float(lp_norms(draws, [p])[0])
 
 
+def _shifted_means(v: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each scale c of ``cs``: top = max c v and mean exp(c v - top).
+
+    fl(c x) is monotone in x, so a row's ends are c times v's ends.  Entries
+    below _EXP_UNDERFLOW (exp gives +0.0) are zeroed before exp, which skips
+    numpy's slow path, and again after it.  A row whose top overflowed to
+    +-inf is not formed: its mean is 1, so top + log(mean) is that +-inf.
+    """
+    with np.errstate(over="ignore"):  # c v beyond float range is +-inf
+        ends = np.multiply.outer(cs, [v.min(), v.max()])
+        tops, lows = ends.max(axis=1), ends.min(axis=1)
+        means = np.ones_like(tops)
+        buf, under = np.empty_like(v), np.empty(v.shape, dtype=bool)
+        for k in np.flatnonzero(np.isfinite(tops)):
+            np.multiply(cs[k], v, out=buf)
+            if tops[k]:  # x - 0.0 is x, so lp_norms rows skip this pass
+                np.subtract(buf, tops[k], out=buf)
+            if lows[k] - tops[k] < _EXP_UNDERFLOW:
+                np.less(buf, _EXP_UNDERFLOW, out=under)
+                np.copyto(buf, 0.0, where=under)
+                np.exp(buf, out=buf)
+                np.copyto(buf, 0.0, where=under)
+            else:
+                np.exp(buf, out=buf)
+            means[k] = np.mean(buf)
+    return tops, means
+
+
 def lp_norms(draws: np.ndarray, ps) -> np.ndarray:
     x = np.abs(np.asarray(draws, dtype=float))
     if x.size == 0:
@@ -71,23 +99,10 @@ def lp_norms(draws: np.ndarray, ps) -> np.ndarray:
         return np.zeros_like(ps)
     with np.errstate(divide="ignore"):
         log_r = np.log(np.divide(x, c, out=x), out=x)  # -inf at zero draws: exp(-inf) = 0
-    lo = log_r.min()
-    out, buf = np.empty_like(ps), np.empty_like(log_r)
-    under = np.empty(log_r.shape, dtype=bool)
-    for i, p in enumerate(ps):
-        np.multiply(p, log_r, out=buf)
-        # fl(p * x) is monotone in x, so p * lo is the least entry of buf;
-        # entries whose exp is +0.0 are set to 0.0 again after it, which
-        # leaves the same values in the same places for the mean
-        if p * lo < _EXP_UNDERFLOW:
-            np.less(buf, _EXP_UNDERFLOW, out=under)
-            np.copyto(buf, 0.0, where=under)
-            np.exp(buf, out=buf)
-            np.copyto(buf, 0.0, where=under)
-        else:
-            np.exp(buf, out=buf)
-        out[i] = np.mean(buf) ** (1.0 / p)
-    return c * out
+    # every top is p * 0 = 0; each root is a scalar power, as numpy's array
+    # power may differ from it in the last bit
+    means = _shifted_means(log_r, ps)[1]
+    return c * np.array([mean ** (1.0 / p) for mean, p in zip(means, ps)])
 
 
 @dataclass(frozen=True)
@@ -112,6 +127,8 @@ class PhiFunction:
             raise ValueError("grid and values must be 1-d of equal length >= 2")
         if g[0] != 0.0 or not np.all(np.diff(g) > 0):
             raise ValueError("grid must start at 0 and increase strictly")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("phi values must be finite")
         if abs(v[0]) > 1e-12:
             raise ValueError("phi(0) must be 0")
         if np.any(v < -1e-12):
@@ -168,8 +185,8 @@ class PsiFunction:
             raise ValueError("grid must be strictly increasing")
         if g[0] < 1.0 or not self.b > 1.0 or g[-1] >= self.b:
             raise ValueError("grid must lie in [1, b) with b > 1")
-        if np.any(v <= 0) or v.min() <= 0:
-            raise ValueError("psi must be positive with positive infimum")
+        if not np.all(v > 0):  # +inf is an infinite moment; NaN is no value
+            raise ValueError("psi must be positive, not NaN")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -226,41 +243,10 @@ def gls_norm(sample: EmpiricalSample, psi: PsiFunction) -> float:
 
 
 def _log_mgf_table(draws: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """max over signs of log mean exp(+-lam xi) at each lam, overflow-safe.
-
-    Each row a = +-lam * draws follows scipy's ``logsumexp`` (1.17) step for
-    step, so the values match it bit for bit: the row max a_max and the
-    count m >= 1 of entries equal to it are split off, s = sum exp(a - a_max)
-    runs over the rest, and the result is log1p(s / m) + log(m) + a_max.
-    The split-off entries are zeroed after exp, so a row with a_max = +-inf
-    gives +-inf, the value of logsumexp's unshifted fallback, without it.
-
-    fl(lam * x) is monotone in x, so the ends of the row lam * draws are lam
-    times the sample's ends.  The -lam row's shifted values (-a) - max(-a)
-    are min(a) - a, bit for bit, so it is never formed.
-    """
-    ends = np.array([draws.min(), draws.max()])
-    a, e = np.empty_like(draws), np.empty_like(draws)
-    tie = np.empty(draws.shape, dtype=bool)
-    a_max = np.empty((2, lams.size))
-    s, m = np.empty_like(a_max), np.empty_like(a_max)
-    for k, lam in enumerate(lams):
-        np.multiply(lam, draws, out=a)
-        lo, hi = np.sort(lam * ends)
-        a_max[:, k] = hi, -lo
-        for sign, top in enumerate((hi, lo)):  # +lam, then -lam
-            np.equal(a, top, out=tie)
-            m[sign, k] = np.count_nonzero(tie)
-            with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
-                if sign == 0:
-                    np.subtract(a, hi, out=e)
-                else:
-                    np.subtract(lo, a, out=e)
-            np.exp(e, out=e)
-            np.copyto(e, 0.0, where=tie)
-            s[sign, k] = e.sum()
-    res = np.log1p(s / m) + np.log(m) + a_max - np.log(draws.size)
-    return np.maximum(res[0], res[1])
+    """max over signs of log mean exp(+-lam xi) at each lam, as top + log(mean)
+    of the shifted means; +inf where lam xi overflows."""
+    tops, means = _shifted_means(draws, np.concatenate([lams, -lams]))
+    return np.max((tops + np.log(means)).reshape(2, -1), axis=0)
 
 
 def mgf_norm(sample: EmpiricalSample, phi: PhiFunction) -> float:
@@ -367,8 +353,7 @@ def conjugate_at(x: np.ndarray, f: np.ndarray, u) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
     u = np.asarray(u, dtype=float)
-    vals = np.outer(u, x) - f[None, :]
-    out = vals.max(axis=1)
+    out = (np.multiply.outer(u, x) - f).max(axis=-1)
     return out if out.ndim else float(out)
 
 

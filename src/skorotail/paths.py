@@ -102,6 +102,8 @@ class GFunction:
 
     def __post_init__(self):
         t, v = _unit_grid(self.times, self.values)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("G values must be finite")
         if abs(v[0]) > 1e-12:
             raise ValueError("G(0) must be 0")
         if np.any(np.diff(v) < -1e-12):

@@ -289,6 +289,41 @@ class TestBound:
         printed = capsys.readouterr()
         assert printed.out == "" and printed.err.startswith("bound unavailable:")
 
+    def test_entropy_series_growth_underflowing_exit_code(self, capsys):
+        # lam(u theta(k)) = (1e-300 theta(k))^2 is 0.0: an infinite term, as
+        # in a divergent series, where it raised ZeroDivisionError
+        assert run(["bound", "entropy-series", "--u", "1e-300"]) == 3
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith("bound unavailable:")
+
+    @pytest.mark.parametrize("args", [
+        ["exp-envelope", "--m", "0.01", "--u", "1e4"],  # u^(1/m) = 1e400
+        ["clt-envelope", "--m", "1e-3"],  # |ln omega|^(1+1/m) and y(p) = p^1000
+    ], ids=" ".join)
+    def test_envelope_rates_beyond_float_range(self, args, capsys):
+        # each raised OverflowError from Python float math
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["bound", *args]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == "" and "nan" not in printed.out
+        fields = dict(f.split("=") for f in printed.out.split())
+        assert 0.0 <= float(fields["delta"]) <= 1.0 and 0.0 <= float(fields["kappa"]) <= 1.0
+
+    @pytest.mark.parametrize("name, table, flags, error", [
+        ("moment-global", "0,0\n0.5,nan\n1,1\n", ["--g-file", "--u", "1,10"],
+         "G values must be finite"),
+        ("min-tail-fenchel", "1,1\n2,nan\n4,3\n", ["--psi-file", "--u", "3"],
+         "psi must be positive, not NaN"),
+    ], ids=["g-file", "psi-file"])
+    def test_nan_in_a_table_file_exits_2(self, name, table, flags, error, tmp_path, capsys):
+        # they printed nan bounds and exited 0
+        f = tmp_path / "table.csv"
+        f.write_text(table)
+        assert run(["bound", name, flags[0], str(f), *flags[1:]]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and f"error: {error}" in printed.err
+
     def test_clt_envelope_flags_threshold_below_e(self, capsys):
         # the closed forms are stated for u >= e: a value at u = 1 is no bound
         assert run(["bound", "clt-envelope", "--u", "1"]) == 0

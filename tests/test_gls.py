@@ -209,10 +209,32 @@ class TestMgfNorm:
         assert a == pytest.approx(scale * b, rel=1e-2)
 
 
-def log_mgf_oracle(draws, lams):
-    """The per-lam reference: two scipy logsumexp calls per grid lam."""
-    return np.array([max(logsumexp(l * draws), logsumexp(-l * draws)) - np.log(draws.size)
-                     for l in lams])
+def log_mgf_reference(draws, lams):
+    """max over signs of log mean exp(+-lam xi) per grid lam, shifted by the
+    row max and summed in long double: the oracle of the log-mgf table."""
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble has no more precision than float64 here")
+    x = np.asarray(draws, dtype=np.longdouble)
+    out = []
+    for lam in np.asarray(lams, dtype=np.longdouble):
+        rows = [a.max() + np.log(np.mean(np.exp(a - a.max()))) for a in (lam * x, -lam * x)]
+        out.append(max(rows))
+    return np.array(out)
+
+
+def reference_table(draws, lams):
+    """The reference rounded to float64, in place of ``gls._log_mgf_table``."""
+    return log_mgf_reference(draws, lams).astype(float)
+
+
+def assert_log_mgf_accurate(table, draws, lams):
+    """Within 2 eps max(1, |lam| max|x|, |value|) of the reference: the
+    rounding of lam * x alone is eps |lam| max|x|.  scipy's logsumexp misses
+    this bound by up to a factor 2 on these samples."""
+    ref = log_mgf_reference(draws, lams)
+    scale = np.maximum(1.0, np.maximum(np.abs(lams) * np.abs(draws).max(), np.abs(ref)))
+    err = np.abs(table - ref) / (np.finfo(float).eps * scale)
+    assert np.all(err <= 2.0), f"{err.max()} eps"
 
 
 def tied_ends(rng):
@@ -225,10 +247,18 @@ def tied_ends(rng):
 def ties_after_rounding(rng):
     """each end next to its neighbouring double, which lam * x rounds onto
     the end's own product at some grid lam; the other draws are few and
-    small, so a miscounted tie shows in the last bits"""
+    small, so the row max weighs in the last bits"""
     draws = rng.uniform(-0.5, 0.5, 10)
     draws[:4] = 1.75, np.nextafter(1.75, -np.inf), -1.3, np.nextafter(-1.3, np.inf)
     return rng.permutation(draws)
+
+
+def wide_heavy(rng):
+    """centered Student t(2) draws scaled to max |x| = 100: lam (max - min)
+    passes 746 from lam = 3.73 on, while the log-mgf stays below the cap"""
+    t = rng.standard_t(2, size=1000)
+    t *= 100.0 / np.abs(t).max()
+    return np.concatenate([t, -t])
 
 
 SAMPLES = {
@@ -236,6 +266,8 @@ SAMPLES = {
     "tied_ends": tied_ends,
     "ties_after_rounding": ties_after_rounding,
     "one_draw": lambda rng: np.array([-0.75]),
+    "laplace": lambda rng: rng.laplace(size=1001),
+    "wide_heavy": wide_heavy,
 }
 
 
@@ -243,38 +275,33 @@ class TestLogMgfTable:
     LAMS = np.linspace(0.0, 5.0, 24)[1:]
 
     def test_ties_at_row_max(self):
-        # Rademacher: half of every row sits at its max, m = n / 2
+        # Rademacher: half of every row sits at its max
         draws = np.repeat([-1.0, 1.0], 500)
         np.random.default_rng(0).shuffle(draws)
-        assert np.array_equal(gls._log_mgf_table(draws, self.LAMS),
-                              log_mgf_oracle(draws, self.LAMS))
+        assert_log_mgf_accurate(gls._log_mgf_table(draws, self.LAMS), draws, self.LAMS)
 
     def test_all_zero_sample(self):
-        draws = np.zeros(10)
-        table = gls._log_mgf_table(draws, self.LAMS)
-        assert np.array_equal(table, log_mgf_oracle(draws, self.LAMS))
+        table = gls._log_mgf_table(np.zeros(10), self.LAMS)
         assert np.all(table == 0.0)
 
     @pytest.mark.parametrize("draws", [[1e308, -1e308, 5e307, -5e307, 0.0],
                                        [-1e308, -1e308, -5e307]])
     def test_overflowing_rows_match_the_fallback(self, draws):
-        # lam * draws overflows from lam = 2 on: the row max is +-inf, where
-        # logsumexp falls back to the unshifted log(sum(exp(a)))
+        # lam * draws overflows from lam = 2 on: the row max is +-inf, and
+        # the row gives +inf without a RuntimeWarning
         draws = np.array(draws)
         lams = np.array([0.5, 1.0, 2.0, 10.0])
-        with np.errstate(over="ignore"):
-            table = gls._log_mgf_table(draws, lams)
-            oracle = log_mgf_oracle(draws, lams)
-        assert np.array_equal(table, oracle)
-        assert np.all(np.isfinite(table[:2])) and np.all(table[2:] == np.inf)
+        table = gls._log_mgf_table(draws, lams)
+        assert_log_mgf_accurate(table[:2], draws, lams[:2])
+        assert np.all(table[2:] == np.inf)
 
     # lam grids through 0 and below it: the row ends are lam times the
     # sample's ends, swapped for negative lam
     @pytest.mark.parametrize("case", SAMPLES)
     def test_lam_grids_through_zero_and_tied_ends(self, case):
         draws = SAMPLES[case](np.random.default_rng(8))
-        lams = np.concatenate([-self.LAMS[::-2], [0.0], self.LAMS])
-        assert np.array_equal(gls._log_mgf_table(draws, lams), log_mgf_oracle(draws, lams))
+        lams = np.concatenate([-self.LAMS[::-2], [0.0, 1e-6, 1e-3], self.LAMS])
+        assert_log_mgf_accurate(gls._log_mgf_table(draws, lams), draws, lams)
 
     def test_ties_only_after_rounding_occur(self):
         draws = ties_after_rounding(np.random.default_rng(8))
@@ -282,22 +309,46 @@ class TestLogMgfTable:
             assert np.count_nonzero(draws == end) == 1
             assert any(np.count_nonzero(l * draws == l * end) == 2 for l in self.LAMS)
 
-    def test_natural_phi_family_of_sizes(self, monkeypatch):
+    def test_skipped_underflow_against_reference(self):
+        # terms below the exp underflow are zeroed around exp on the mgf rows
+        # as on the lp_norms rows; they occur from lam = 3.73 on
+        draws = wide_heavy(np.random.default_rng(8))
+        sample = EmpiricalSample(draws)
+        phi = natural_phi(sample)
+        lams = phi.grid[1:]
+        assert lams.max() * np.ptp(draws) > -gls._EXP_UNDERFLOW > lams.min() * np.ptp(draws)
+        assert_log_mgf_accurate(gls._log_mgf_table(draws, lams), draws, lams)
+        assert_phi_near_reference(phi, [sample])
+
+    def test_natural_phi_family_of_sizes(self):
         rng = np.random.default_rng(3)
         fam = [EmpiricalSample(d - d.mean()) for d in
                (rng.normal(0, 1, 3000), rng.laplace(0, 0.5, 1001), rng.normal(0, 2, 17))]
         phi = natural_phi(fam, lam_max=1.5, n_grid=60)
-        monkeypatch.setattr(gls, "_log_mgf_table", log_mgf_oracle)
-        ref = natural_phi(fam, lam_max=1.5, n_grid=60)
-        assert np.array_equal(phi.values, ref.values)
+        assert_phi_near_reference(phi, fam)
 
     def test_mgf_norm(self, monkeypatch):
         draws = np.random.default_rng(5).normal(size=5000)
         s = EmpiricalSample(draws - draws.mean())
         phi = PhiFunction.quadratic(4.0, 101)
         tau = mgf_norm(s, phi)
-        monkeypatch.setattr(gls, "_log_mgf_table", log_mgf_oracle)
-        assert tau == mgf_norm(s, phi)
+        monkeypatch.setattr(gls, "_log_mgf_table", reference_table)
+        # a log-mgf error of eps moves phi^-1(log mgf) / lam by about
+        # eps / lam^2, 600 eps at the grid's least lam 0.04
+        assert tau == pytest.approx(mgf_norm(s, phi), rel=1e-12)
+
+
+def assert_phi_near_reference(phi, samples):
+    """phi's values within 4 eps max(1, lam_max max|x|) of natural_phi built on
+    the reference table, on the same grid: the tables differ by under 2 eps
+    of that scale, and the convex envelope may trade a point for the chord
+    through its neighbours."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gls, "_log_mgf_table", reference_table)
+        ref = natural_phi(samples, lam_max=phi.grid[-1], n_grid=phi.grid.size)
+    scale = max(1.0, phi.grid[-1] * max(np.abs(s.draws).max() for s in samples))
+    assert np.array_equal(phi.grid, ref.grid)
+    assert np.all(np.abs(phi.values - ref.values) <= 4 * np.finfo(float).eps * scale)
 
 
 class TestNaturalPhi:
@@ -385,6 +436,14 @@ class TestYoungFenchel:
         env = lower_convex_envelope(x, y)
         assert np.all(env <= y + 1e-12)
         assert env[0] == 0.0 and env[3] == 3.0
+
+
+def test_conjugate_at_scalar_u_is_a_float():
+    # np.outer made a 1-entry table of a scalar u
+    val = conjugate_at([0.0, 1.0, 2.0], [0.0, 0.5, 2.0], 1.0)
+    assert type(val) is float and val == 0.5
+    vals = conjugate_at([0.0, 1.0, 2.0], [0.0, 0.5, 2.0], [1.0, 3.0])
+    assert np.array_equal(vals, [0.5, 4.0])
 
 
 class TestTailFromPhi:
@@ -501,6 +560,19 @@ class TestValidation:
     def test_psi_positive(self):
         with pytest.raises(ValueError):
             PsiFunction(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_phi_values_finite(self, bad):
+        g = np.linspace(0, 2, 5)
+        with pytest.raises(ValueError, match="phi values must be finite"):
+            PhiFunction(g, np.array([0.0, 0.5, bad, 2.0, 4.0]))
+
+    def test_psi_nan_rejected_inf_kept(self):
+        # +inf is an infinite moment, which the bounds skip; NaN is no value
+        g = np.array([1.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match="not NaN"):
+            PsiFunction(g, np.array([1.0, np.nan, 3.0]))
+        assert PsiFunction(g, np.array([1.0, 2.0, np.inf])).values[-1] == np.inf
 
     def test_psi_support(self):
         with pytest.raises(ValueError):

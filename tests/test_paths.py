@@ -412,6 +412,12 @@ class TestGFunction:
         with pytest.raises(ValueError):
             GFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN passed the monotonicity check and gave nan bounds
+        with pytest.raises(ValueError, match="G values must be finite"):
+            GFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, bad, 1.0]))
+
     def test_total_and_modulus(self):
         g = GFunction.linear(2.0)
         assert g.total == 2.0
