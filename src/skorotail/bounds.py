@@ -342,8 +342,8 @@ def _series_try(
         if not scale > 0:
             return None  # the scales underflowed before the remainder was certified
         growth = lam(u * pair.theta(k))
-        if not growth > 0:
-            return None  # the growth underflowed to 0: an infinite term
+        if not 0 < growth < np.inf:
+            return None  # the growth underflowed to 0 or overflowed to inf
         term = covering(scale) * pair.eps(k) / growth
         if not np.isfinite(term) or term < 0:
             return None
@@ -520,25 +520,37 @@ def exp_tail_envelopes(
     if g1 == 0.0:
         return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
     a = 3.0 * c1 * g1
-    nu = lambda p: c1 * p**m
+
+    def nu(p):
+        with np.errstate(over="ignore"):  # the moment table drops an order whose nu is inf
+            return c1 * p**m
 
     def rate(uu):  # uu^(1/m) in float64: inf beyond float range, not an error
         with np.errstate(over="ignore"):
             return np.float64(uu) ** (1.0 / m)
 
     p_cal = np.logspace(np.log10(2.0), np.log10(_ENVELOPE_P_MAX / 4.0), _ENVELOPE_CAL_POINTS)
-    # thresholds where each calibration p is the unconstrained optimum; the
-    # query threshold joins the grid so domination there is by construction,
-    # and the p grid is left at the evaluators' default so the relaxation is
-    # of the same bound a direct call produces
-    u_cal = np.sort(np.append(a * (math.e * p_cal) ** m, u))
+
+    def cal_grid(scale):
+        # thresholds where each calibration p is the unconstrained optimum; the
+        # query threshold joins the grid so domination there is by construction,
+        # and the p grid is left at the evaluators' default so the relaxation is
+        # of the same bound a direct call produces
+        with np.errstate(over="ignore"):
+            grid = scale * (math.e * p_cal) ** m
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"m={m:g} (c1={c1:g}) puts the calibration thresholds "
+                             f"{scale:.6g} (e p)^m beyond the float range")
+        return np.sort(np.append(grid, u))
+
+    u_cal = cal_grid(a)
     delta_curve = moment_global_bound(nu, g, u_cal)
     c2 = _calibrate(delta_curve.raw, rate(u_cal))
     delta_value = _decay(c2, rate(u))
 
     if om == 0.0:
         return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= 1.0, True)
-    u_cal_k = np.sort(np.append(a * om * (math.e * p_cal) ** m, u))
+    u_cal_k = cal_grid(a * om)
     kappa_curve = moment_module_bound(nu, g, h, u_cal_k)
     c3 = _calibrate(kappa_curve.raw * om / 2.0, rate(u_cal_k) * om)
     kappa_value = min(1.0, 2.0 / om * _decay(c3, rate(u), om))
@@ -794,9 +806,17 @@ def clt_exp_envelope(
     def rate(uu):  # the module's rate at u is the global one at u / omega
         return uu ** (m / (m + 1)) * np.abs(np.log(uu)) ** (m * (s - 1) / (m + 1))
 
+    def cal_grid(lo):  # six decades of thresholds from lo
+        with np.errstate(over="ignore"):
+            grid = np.logspace(np.log10(lo), np.log10(lo) + 6, _ENVELOPE_CAL_POINTS)
+        if not np.isfinite(grid[-1]):
+            raise ValueError(f"m={m:g} (c1={c1:g}) puts the calibration thresholds, six "
+                             f"decades from {lo:.6g}, beyond the float range")
+        return grid
+
     d0 = 3.0 * rosenthal_constant(2.0) * c1 * b1
     u_lo = max(math.e * 1.0001, d0)
-    u_cal = np.logspace(np.log10(u_lo), np.log10(u_lo) + 6, _ENVELOPE_CAL_POINTS)
+    u_cal = cal_grid(u_lo)
     if u >= math.e:
         u_cal = np.sort(np.append(u_cal, u))
     nu = rosenthal_nu(y, p_grid=p_eval)
@@ -813,7 +833,7 @@ def clt_exp_envelope(
         return ExpEnvelopes(delta_value, 1.0, c2, 0.0, bool(u >= math.e), False)
 
     lo_k = max(threshold * 1.0001, u_lo)
-    u_cal_k = np.logspace(np.log10(lo_k), np.log10(lo_k) + 6, _ENVELOPE_CAL_POINTS)
+    u_cal_k = cal_grid(lo_k)
     if u > threshold:
         u_cal_k = np.sort(np.append(u_cal_k, u))
     c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,

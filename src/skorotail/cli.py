@@ -235,8 +235,12 @@ def _envelope(env) -> str:
 def _entropy_series(ns) -> str:
     pair = (B.geometric_sequences(ns.seq_s, ns.seq_theta) if ns.preset == "geometric"
             else B.polynomial_sequences(ns.seq_nu))
-    res = B.entropy_series_bound(lambda e: e ** (-ns.gamma), lambda x: x ** (2 * ns.beta),
-                                 pair, ns.u)
+
+    def growth(x):  # in float64, an overflow is inf (an unavailable series), not an error
+        with np.errstate(over="ignore"):
+            return float(np.float64(x) ** (2 * ns.beta))
+
+    res = B.entropy_series_bound(lambda e: e ** (-ns.gamma), growth, pair, ns.u)
     return (f"value={tio.fmt(res.value)} remainder={tio.fmt(res.remainder)} "
             f"terms={res.terms_used} pair={res.pair_label}")
 

@@ -41,7 +41,7 @@ class Estimation:
         return {
             "moments.csv": (["p", "nu"], [self.table.p_grid, self.table.values]),
             "pair_norms.csv": ([tio.fmt(t) for t in self.table.pair_times],
-                               list(self.table.pair_norms.T)),
+                               [self.table.pair_norms]),
             "envelope.csv": (["t", "G"], [self.envelope.times, self.envelope.values]),
             **{name: (["u", "frequency", "upper_confidence"],
                       [est.thresholds, est.freqs, est.upper]) for name, est in tails.items()},
@@ -144,7 +144,7 @@ def simulate(spec: sim.ProcessSpec, config: sim.SimConfig, u_grid=None, beta_gri
         tables["boundary.csv"] = (["beta", "z0", "z1"], [b.beta_grid, b.z0, b.z1])
     if write_paths:
         tables["paths.csv"] = (["path_id"] + [tio.fmt(t) for t in bundle.times],
-                               [np.arange(len(bundle))] + list(bundle.values.T))
+                               [np.arange(len(bundle)), bundle.values])
     return Run(summary, tables, "summary.json")
 
 

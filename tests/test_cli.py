@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skorotail import bounds as B
@@ -289,19 +289,24 @@ class TestBound:
         printed = capsys.readouterr()
         assert printed.out == "" and printed.err.startswith("bound unavailable:")
 
-    def test_entropy_series_growth_underflowing_exit_code(self, capsys):
-        # lam(u theta(k)) = (1e-300 theta(k))^2 is 0.0: an infinite term, as
-        # in a divergent series, where it raised ZeroDivisionError
-        assert run(["bound", "entropy-series", "--u", "1e-300"]) == 3
+    @pytest.mark.parametrize("flags", [
+        ["--u", "1e-300"],  # lam(u theta(k)) = (u theta(k))^2 underflows to 0: ZeroDivisionError
+        ["--u", "1e300", "--beta", "2"],  # (u theta(k))^4 overflows: OverflowError
+    ], ids=" ".join)
+    def test_entropy_series_growth_beyond_float_range_exit_code(self, flags, capsys):
+        # an infinite term, or a term of an infinite growth, is unavailable
+        # as in a divergent series; each raised the error named above
+        assert run(["bound", "entropy-series", *flags]) == 3
         printed = capsys.readouterr()
         assert printed.out == "" and printed.err.startswith("bound unavailable:")
 
     @pytest.mark.parametrize("args", [
         ["exp-envelope", "--m", "0.01", "--u", "1e4"],  # u^(1/m) = 1e400
         ["clt-envelope", "--m", "1e-3"],  # |ln omega|^(1+1/m) and y(p) = p^1000
+        ["exp-envelope", "--m", "130"],  # nu(p) = p^130 overflows beyond p = 235
     ], ids=" ".join)
     def test_envelope_rates_beyond_float_range(self, args, capsys):
-        # each raised OverflowError from Python float math
+        # each raised OverflowError from Python float math, or a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["bound", *args]) == 0
@@ -309,6 +314,19 @@ class TestBound:
         assert printed.err == "" and "nan" not in printed.out
         fields = dict(f.split("=") for f in printed.out.split())
         assert 0.0 <= float(fields["delta"]) <= 1.0 and 0.0 <= float(fields["kappa"]) <= 1.0
+
+    @pytest.mark.parametrize("args", [
+        ["exp-envelope", "--m", "1000"],  # 3 c1 G(1) (e p)^m at p = 64
+        ["clt-envelope", "--m", "0.00119"],  # 1e6 e omega |ln omega|^(1+1/m)
+    ], ids=" ".join)
+    def test_calibration_thresholds_beyond_float_range_name_m(self, args, capsys):
+        # each overflowed with RuntimeWarnings into an error naming no flag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["bound", *args]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: m={args[-1]} ") and "float range" in printed.err
 
     @pytest.mark.parametrize("name, table, flags, error", [
         ("moment-global", "0,0\n0.5,nan\n1,1\n", ["--g-file", "--u", "1,10"],
@@ -477,6 +495,21 @@ class TestSimulateVerify:
         assert len(rows) == 401
         row = int(np.argmax(np.abs(np.diff(bundle.values, axis=1)).sum(axis=1)))
         assert [float(x) for x in rows[row + 1]] == [row, *bundle.values[row]]
+
+    @pytest.mark.parametrize("process", ["compound-poisson", "poisson", "brownian", "empirical",
+                                         "uniform-jump"])
+    def test_paths_csv_parses_back_to_the_bundle_bit_for_bit(self, process, tmp_path, capsys):
+        argv = ["simulate", *SMALL_SIM, "--process", process, "--write-paths",
+                "--out", str(tmp_path)]
+        assert run(argv) == 0
+        ns = build_parser().parse_args(argv)
+        bundle = generate_paths(_process_spec(ns), _sim_config(ns))
+        with open(tmp_path / "paths.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [int(r[0]) for r in rows] == list(range(len(bundle)))
+        values = np.array([[float(x) for x in r[1:]] for r in rows])
+        # the 64-bit patterns, so the sign of a zero counts
+        assert np.array_equal(values.view(np.int64), bundle.values.view(np.int64))
 
     @pytest.mark.parametrize("p_grid", ["1024", "2,1024"])
     def test_p_grid_above_512_is_an_error(self, p_grid, capsys):
@@ -744,12 +777,20 @@ class TestConfigAsFlags:
 
 # values that a float-equality or per-column shortcut would get wrong
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 0.1, 1.0, 1e300]
+# quiet NaNs with other payloads: other bits, the same text
+NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0007FFFFFFFFFFFF], dtype=np.int64).view(
+    np.float64).tolist()
 TEXTS = ["plain", "a,b", 'say "hi"', "(2.0, 1.0)", ""]
+
+
+def table_columns(columns) -> list:
+    """The table columns of ``write_csv``'s entries: a 2-d entry is its columns."""
+    return [c for x in map(np.asarray, columns) for c in (x.T if x.ndim == 2 else [x])]
 
 
 def reference_csv(header, columns) -> str:
     """The CSV ``write_csv`` must produce: every value through ``fmt`` on its own."""
-    cols = [np.asarray(c) for c in columns]
+    cols = table_columns(columns)
     lines = [",".join(map(tio._csv_field, header))]
     for i in range(cols[0].shape[0]):
         lines.append(",".join(tio.fmt(c[i]) if c.dtype.kind in "biuf"
@@ -757,13 +798,20 @@ def reference_csv(header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_matrix(times, m) -> str:
-    lines = [",".join(tio.fmt(t) for t in times)]
-    lines += [",".join(tio.fmt(x) for x in row) for row in np.asarray(m)]
-    return "\n".join(lines) + "\n"
-
-
 floats64 = st.one_of(st.sampled_from(SPECIAL), st.floats())
+# step values: a run of one of them is a would-be run of its text
+step_values = st.one_of(st.sampled_from(SPECIAL + NAN_PAYLOADS), st.floats())
+
+
+def step_rows(draw, n: int, width: int, elements) -> np.ndarray:
+    """``n`` rows of ``width`` values, each row in runs of random length."""
+    rows = []
+    for _ in range(n):
+        row = []
+        while len(row) < width:
+            row += [draw(elements)] * draw(st.integers(1, width - len(row)))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(n, width)
 
 
 @st.composite
@@ -782,10 +830,18 @@ def tables(draw):
         np.array(col(st.integers(-(2**62), 2**62)), dtype=np.int64),
         np.array(col(st.booleans()), dtype=bool),
         np.array(col(st.sampled_from(TEXTS)), dtype=str),
+        # a 2-d entry of step rows, and a step row split into 1-d columns
+        step_rows(draw, n, draw(st.integers(1, 8)), step_values),
+        *step_rows(draw, n, 3, st.sampled_from([0.0, -0.0, 1.0])).T,
+        # other cells whose text looks like a float's: 0, 1 and true
+        np.array(col(st.integers(0, 1)), dtype=np.int64),
+        np.array(col(st.sampled_from(["0", "1", "-0", "1.0"])), dtype=str),
+        np.ones(n, dtype=bool),
     ]
     order = draw(st.permutations(range(len(columns))))
-    header = [f"c{j}" if j % 3 else f"c,{j}" for j in order]
-    return header, [columns[j] for j in order]
+    columns = [columns[j] for j in order]
+    header = [f"c{j}" if j % 3 else f"c,{j}" for j in range(len(table_columns(columns)))]
+    return header, columns
 
 
 def test_write_json_writes_numpy_values_as_plain_json(tmp_path):
@@ -810,17 +866,29 @@ class TestWriterMatchesPerValueFormat:
 
     @settings(max_examples=150)
     @given(tables(), st.integers(1, 40))
+    # a row's last float and the next row's first cell: one 64-bit pattern
+    @example((["a", "b", "c"], [np.zeros(2, dtype=np.int64), np.zeros((2, 2))]), 40)
     def test_write_csv(self, table, block_cells):
         header, columns = table
         got = self.written(write_csv, block_cells, header, columns)
         assert got == reference_csv(header, columns)
 
     @settings(max_examples=150)
-    @given(st.integers(0, 6), st.integers(1, 6), st.booleans(), st.integers(1, 40), st.data())
-    def test_write_matrix(self, rows, cols, single, block_cells, data):
+    @given(st.integers(0, 6), st.integers(1, 6), st.booleans(), st.booleans(), st.booleans(),
+           st.integers(1, 40), st.data())
+    def test_write_matrix(self, rows, cols, single, steps, ids, block_cells, data):
+        # a matrix as one 2-d entry, with a time header, alone or after path
+        # ids as paths.csv is written; its rows dense or in runs
         elements = st.floats(width=32) if single else floats64
-        m = np.array(data.draw(st.lists(elements, min_size=rows * cols, max_size=rows * cols)),
-                     dtype=np.float32 if single else np.float64).reshape(rows, cols)
-        times = np.linspace(0.0, 1.0, cols)
-        got = self.written(write_csv, block_cells, [tio.fmt(t) for t in times], list(m.T))
-        assert got == reference_matrix(times, m)
+        if steps:
+            m = step_rows(data.draw, rows, cols, elements if single else step_values)
+        else:
+            m = np.array(data.draw(st.lists(elements, min_size=rows * cols,
+                                            max_size=rows * cols))).reshape(rows, cols)
+        m = m.astype(np.float32 if single else np.float64)
+        header = [tio.fmt(t) for t in np.linspace(0.0, 1.0, cols)]
+        columns = [m]
+        if ids:
+            header, columns = ["path_id", *header], [np.arange(rows), m]
+        got = self.written(write_csv, block_cells, header, columns)
+        assert got == reference_csv(header, columns)
