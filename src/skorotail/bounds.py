@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 from .gls import PsiFunction
 from .paths import GFunction
@@ -295,6 +294,8 @@ def polynomial_sequences(nu: float = 2.0) -> SequencePair:
     """eps(k) = e^(1-k), theta(k) = k^(-nu) / zeta(nu)."""
     if not nu > 1:
         raise ValueError("nu must exceed 1 for summable weights")
+    from scipy.special import zeta  # loaded only for polynomial weights
+
     c = 1.0 / float(zeta(nu))
     return SequencePair(
         eps=lambda k: math.exp(1 - k),
@@ -436,7 +437,8 @@ def _moment_curve(nu, g: GFunction, h, u_grid, b: float, p_grid) -> TailCurve:
     u = _u_grid(u_grid)
     if zero:
         return _zero_curve(u)
-    with np.errstate(divide="ignore"):
+    # log 0 = -inf; a coefficient beyond float range gives an inf term, a bound of 1
+    with np.errstate(divide="ignore", over="ignore"):
         log_coef = np.log(3.0 * vals * g1)
         log_terms = ps[:, None] * (log_coef[:, None] - np.log(u)[None, :])
     if om is not None:
@@ -765,7 +767,8 @@ def rosenthal_nu(y, b: float = np.inf, p_grid=None) -> tuple[np.ndarray, np.ndar
     is the natural moment function of the summand process and the envelope
     its increment envelope."""
     ps, vals = _nu_table(y, b, p_grid)
-    return ps, np.array([rosenthal_constant(p) for p in ps]) * vals
+    with np.errstate(over="ignore"):  # the moment bounds skip an order whose product is inf
+        return ps, np.array([rosenthal_constant(p) for p in ps]) * vals
 
 
 def clt_exp_envelope(
@@ -797,14 +800,18 @@ def clt_exp_envelope(
         p = np.asarray(p, dtype=float)
         with np.errstate(over="ignore"):  # the moment table drops an order whose y is inf
             out = c1 * p ** (1.0 / m)
-        if s != 0.0:
-            out = out * np.log(p) ** s
+            if s != 0.0:
+                out = out * np.log(p) ** s
         return out
 
     p_eval = np.logspace(np.log10(2.0), np.log10(_ENVELOPE_P_MAX), 400)
 
-    def rate(uu):  # the module's rate at u is the global one at u / omega
-        return uu ** (m / (m + 1)) * np.abs(np.log(uu)) ** (m * (s - 1) / (m + 1))
+    def rate(uu, omega=1.0):  # the module's rate at u is the global one at u / omega
+        # a u / omega beyond float range is inf, whose rate is nan for s < 1;
+        # _calibrate skips a nan rate
+        with np.errstate(over="ignore", invalid="ignore"):
+            uu = uu / omega
+            return uu ** (m / (m + 1)) * np.abs(np.log(uu)) ** (m * (s - 1) / (m + 1))
 
     def cal_grid(lo):  # six decades of thresholds from lo
         with np.errstate(over="ignore"):
@@ -837,9 +844,9 @@ def clt_exp_envelope(
     if u > threshold:
         u_cal_k = np.sort(np.append(u_cal_k, u))
     c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,
-                    rate(u_cal_k / om))
+                    rate(u_cal_k, om))
     with np.errstate(divide="ignore"):  # ln(u/omega) = 0 at u = omega, outside the flagged range
-        kappa_value = min(1.0, 2.0 / om * _decay(c3, float(rate(u / om))))
+        kappa_value = min(1.0, 2.0 / om * _decay(c3, float(rate(u, om))))
     return ExpEnvelopes(
         delta_value=delta_value,
         kappa_value=kappa_value,

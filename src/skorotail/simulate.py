@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bounds import TailCurve
 from .paths import (GFunction, _unit_grid, _worker_count, ps_module_matrix,
@@ -499,6 +498,8 @@ def empirical_tail(stats, u_grid, confidence: float = 0.99) -> TailEstimate:
     ``PathBundle.global_stats`` or ``module_stats``) with its exact one-sided
     binomial upper confidence bound at level ``confidence``: the
     ``confidence`` quantile of beta(count + 1, n - count)."""
+    from scipy.special import betaincinv  # loaded at the first tail estimate
+
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0,1)")
     stats = np.asarray(stats, dtype=float)

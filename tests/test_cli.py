@@ -304,6 +304,11 @@ class TestBound:
         ["exp-envelope", "--m", "0.01", "--u", "1e4"],  # u^(1/m) = 1e400
         ["clt-envelope", "--m", "1e-3"],  # |ln omega|^(1+1/m) and y(p) = p^1000
         ["exp-envelope", "--m", "130"],  # nu(p) = p^130 overflows beyond p = 235
+        # K_R(p) y(p) overflows where y(p) = p^(1/m) is finite, and so do the
+        # module's calibration thresholds u / omega
+        ["clt-envelope", "--m", "0.0012"],
+        ["clt-envelope", "--m", "0.00115"],  # 3 nu(p) G(1) in the moment curve
+        ["clt-envelope", "--m", "0.004", "--s", "2"],  # p^(1/m) ln(p)^s, not p^(1/m)
     ], ids=" ".join)
     def test_envelope_rates_beyond_float_range(self, args, capsys):
         # each raised OverflowError from Python float math, or a RuntimeWarning
