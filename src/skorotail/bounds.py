@@ -473,13 +473,17 @@ def _calibrate(raw: np.ndarray, rate: np.ndarray) -> float:
     mask = (raw > 0) & (raw < 1) & (rate > 0)
     if not np.any(mask):
         return 0.0
-    return float(np.min(-np.log(raw[mask]) / rate[mask]))
+    with np.errstate(over="ignore"):  # a ratio beyond float range is inf, which never binds
+        return float(np.min(-np.log(raw[mask]) / rate[mask]))
 
 
 def _decay(c: float, rate, scale: float = 1.0) -> float:
-    """exp(-c rate scale) for a calibrated c >= 0; 1 at c = 0, also where the
-    rate overflowed to inf."""
-    return math.exp(-c * rate * scale) if c > 0 else 1.0
+    """exp(-c rate scale) for a calibrated c >= 0; 1 at c = 0 (also where the
+    rate overflowed to inf) and at a zero rate (also for an infinite c)."""
+    if not c > 0 or rate == 0:
+        return 1.0
+    with np.errstate(over="ignore"):  # a product beyond float range is inf: exp gives 0
+        return math.exp(-c * rate * scale)
 
 
 @dataclass(frozen=True)
@@ -554,9 +558,11 @@ def exp_tail_envelopes(
         return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= 1.0, True)
     u_cal_k = cal_grid(a * om)
     kappa_curve = moment_module_bound(nu, g, h, u_cal_k)
-    c3 = _calibrate(kappa_curve.raw * om / 2.0, rate(u_cal_k) * om)
+    with np.errstate(over="ignore"):  # in float64, an overflow is inf, not an error
+        c3 = _calibrate(kappa_curve.raw * om / 2.0, rate(u_cal_k) * om)
+        # an infinite threshold leaves every u outside the module form's range
+        threshold = np.float64(om * abs(math.log(om))) ** (-m) if 0 < om < 1 else 0.0
     kappa_value = min(1.0, 2.0 / om * _decay(c3, rate(u), om))
-    threshold = (om * abs(math.log(om))) ** (-m) if 0 < om < 1 else 0.0
     return ExpEnvelopes(
         delta_value=delta_value,
         kappa_value=kappa_value,
@@ -595,28 +601,44 @@ _JOINT_BLOCK = 8192
 
 
 class EmpiricalJointMoment:
-    """Joint absolute moments of a paired sample with a fast grid evaluator."""
+    """Joint absolute moments of a paired sample with a fast grid evaluator.
+
+    The object owns read-only copies |xs| and |ys|, so the matrix it keeps for
+    the last grid pair asked for cannot go stale.
+    """
 
     def __init__(self, xs, ys):
         self.x = np.abs(np.asarray(xs, dtype=float))
         self.y = np.abs(np.asarray(ys, dtype=float))
         if self.x.shape != self.y.shape or self.x.size == 0:
             raise ValueError("xs and ys must be nonempty and equally shaped")
+        self.x.setflags(write=False)
+        self.y.setflags(write=False)
+        self._matrix = (None, None)
 
     def __call__(self, p1: float, p2: float) -> float:
         return joint_moment(self.x, self.y, p1, p2)
 
     def matrix(self, p1s: np.ndarray, p2s: np.ndarray) -> np.ndarray:
-        cx = self.x.max() or 1.0
-        cy = self.y.max() or 1.0
-        n = self.x.size
-        acc = np.zeros((p1s.size, p2s.size))
-        for lo in range(0, n, _JOINT_BLOCK):
-            xb = (self.x[lo : lo + _JOINT_BLOCK] / cx)[:, None] ** p1s[None, :]
-            yb = (self.y[lo : lo + _JOINT_BLOCK] / cy)[:, None] ** p2s[None, :]
-            acc += xb.T @ yb
-        scale = np.outer(cx**p1s, cy**p2s)
-        return scale * acc / n
+        """E|x|^p1 |y|^p2 at every (p1, p2) of the two 1-d grids.  The matrix
+        is built once for a grid pair and kept until another pair is asked
+        for; it is returned read-only."""
+        p1s = np.asarray(p1s, dtype=float)
+        p2s = np.asarray(p2s, dtype=float)
+        key = (p1s.shape, p1s.tobytes(), p2s.shape, p2s.tobytes())
+        if self._matrix[0] != key:
+            cx = self.x.max() or 1.0
+            cy = self.y.max() or 1.0
+            n = self.x.size
+            acc = np.zeros((p1s.size, p2s.size))
+            for lo in range(0, n, _JOINT_BLOCK):
+                xb = (self.x[lo : lo + _JOINT_BLOCK] / cx)[:, None] ** p1s[None, :]
+                yb = (self.y[lo : lo + _JOINT_BLOCK] / cy)[:, None] ** p2s[None, :]
+                acc += xb.T @ yb
+            mat = np.outer(cx**p1s, cy**p2s) * acc / n
+            mat.setflags(write=False)
+            self._matrix = (key, mat)
+        return self._matrix[1]
 
 
 @dataclass(frozen=True)
@@ -843,8 +865,9 @@ def clt_exp_envelope(
     u_cal_k = cal_grid(lo_k)
     if u > threshold:
         u_cal_k = np.sort(np.append(u_cal_k, u))
-    c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,
-                    rate(u_cal_k, om))
+    with np.errstate(over="ignore"):  # a raw bound times omega beyond float range is inf
+        c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,
+                        rate(u_cal_k, om))
     with np.errstate(divide="ignore"):  # ln(u/omega) = 0 at u = omega, outside the flagged range
         kappa_value = min(1.0, 2.0 / om * _decay(c3, float(rate(u, om))))
     return ExpEnvelopes(

@@ -18,7 +18,7 @@ is evaluated at the table's chord slopes, which is the default grid here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -206,22 +206,41 @@ class PsiFunction:
         return cls(np.array([l]), np.array([1.0]), b=max(l + 1.0, 2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalSample:
-    """A finite batch of real observations of one random variable."""
+    """A finite batch of real observations of one random variable.
+
+    The sample owns a read-only copy of its draws, so the log-mgf table it
+    keeps for the last grid asked for cannot go stale.  Equality and hashing
+    go by identity.
+    """
 
     draws: np.ndarray
+    _log_mgf: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
-        d = np.asarray(self.draws, dtype=float)
+        d = np.array(self.draws, dtype=float)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("draws must be a nonempty 1-d array")
         if not np.all(np.isfinite(d)):
             raise ValueError("draws must be finite")
+        d.setflags(write=False)
         object.__setattr__(self, "draws", d)
 
     def moments(self, ps) -> np.ndarray:
         return lp_norms(self.draws, ps)
+
+    def log_mgf(self, lams) -> np.ndarray:
+        """max over signs of log mean exp(+-lam xi) at each lam of a 1-d grid;
+        +inf where lam xi overflows.  The table is built once for a grid and
+        kept until another grid is asked for; it is returned read-only."""
+        lams = np.asarray(lams, dtype=float)
+        key = (lams.shape, lams.tobytes())
+        if self._log_mgf[0] != key:
+            table = _log_mgf_table(self.draws, lams)
+            table.setflags(write=False)
+            object.__setattr__(self, "_log_mgf", (key, table))
+        return self._log_mgf[1]
 
     def tail(self, x: float) -> float:
         """max(P(xi > x), P(xi < -x)) on the empirical measure."""
@@ -264,7 +283,7 @@ def mgf_norm(sample: EmpiricalSample, phi: PhiFunction) -> float:
         raise ValueError("sample is not centered: |mean| exceeds 3*std/sqrt(n)")
     g, v = phi.grid, phi.values
     lams = g[g > 0]
-    log_mgf = _log_mgf_table(sample.draws, lams)
+    log_mgf = sample.log_mgf(lams)
     level = np.maximum.accumulate(v)  # the table allows dips of 1e-12
     i = np.searchsorted(level, log_mgf)  # the first knot with level >= log mgf
     x = np.zeros_like(log_mgf)  # i == 0: phi(0) already reaches it
@@ -330,7 +349,7 @@ def natural_phi(
             raise ValueError("every sample in the family must be centered")
     lams = np.linspace(0.0, lam_max, n_grid)
     vals = np.zeros_like(lams)
-    vals[1:] = np.max([_log_mgf_table(s.draws, lams[1:]) for s in samples], axis=0)
+    vals[1:] = np.max([s.log_mgf(lams[1:]) for s in samples], axis=0)
     keep = vals <= LOG_MGF_CAP
     if not np.all(keep):
         last = int(np.argmin(keep))

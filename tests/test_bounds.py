@@ -360,6 +360,46 @@ class TestMinTail2D:
         # two (100k, 60) power tables in one block would take 92 MiB
         assert peak < 16 * 2**20
 
+    @staticmethod
+    def joint(seed=4, n=20_000):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=n), rng.pareto(1.5, n) + 1.0
+        return x, y
+
+    def test_thresholds_share_one_matrix(self):
+        x, y = self.joint()
+        grid = np.logspace(-1, np.log10(16.0), 60)
+        joint = EmpiricalJointMoment(x, y)
+        got = [min_tail_2d(joint, u, u, grid, grid) for u in (2.0, 4.0)]
+        want = [min_tail_2d(EmpiricalJointMoment(x, y), u, u, grid, grid) for u in (2.0, 4.0)]
+        assert got == want
+        assert joint.matrix(grid, grid.copy()) is joint.matrix(grid, grid)
+
+    def test_another_grid_rebuilds_the_matrix(self):
+        x, y = self.joint()
+        a, b = np.array([0.5, 1.0, 2.0]), np.array([0.5, 1.0, 3.0])
+        joint = EmpiricalJointMoment(x, y)
+        first = joint.matrix(a, a)
+        assert np.array_equal(joint.matrix(a, b), EmpiricalJointMoment(x, y).matrix(a, b))
+        again = joint.matrix(a, a)
+        assert again is not first and np.array_equal(again, first)
+
+    def test_matrix_is_read_only(self):
+        grid = np.array([1.0, 2.0])
+        mat = EmpiricalJointMoment(*self.joint()).matrix(grid, grid)
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+
+    def test_writes_to_the_input_change_nothing(self):
+        x, y = self.joint()
+        keep = x.copy(), y.copy()
+        joint = EmpiricalJointMoment(x, y)
+        x *= 3.0
+        y[:] = 0.0
+        assert not joint.x.flags.writeable and not joint.y.flags.writeable
+        fresh = EmpiricalJointMoment(*keep)
+        assert min_tail_2d(joint, 2.0, 2.0) == min_tail_2d(fresh, 2.0, 2.0)
+
     def test_infinite_moments_warn(self):
         inf_moment = lambda p1, p2: np.inf
         with pytest.warns(RuntimeWarning):

@@ -333,6 +333,44 @@ class TestBound:
         assert printed.out == ""
         assert printed.err.startswith(f"error: m={args[-1]} ") and "float range" in printed.err
 
+    def test_module_threshold_beyond_float_range(self, capsys):
+        # (omega |ln omega|)^(-m) = 3e366 raised OverflowError from Python float math;
+        # no u reaches an infinite threshold
+        assert run(["bound", "exp-envelope", "--m", "100", "--h", "0.01",
+                    "--g-slope", "0.001"]) == 0
+        fields = dict(f.split("=") for f in read_out(capsys).split())
+        assert fields["kappa_in_range"] == "false"
+        assert 0.0 <= float(fields["delta"]) <= 1.0 and 0.0 <= float(fields["kappa"]) <= 1.0
+
+    SILENT_OVERFLOWS = [
+        # _calibrate's -log(raw) / rate
+        (["exp-envelope", "--m", "0.0016272"], "delta=1 kappa=4.2387974753829718e-129 "
+         "c2=3.6392014270886754e-297 c3=2985.8492965506462 delta_in_range=true "
+         "kappa_in_range=false"),
+        # an infinite c3 at a rate u^(1/m) that underflowed to 0
+        (["exp-envelope", "--m", "0.0016272", "--u", "0.001"], "delta=1 kappa=1 "
+         "c2=3.6392014270886754e-297 c3=inf delta_in_range=false kappa_in_range=false"),
+        # _decay's c * rate * scale
+        (["exp-envelope", "--m", "0.0104", "--h", "0.01", "--u", "1000"], "delta=0 kappa=0 "
+         "c2=5.0776773262251064e-49 c3=5.8497259467794881e+116 delta_in_range=true "
+         "kappa_in_range=true"),
+        # the module's calibration rates times omega
+        (["exp-envelope", "--m", "0.0205", "--g-slope", "1000", "--h", "0.3", "--u", "0.001"],
+         "delta=1 kappa=0.0033333333333333335 c2=1.8270834425298091e-172 c3=0 "
+         "delta_in_range=false kappa_in_range=true"),
+        # the module's raw bounds times omega
+        (["clt-envelope", "--m", "0.001977", "--g-slope", "1000"], "delta=1 kappa=0.02 c2=0 "
+         "c3=0 delta_in_range=false kappa_in_range=false"),
+    ]
+
+    @pytest.mark.parametrize("args, out", [pytest.param(a, o, id=" ".join(a))
+                                           for a, o in SILENT_OVERFLOWS])
+    def test_envelope_overflows_are_silent_under_w_error(self, args, out, tmp_path):
+        # each printed a RuntimeWarning, and under -W error ended in a
+        # traceback; the output is the one printed with the warning
+        done = skorotail(["bound", *args], tmp_path, flags=["-W", "error"])
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", out + "\n")
+
     @pytest.mark.parametrize("name, table, flags, error", [
         ("moment-global", "0,0\n0.5,nan\n1,1\n", ["--g-file", "--u", "1,10"],
          "G values must be finite"),
@@ -697,12 +735,12 @@ class TestSimulateVerify:
         assert set(rep["normality"]["0.5"]) == {"statistic", "pvalue", "rejected_at_1pct"}
 
 
-def skorotail(args, cwd) -> subprocess.CompletedProcess:
-    """``python -m skorotail`` in a fresh interpreter."""
+def skorotail(args, cwd, flags=()) -> subprocess.CompletedProcess:
+    """``python -m skorotail`` in a fresh interpreter, with its ``flags``."""
     src = str(Path(importlib.util.find_spec("skorotail").origin).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "skorotail", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *flags, "-m", "skorotail", *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
 
 

@@ -334,8 +334,9 @@ class TestLogMgfTable:
         tau = mgf_norm(s, phi)
         monkeypatch.setattr(gls, "_log_mgf_table", reference_table)
         # a log-mgf error of eps moves phi^-1(log mgf) / lam by about
-        # eps / lam^2, 600 eps at the grid's least lam 0.04
-        assert tau == pytest.approx(mgf_norm(s, phi), rel=1e-12)
+        # eps / lam^2, 600 eps at the grid's least lam 0.04; a fresh sample,
+        # as s keeps the table it built
+        assert tau == pytest.approx(mgf_norm(EmpiricalSample(s.draws), phi), rel=1e-12)
 
 
 def assert_phi_near_reference(phi, samples):
@@ -343,12 +344,80 @@ def assert_phi_near_reference(phi, samples):
     the reference table, on the same grid: the tables differ by under 2 eps
     of that scale, and the convex envelope may trade a point for the chord
     through its neighbours."""
+    fresh = [EmpiricalSample(s.draws) for s in samples]  # the samples keep their tables
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gls, "_log_mgf_table", reference_table)
-        ref = natural_phi(samples, lam_max=phi.grid[-1], n_grid=phi.grid.size)
+        ref = natural_phi(fresh, lam_max=phi.grid[-1], n_grid=phi.grid.size)
     scale = max(1.0, phi.grid[-1] * max(np.abs(s.draws).max() for s in samples))
     assert np.array_equal(phi.grid, ref.grid)
     assert np.all(np.abs(phi.values - ref.values) <= 4 * np.finfo(float).eps * scale)
+
+
+class TestStoredLogMgf:
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The grid sizes of the log-mgf tables built from here on."""
+        build, calls = gls._log_mgf_table, []
+
+        def counted(draws, lams):
+            calls.append(lams.size)
+            return build(draws, lams)
+
+        monkeypatch.setattr(gls, "_log_mgf_table", counted)
+        return calls
+
+    @staticmethod
+    def gauss(seed=11, n=20_000):
+        draws = np.random.default_rng(seed).normal(size=n)
+        return draws - draws.mean()
+
+    def test_natural_phi_then_mgf_norm_builds_once(self, monkeypatch):
+        draws = self.gauss()
+        fresh_phi = natural_phi(EmpiricalSample(draws))
+        fresh_tau = mgf_norm(EmpiricalSample(draws), fresh_phi)
+        calls = self.count_builds(monkeypatch)
+        s = EmpiricalSample(draws)
+        phi = natural_phi(s)
+        tau = mgf_norm(s, phi)
+        assert calls == [199]
+        assert np.array_equal(phi.values, fresh_phi.values)
+        assert tau == fresh_tau
+
+    def test_another_grid_replaces_the_table(self, monkeypatch):
+        draws = self.gauss()
+        a, b = np.linspace(0.1, 2.0, 20), np.linspace(0.1, 3.0, 20)
+        calls = self.count_builds(monkeypatch)
+        s = EmpiricalSample(draws)
+        first = s.log_mgf(a)
+        assert s.log_mgf(a.copy()) is first
+        assert np.array_equal(s.log_mgf(b), EmpiricalSample(draws).log_mgf(b))
+        again = s.log_mgf(a)
+        assert again is not first and np.array_equal(again, first)
+        assert len(calls) == 4  # a, b, b on the fresh sample, a again
+
+    def test_table_is_read_only(self):
+        table = EmpiricalSample(self.gauss()).log_mgf(np.linspace(0.1, 1.0, 5))
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+    def test_writes_to_the_input_change_nothing(self):
+        draws = self.gauss()
+        keep = draws.copy()
+        s = EmpiricalSample(draws)
+        draws *= 3.0
+        assert not s.draws.flags.writeable
+        assert np.array_equal(s.draws, keep)
+        phi = natural_phi(s)
+        want = natural_phi(EmpiricalSample(keep))
+        assert np.array_equal(phi.values, want.values)
+        draws[:] = 0.0
+        assert mgf_norm(s, phi) == mgf_norm(EmpiricalSample(keep), want)
+
+    def test_equality_and_hash_go_by_identity(self):
+        a, b = EmpiricalSample(np.arange(3.0)), EmpiricalSample(np.arange(3.0))
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
 
 class TestNaturalPhi:
