@@ -18,10 +18,18 @@ into an explicit upper bound on P(statistic > u), clamped to [0,1]:
 Infima over continuous parameters are taken over finite grids, so every
 returned value is a valid (if slightly loose) bound, with the achieving
 parameter reported.
+
+Bounds are routinely +inf, 0 or beyond the float range, so every evaluator
+runs under one rule, ``_float_range``: an overflow is +-inf and log 0 is -inf,
+without a warning.  An infinite raw bound clamps to 1, an order with an
+infinite moment is skipped, and an infinite threshold leaves u out of range.
+Python float ``**`` raises OverflowError whatever the rule, so such powers
+take an ``np.float64`` base.  The rule changes warnings, never values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,6 +71,17 @@ __all__ = [
 ]
 
 ROSENTHAL_FACTOR = 0.6535
+
+
+def _float_range(f):
+    """``f`` under the module docstring's rule, in a fresh errstate per call."""
+    @functools.wraps(f)
+    def ruled(*args, **kwargs):
+        with np.errstate(over="ignore", divide="ignore"):
+            return f(*args, **kwargs)
+    return ruled
+
+
 # an entropy series stops once its geometric-majorant remainder is below
 # _SERIES_TOL, and is unavailable if that takes more than _SERIES_MAX_TERMS
 _SERIES_TOL = 1e-9
@@ -121,6 +140,7 @@ def _check_alpha_beta(alpha: float, beta: float) -> None:
         raise ValueError(f"beta must be positive, got {beta}")
 
 
+@_float_range
 def chaining_theta_form(alpha: float, beta: float, theta: float) -> float:
     """One-parameter family of chaining constants; valid for
     theta in (2^((1-alpha)/(2 beta)), 1)."""
@@ -151,6 +171,7 @@ def _optimize_theta(alpha: float, beta: float) -> tuple[float, float]:
     return chaining_theta_form(alpha, beta, t_star), t_star
 
 
+@_float_range
 def chaining_constant(alpha: float, beta: float, mode: str = "closed") -> float:
     """Constant K(alpha, beta) of the power tail bounds.
 
@@ -217,8 +238,7 @@ def _grid_inf(log_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Infimum over the rows of a (n_params, n_points) table of log bound terms:
     per column, the bound clamped to [0,1], the raw bound and the achieving row."""
     j = np.argmin(log_terms, axis=0)
-    with np.errstate(over="ignore"):  # an infinite raw bound clamps to 1
-        raw = np.exp(log_terms[j, np.arange(log_terms.shape[1])])
+    raw = np.exp(log_terms[j, np.arange(log_terms.shape[1])])
     return np.clip(raw, 0.0, 1.0), raw, j
 
 
@@ -230,6 +250,7 @@ def _curve_from_log(u, log_terms, params) -> TailCurve:
     return TailCurve(thresholds=u, probs=probs, raw=raw, params=par[j])
 
 
+@_float_range
 def _power_curve(pairs, g: GFunction, h, u_grid, mode: str) -> TailCurve:
     """Pointwise min over (alpha, beta) of K(alpha,beta) u^(-2 beta) G(1)^alpha,
     times the module factor 2 omega_G(2h)^(alpha-1) when a span h is given;
@@ -366,6 +387,7 @@ def _series_try(
     return None  # truncation budget exhausted without a certified remainder
 
 
+@_float_range
 def entropy_series_bound(
     covering: Callable[[float], float],
     lam: Callable[[float], float],
@@ -429,6 +451,7 @@ def _nu_table(nu, b: float, p_grid) -> tuple[np.ndarray, np.ndarray]:
     return ps, vals
 
 
+@_float_range
 def _moment_curve(nu, g: GFunction, h, u_grid, b: float, p_grid) -> TailCurve:
     """Pointwise inf over p of (3 nu(p) G(1) / u)^p, times the module factor
     2 omega_G(2h)^(p-1) when a span h is given; clamped."""
@@ -437,10 +460,8 @@ def _moment_curve(nu, g: GFunction, h, u_grid, b: float, p_grid) -> TailCurve:
     u = _u_grid(u_grid)
     if zero:
         return _zero_curve(u)
-    # log 0 = -inf; a coefficient beyond float range gives an inf term, a bound of 1
-    with np.errstate(divide="ignore", over="ignore"):
-        log_coef = np.log(3.0 * vals * g1)
-        log_terms = ps[:, None] * (log_coef[:, None] - np.log(u)[None, :])
+    log_coef = np.log(3.0 * vals * g1)
+    log_terms = ps[:, None] * (log_coef[:, None] - np.log(u)[None, :])
     if om is not None:
         log_terms = log_terms + (math.log(2.0) + (ps - 1.0) * math.log(om))[:, None]
     return _curve_from_log(u, log_terms, ps)
@@ -473,8 +494,7 @@ def _calibrate(raw: np.ndarray, rate: np.ndarray) -> float:
     mask = (raw > 0) & (raw < 1) & (rate > 0)
     if not np.any(mask):
         return 0.0
-    with np.errstate(over="ignore"):  # a ratio beyond float range is inf, which never binds
-        return float(np.min(-np.log(raw[mask]) / rate[mask]))
+    return float(np.min(-np.log(raw[mask]) / rate[mask]))
 
 
 def _decay(c: float, rate, scale: float = 1.0) -> float:
@@ -482,8 +502,7 @@ def _decay(c: float, rate, scale: float = 1.0) -> float:
     rate overflowed to inf) and at a zero rate (also for an infinite c)."""
     if not c > 0 or rate == 0:
         return 1.0
-    with np.errstate(over="ignore"):  # a product beyond float range is inf: exp gives 0
-        return math.exp(-c * rate * scale)
+    return math.exp(-c * rate * scale)
 
 
 @dataclass(frozen=True)
@@ -501,6 +520,7 @@ class ExpEnvelopes:
     kappa_in_range: bool
 
 
+@_float_range
 def exp_tail_envelopes(
     c1: float,
     m: float,
@@ -526,15 +546,8 @@ def exp_tail_envelopes(
     if g1 == 0.0:
         return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
     a = 3.0 * c1 * g1
-
-    def nu(p):
-        with np.errstate(over="ignore"):  # the moment table drops an order whose nu is inf
-            return c1 * p**m
-
-    def rate(uu):  # uu^(1/m) in float64: inf beyond float range, not an error
-        with np.errstate(over="ignore"):
-            return np.float64(uu) ** (1.0 / m)
-
+    nu = lambda p: c1 * p**m
+    rate_u = np.float64(u) ** (1.0 / m)
     p_cal = np.logspace(np.log10(2.0), np.log10(_ENVELOPE_P_MAX / 4.0), _ENVELOPE_CAL_POINTS)
 
     def cal_grid(scale):
@@ -542,8 +555,7 @@ def exp_tail_envelopes(
         # query threshold joins the grid so domination there is by construction,
         # and the p grid is left at the evaluators' default so the relaxation is
         # of the same bound a direct call produces
-        with np.errstate(over="ignore"):
-            grid = scale * (math.e * p_cal) ** m
+        grid = scale * (math.e * p_cal) ** m
         if not np.all(np.isfinite(grid)):
             raise ValueError(f"m={m:g} (c1={c1:g}) puts the calibration thresholds "
                              f"{scale:.6g} (e p)^m beyond the float range")
@@ -551,18 +563,16 @@ def exp_tail_envelopes(
 
     u_cal = cal_grid(a)
     delta_curve = moment_global_bound(nu, g, u_cal)
-    c2 = _calibrate(delta_curve.raw, rate(u_cal))
-    delta_value = _decay(c2, rate(u))
+    c2 = _calibrate(delta_curve.raw, u_cal ** (1.0 / m))
+    delta_value = _decay(c2, rate_u)
 
     if om == 0.0:
         return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= 1.0, True)
     u_cal_k = cal_grid(a * om)
     kappa_curve = moment_module_bound(nu, g, h, u_cal_k)
-    with np.errstate(over="ignore"):  # in float64, an overflow is inf, not an error
-        c3 = _calibrate(kappa_curve.raw * om / 2.0, rate(u_cal_k) * om)
-        # an infinite threshold leaves every u outside the module form's range
-        threshold = np.float64(om * abs(math.log(om))) ** (-m) if 0 < om < 1 else 0.0
-    kappa_value = min(1.0, 2.0 / om * _decay(c3, rate(u), om))
+    c3 = _calibrate(kappa_curve.raw * om / 2.0, u_cal_k ** (1.0 / m) * om)
+    threshold = np.float64(om * abs(math.log(om))) ** (-m) if 0 < om < 1 else 0.0
+    kappa_value = min(1.0, 2.0 / om * _decay(c3, rate_u, om))
     return ExpEnvelopes(
         delta_value=delta_value,
         kappa_value=kappa_value,
@@ -649,6 +659,7 @@ class MinTail2D:
     p2: float
 
 
+@_float_range
 def min_tail_2d(moment, u: float, v: float, p1_grid=None, p2_grid=None) -> MinTail2D:
     """Joint tail bound min over (p1, p2) of moment(p1,p2) / (u^p1 v^p2),
     clamped to [0,1].
@@ -670,12 +681,11 @@ def min_tail_2d(moment, u: float, v: float, p1_grid=None, p2_grid=None) -> MinTa
         mom = np.asarray(moment.matrix(p1_grid, p2_grid), dtype=float)
     else:
         mom = np.array([[moment(a, b) for b in p2_grid] for a in p1_grid], dtype=float)
-    with np.errstate(divide="ignore"):
-        log_terms = (
-            np.log(mom)
-            - p1_grid[:, None] * math.log(u)
-            - p2_grid[None, :] * math.log(v)
-        )
+    log_terms = (
+        np.log(mom)
+        - p1_grid[:, None] * math.log(u)
+        - p2_grid[None, :] * math.log(v)
+    )
     log_terms = np.where(np.isfinite(mom), log_terms, np.inf)
     if not np.any(np.isfinite(log_terms)):
         warnings.warn("joint moment infinite everywhere on the grid; bound is 1",
@@ -693,6 +703,7 @@ class MinTailFenchel:
     at_edge: bool
 
 
+@_float_range
 def min_tail_fenchel(psi: PsiFunction, d: int, u: float) -> MinTailFenchel:
     """Tail bound exp(-psi1*(d ln u)) for the minimum of d variables whose
     absolute product has moment function psi, where psi1(p) = p ln psi(p) and
@@ -718,6 +729,7 @@ def min_tail_fenchel(psi: PsiFunction, d: int, u: float) -> MinTailFenchel:
 # ---------------------------------------------------------------------------
 
 
+@_float_range
 def pizier_min_bound(d2p, r: float, s: float, t: float, u: float, p_grid=None) -> tuple[float, float]:
     """Triple bound inf over p of d(p, r, s)^p d(p, s, t)^p / u^(2p), clamped;
     d2p(p, a, b) is the order-2p increment norm.  Returns (value, achieving p)."""
@@ -731,8 +743,8 @@ def pizier_min_bound(d2p, r: float, s: float, t: float, u: float, p_grid=None) -
     finite = np.isfinite(d1) & np.isfinite(d2)
     if not finite.any():
         raise ValueError("increment norms are nowhere finite on the p grid")
-    # a zero norm is a -inf log term; a row with a non-finite norm is skipped
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a row with a non-finite norm is skipped; its nan log term is discarded
+    with np.errstate(invalid="ignore"):
         log_terms = np.where(finite, p_grid * (np.log(d1) + np.log(d2) - 2 * math.log(u)), np.inf)
     value, _, k = _grid_inf(log_terms[:, None])
     return float(value[0]), float(p_grid[k[0]])
@@ -743,6 +755,7 @@ def pizier_min_bound(d2p, r: float, s: float, t: float, u: float, p_grid=None) -
 # ---------------------------------------------------------------------------
 
 
+@_float_range
 def factored_module_term(
     z: Callable[[float], float], v: GFunction, l: float, p: float, h: float, u: float
 ) -> float:
@@ -764,8 +777,7 @@ def factored_module_term(
         raise ValueError("Z must be nonnegative")
     if zval == 0.0 or raw == 0.0:  # no inf * 0 for an infinite Z
         return 0.0
-    with np.errstate(over="ignore"):  # a Z(2p)^(1/l) beyond float range clamps to 1
-        return min(1.0, float(np.float64(zval) ** (1.0 / l) * raw))
+    return min(1.0, float(np.float64(zval) ** (1.0 / l) * raw))
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +793,7 @@ def rosenthal_constant(p: float) -> float:
     return ROSENTHAL_FACTOR * p / math.log(p)
 
 
+@_float_range
 def rosenthal_nu(y, b: float = np.inf, p_grid=None) -> tuple[np.ndarray, np.ndarray]:
     """The table (p, K_R(p) y(p)) of the Rosenthal-scaled moment function, for
     any form of ``y`` that ``moment_global_bound`` takes.  Its moment bounds
@@ -789,10 +802,10 @@ def rosenthal_nu(y, b: float = np.inf, p_grid=None) -> tuple[np.ndarray, np.ndar
     is the natural moment function of the summand process and the envelope
     its increment envelope."""
     ps, vals = _nu_table(y, b, p_grid)
-    with np.errstate(over="ignore"):  # the moment bounds skip an order whose product is inf
-        return ps, np.array([rosenthal_constant(p) for p in ps]) * vals
+    return ps, np.array([rosenthal_constant(p) for p in ps]) * vals
 
 
+@_float_range
 def clt_exp_envelope(
     c1: float,
     m: float,
@@ -818,26 +831,17 @@ def clt_exp_envelope(
     if b1 == 0.0:
         return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
 
-    def y(p):
-        p = np.asarray(p, dtype=float)
-        with np.errstate(over="ignore"):  # the moment table drops an order whose y is inf
-            out = c1 * p ** (1.0 / m)
-            if s != 0.0:
-                out = out * np.log(p) ** s
-        return out
-
     p_eval = np.logspace(np.log10(2.0), np.log10(_ENVELOPE_P_MAX), 400)
 
     def rate(uu, omega=1.0):  # the module's rate at u is the global one at u / omega
         # a u / omega beyond float range is inf, whose rate is nan for s < 1;
         # _calibrate skips a nan rate
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             uu = uu / omega
             return uu ** (m / (m + 1)) * np.abs(np.log(uu)) ** (m * (s - 1) / (m + 1))
 
     def cal_grid(lo):  # six decades of thresholds from lo
-        with np.errstate(over="ignore"):
-            grid = np.logspace(np.log10(lo), np.log10(lo) + 6, _ENVELOPE_CAL_POINTS)
+        grid = np.logspace(np.log10(lo), np.log10(lo) + 6, _ENVELOPE_CAL_POINTS)
         if not np.isfinite(grid[-1]):
             raise ValueError(f"m={m:g} (c1={c1:g}) puts the calibration thresholds, six "
                              f"decades from {lo:.6g}, beyond the float range")
@@ -848,16 +852,14 @@ def clt_exp_envelope(
     u_cal = cal_grid(u_lo)
     if u >= math.e:
         u_cal = np.sort(np.append(u_cal, u))
-    nu = rosenthal_nu(y, p_grid=p_eval)
+    nu = rosenthal_nu((p_eval, c1 * p_eval ** (1.0 / m) * np.log(p_eval) ** s))
     c2 = _calibrate(moment_global_bound(nu, b_env, u_cal).raw, rate(u_cal))
-    with np.errstate(divide="ignore"):  # ln u = 0 at u = 1, outside the flagged range
-        delta_value = _decay(c2, float(rate(u)))
+    delta_value = _decay(c2, float(rate(u)))
 
     if om == 0.0:
         return ExpEnvelopes(delta_value, 0.0, c2, np.inf, u >= math.e, True)
-    with np.errstate(over="ignore"):  # in float64, an overflow is inf, not an error
-        threshold = (math.e * om * np.float64(abs(math.log(om))) ** (1 + 1.0 / m) if om < 1
-                     else math.e * om)
+    threshold = (math.e * om * np.float64(abs(math.log(om))) ** (1 + 1.0 / m) if om < 1
+                 else math.e * om)
     if threshold == np.inf:  # the module form's range u > threshold is empty
         return ExpEnvelopes(delta_value, 1.0, c2, 0.0, bool(u >= math.e), False)
 
@@ -865,11 +867,9 @@ def clt_exp_envelope(
     u_cal_k = cal_grid(lo_k)
     if u > threshold:
         u_cal_k = np.sort(np.append(u_cal_k, u))
-    with np.errstate(over="ignore"):  # a raw bound times omega beyond float range is inf
-        c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,
-                        rate(u_cal_k, om))
-    with np.errstate(divide="ignore"):  # ln(u/omega) = 0 at u = omega, outside the flagged range
-        kappa_value = min(1.0, 2.0 / om * _decay(c3, float(rate(u, om))))
+    c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,
+                    rate(u_cal_k, om))
+    kappa_value = min(1.0, 2.0 / om * _decay(c3, float(rate(u, om))))
     return ExpEnvelopes(
         delta_value=delta_value,
         kappa_value=kappa_value,

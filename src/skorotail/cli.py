@@ -212,9 +212,9 @@ def cmd_entropy(ns) -> int:
 def cmd_conjugate(ns) -> int:
     if ns.table:
         x, f = tio.read_two_columns(ns.table)
-    else:
+    else:  # the demo f = x^2/2, inf beyond float range under the bounds' rule
         x = np.linspace(-ns.lam_max, ns.lam_max, ns.points)
-        f = 0.5 * x**2
+        f = 0.5 * B._float_range(np.square)(x)
     u = _parse_grid(ns.u_grid) if ns.u_grid else None
     us, fs = young_fenchel(x, f, u)
     if ns.out:
@@ -235,16 +235,14 @@ def _envelope(env) -> str:
 def _entropy_series(ns) -> str:
     pair = (B.geometric_sequences(ns.seq_s, ns.seq_theta) if ns.preset == "geometric"
             else B.polynomial_sequences(ns.seq_nu))
-
-    def growth(x):  # in float64, an overflow is inf (an unavailable series), not an error
-        with np.errstate(over="ignore"):
-            return float(np.float64(x) ** (2 * ns.beta))
-
-    res = B.entropy_series_bound(lambda e: e ** (-ns.gamma), growth, pair, ns.u)
+    # float64 bases: a power beyond float range is inf (no series), not OverflowError
+    res = B.entropy_series_bound(lambda e: np.float64(e) ** -ns.gamma,
+                                 lambda x: np.float64(x) ** (2 * ns.beta), pair, ns.u)
     return (f"value={tio.fmt(res.value)} remainder={tio.fmt(res.remainder)} "
             f"terms={res.terms_used} pair={res.pair_label}")
 
 
+@B._float_range  # the bounds' rule for the --psi-power table p^a
 def _min_tail_fenchel(ns) -> str:
     psi = (PsiFunction(*tio.read_two_columns(ns.psi_file), b=np.inf) if ns.psi_file
            else PsiFunction.from_callable(lambda p: p**ns.psi_power, b=np.inf, p_max=64.0))

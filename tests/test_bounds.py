@@ -155,6 +155,15 @@ class TestPowerBounds:
             single = power_global_bound(pair, g, u)
             assert np.all(combined.probs <= single.probs + 1e-15)
 
+    def test_float_range_rule_restores_the_callers_errstate(self):
+        # K(1.0001, 50) overflows to inf inside the nested ruled calls
+        # _power_curve -> chaining_constant -> chaining_theta_form
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            curve = power_global_bound((1.0001, 50.0), GFunction.linear(), np.array([1.0, 10.0]))
+            assert np.geterr() == before
+        assert curve.probs.tolist() == [1.0, 1.0]
+
 
 class TestEntropySeries:
     def geometric_preset_value(self, u):

@@ -225,7 +225,9 @@ class TestBound:
 
     @pytest.mark.parametrize("mode", ["closed", "optimized"])
     def test_k_constant_beyond_float_range_is_inf(self, mode, capsys):
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        # an overflow is inf under the bounds' float-range rule, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = run(["bound", "k-constant", "--alpha", "1.001", "--beta", "200",
                       "--mode", mode])
         assert rc == 0
@@ -292,6 +294,7 @@ class TestBound:
     @pytest.mark.parametrize("flags", [
         ["--u", "1e-300"],  # lam(u theta(k)) = (u theta(k))^2 underflows to 0: ZeroDivisionError
         ["--u", "1e300", "--beta", "2"],  # (u theta(k))^4 overflows: OverflowError
+        ["--gamma", "1e300"],  # the covering number eps^(-gamma) overflows: OverflowError
     ], ids=" ".join)
     def test_entropy_series_growth_beyond_float_range_exit_code(self, flags, capsys):
         # an infinite term, or a term of an infinite growth, is unavailable
@@ -361,15 +364,33 @@ class TestBound:
         # the module's raw bounds times omega
         (["clt-envelope", "--m", "0.001977", "--g-slope", "1000"], "delta=1 kappa=0.02 c2=0 "
          "c3=0 delta_in_range=false kappa_in_range=false"),
+        # K(alpha, beta) in both modes, and the power bounds built on it
+        (["k-constant", "--alpha", "1.0001", "--beta", "50"], "inf"),
+        (["k-constant", "--alpha", "1.0001", "--beta", "50", "--mode", "optimized"], "inf"),
+        (["power-module", "--alpha", "1.0001", "--beta", "50", "--u", "1,10"],
+         '1,1,"(1.0001, 50.0)"\n10,1,"(1.0001, 50.0)"'),
+        # the --nu-power table c p^m
+        (["moment-module", "--nu-power", "1,300", "--u", "1,10"], "1,1,2.0\n10,1,2.0"),
+        (["clt", "--nu-power", "1,300", "--u", "1,10"], "1,1,1\n10,1,1"),
+        # the --psi-power table p^a
+        (["min-tail-fenchel", "--psi-power", "1e300"], "value=0.5 p=1 at_edge=false"),
     ]
 
     @pytest.mark.parametrize("args, out", [pytest.param(a, o, id=" ".join(a))
                                            for a, o in SILENT_OVERFLOWS])
     def test_envelope_overflows_are_silent_under_w_error(self, args, out, tmp_path):
-        # each printed a RuntimeWarning, and under -W error ended in a
-        # traceback; the output is the one printed with the warning
+        # each bound above, envelope or not, printed a RuntimeWarning from a float
+        # beyond range, and under -W error ended in a traceback; the output is
+        # the one printed with the warning
         done = skorotail(["bound", *args], tmp_path, flags=["-W", "error"])
         assert (done.returncode, done.stderr, done.stdout) == (0, "", out + "\n")
+
+    @pytest.mark.parametrize("name", ["exp-envelope", "clt-envelope"])
+    def test_envelopes_of_a_flat_envelope_are_0(self, name, capsys):
+        # G(1) - G(0) = 0 makes both bounds 0, so no finite constant calibrates them
+        assert run(["bound", name, "--g-slope", "0"]) == 0
+        assert read_out(capsys) == ("delta=0 kappa=0 c2=inf c3=inf delta_in_range=true "
+                                    "kappa_in_range=true")
 
     @pytest.mark.parametrize("name, table, flags, error", [
         ("moment-global", "0,0\n0.5,nan\n1,1\n", ["--g-file", "--u", "1,10"],
@@ -509,6 +530,12 @@ class TestConjugateCli:
         assert read_out(capsys) == ""
         us, fs = read_two_columns(out)
         assert np.column_stack([us, fs]).tolist() == printed
+
+    def test_demo_table_beyond_float_range_exits_2_silently(self, tmp_path):
+        # 0.5 x^2 overflowed with a RuntimeWarning, under -W error a traceback
+        done = skorotail(["conjugate", "--lam-max", "1e300"], tmp_path, flags=["-W", "error"])
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: f must be finite on its grid\n")
 
     def test_quadratic_demo(self, tmp_path):
         out = tmp_path / "conj.csv"
