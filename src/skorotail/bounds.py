@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gls import PsiFunction
-from .paths import GFunction
+from .paths import GFunction, _pool_map
 
 __all__ = [
     "BoundUnavailable",
@@ -559,6 +559,9 @@ def exp_tail_envelopes(
         if not np.all(np.isfinite(grid)):
             raise ValueError(f"m={m:g} (c1={c1:g}) puts the calibration thresholds "
                              f"{scale:.6g} (e p)^m beyond the float range")
+        if not np.all(np.diff(grid) > 0):
+            raise ValueError(f"m={m:g} (c1={c1:g}) rounds the calibration thresholds "
+                             f"{scale:.6g} (e p)^m to equal values")
         return np.sort(np.append(grid, u))
 
     u_cal = cal_grid(a)
@@ -641,10 +644,16 @@ class EmpiricalJointMoment:
             cy = self.y.max() or 1.0
             n = self.x.size
             acc = np.zeros((p1s.size, p2s.size))
+            sides = [(self.x, cx, p1s), (self.y, cy, p2s)]
             for lo in range(0, n, _JOINT_BLOCK):
-                xb = (self.x[lo : lo + _JOINT_BLOCK] / cx)[:, None] ** p1s[None, :]
-                yb = (self.y[lo : lo + _JOINT_BLOCK] / cy)[:, None] ** p2s[None, :]
+                def table(side):
+                    z, c, ps = side
+                    return (z[lo : lo + _JOINT_BLOCK] / c)[:, None] ** ps[None, :]
+
+                rows = min(n - lo, _JOINT_BLOCK)
+                xb, yb = _pool_map(table, sides, rows * min(p1s.size, p2s.size))
                 acc += xb.T @ yb
+                del xb, yb  # freed before the next block's tables are formed
             mat = np.outer(cx**p1s, cy**p2s) * acc / n
             mat.setflags(write=False)
             self._matrix = (key, mat)

@@ -23,6 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import paths
+
 __all__ = [
     "PhiFunction",
     "PsiFunction",
@@ -46,8 +48,12 @@ __all__ = [
 LOG_MGF_CAP = 700.0
 # chord slopes closer than this, relative to the table's slope scale, are one node
 SLOPE_MERGE_RTOL = 1e-7
-# exp of anything below this is +0.0, which numpy reaches on a slow path
-_EXP_UNDERFLOW = -746.0
+# exp of anything below this is subnormal (or +0.0), which numpy reaches on a
+# slow path.  Zeroing such terms keeps a mean's bits: every shifted row holds
+# exp(0) = 1 at its top, so its sum is at least 1, and the zeroed terms of n
+# draws add up to under n 2^-1022, far below half an ulp of 1 (tested
+# against the floor of -746, whose exp is +0.0)
+_EXP_UNDERFLOW = float(np.log(np.finfo(float).tiny))  # about -708.40
 # a moment sup at an order above this fraction of the largest is at the grid edge
 _EDGE_FACTOR = 0.98
 # standard errors of the mean within which ``is_centered`` holds
@@ -63,27 +69,38 @@ def _shifted_means(v: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """For each scale c of ``cs``: top = max c v and mean exp(c v - top).
 
     fl(c x) is monotone in x, so a row's ends are c times v's ends.  Entries
-    below _EXP_UNDERFLOW (exp gives +0.0) are zeroed before exp, which skips
-    numpy's slow path, and again after it.  A row whose top overflowed to
-    +-inf is not formed: its mean is 1, so top + log(mean) is that +-inf.
+    below _EXP_UNDERFLOW are zeroed before exp, which skips numpy's slow
+    subnormal path, and again after it.  A row whose top overflowed to +-inf
+    is not formed: its mean is 1, so top + log(mean) is that +-inf.
+
+    The rows are dealt round-robin (the high orders carry the masks) to one
+    share per available CPU, and ``paths._pool_map`` forms each share in one
+    buffer, on its pool when v is long enough.  A row is formed alike in any
+    share, so the result is the same for any number of workers.
     """
     with np.errstate(over="ignore"):  # c v beyond float range is +-inf
         ends = np.multiply.outer(cs, [v.min(), v.max()])
         tops, lows = ends.max(axis=1), ends.min(axis=1)
         means = np.ones_like(tops)
-        buf, under = np.empty_like(v), np.empty(v.shape, dtype=bool)
-        for k in np.flatnonzero(np.isfinite(tops)):
-            np.multiply(cs[k], v, out=buf)
-            if tops[k]:  # x - 0.0 is x, so lp_norms rows skip this pass
-                np.subtract(buf, tops[k], out=buf)
-            if lows[k] - tops[k] < _EXP_UNDERFLOW:
-                np.less(buf, _EXP_UNDERFLOW, out=under)
-                np.copyto(buf, 0.0, where=under)
-                np.exp(buf, out=buf)
-                np.copyto(buf, 0.0, where=under)
-            else:
-                np.exp(buf, out=buf)
-            means[k] = np.mean(buf)
+        rows = np.flatnonzero(np.isfinite(tops))
+        shares = min(paths._worker_count(), rows.size)
+
+        def fill(share):
+            buf, under = np.empty_like(v), np.empty(v.shape, dtype=bool)
+            for k in share:
+                np.multiply(cs[k], v, out=buf)
+                if tops[k]:  # x - 0.0 is x, so lp_norms rows skip this pass
+                    np.subtract(buf, tops[k], out=buf)
+                if lows[k] - tops[k] < _EXP_UNDERFLOW:
+                    np.less(buf, _EXP_UNDERFLOW, out=under)
+                    np.copyto(buf, 0.0, where=under)
+                    np.exp(buf, out=buf)
+                    np.copyto(buf, 0.0, where=under)
+                else:
+                    np.exp(buf, out=buf)
+                means[k] = np.add.reduce(buf) / v.size  # np.mean's sum and divide
+
+        paths._pool_map(fill, [rows[i::shares] for i in range(shares)], v.size)
     return tops, means
 
 

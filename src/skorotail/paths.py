@@ -18,7 +18,9 @@ through the step rule.
 
 from __future__ import annotations
 
+import contextvars
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -39,6 +41,10 @@ __all__ = [
 
 _BLOCK_CELLS = 1 << 18  # window cells per block of ``_window_maxima``
 _LOOP_WINDOWS = 128  # windows from which ``_reach`` steps through positions
+# array calls smaller than this lose more to thread hand-offs than a second
+# CPU gains: the measured crossovers are about 30k draws for a row of the gls
+# tables and 90k cells for a joint-moment power table
+_POOL_CELLS = 1 << 16
 
 
 def _worker_count() -> int:
@@ -47,6 +53,36 @@ def _worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _pool_map(fn, items, cells: int) -> list:
+    """[fn(item) for item in items], where ``cells`` is the size of the array
+    calls fn makes on an item.  From _POOL_CELLS cells it runs on
+    min(_worker_count(), len(items)) threads: the caller and a pool of the
+    others take the items in turn.  Below that, or at one thread, it runs in
+    the caller alone.  Each pooled call runs in a copy of the caller's
+    context, so numpy's errstate holds there too."""
+    workers = min(_worker_count(), len(items)) if cells >= _POOL_CELLS else 1
+    if workers <= 1:
+        return [fn(item) for item in items]
+    out = [None] * len(items)
+    jobs, lock = iter(enumerate(items)), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            out[job[0]] = fn(job[1])
+
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(context.copy().run, drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return out
 
 
 def _unit_grid(times, values, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +266,7 @@ def _window_maxima(v: np.ndarray, caps: np.ndarray) -> np.ndarray:
     best = np.zeros(m)
     if not blocks:
         return best
-    workers = min(_worker_count(), len(blocks))
-    if workers <= 1:
-        maxima = list(map(_block_maxima, blocks))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            maxima = list(pool.map(_block_maxima, blocks))
+    maxima = _pool_map(_block_maxima, blocks, _BLOCK_CELLS)
     np.maximum.at(best, np.concatenate([b[0] for b in blocks]), np.concatenate(maxima))
     return best
 

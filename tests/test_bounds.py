@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from skorotail import bounds
+from skorotail import bounds, paths
 from skorotail.bounds import (
     BoundUnavailable,
     EmpiricalJointMoment,
@@ -366,8 +367,37 @@ class TestMinTail2D:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two (100k, 60) power tables in one block would take 92 MiB
-        assert peak < 16 * 2**20
+        # two (100k, 60) power tables in one block would take 92 MiB; two
+        # 8192-row tables take 7.5 MiB, and the last block's pair, kept
+        # while the next one's are formed, would add up to 7.5 MiB more
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("n", [1, 3 * bounds._JOINT_BLOCK // 2])
+    def test_matrix_alike_on_any_worker_count(self, monkeypatch, n):
+        # x and y tables on the pool from any size, over a partial last
+        # block, zero draws and orders down to 0
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=n), rng.pareto(1.5, n) + 1.0
+        x[::7], y[1::5] = 0.0, 0.0
+        grid = np.concatenate([[0.0], np.logspace(-1, np.log10(16.0), 60)])
+        monkeypatch.setattr(paths, "_POOL_CELLS", 0)
+        mats = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(paths, "_worker_count", lambda: workers)
+            mats.append(EmpiricalJointMoment(x, y).matrix(grid, grid[::-1]))
+        assert np.array_equal(mats[1], mats[0]) and np.array_equal(mats[2], mats[0])
+
+    def test_matrix_pool_keeps_the_callers_errstate(self, monkeypatch):
+        # 0^-1 divides by zero in both tables, formed on either thread
+        x, y = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        grid = np.array([-1.0, 1.0])
+        monkeypatch.setattr(paths, "_POOL_CELLS", 0)
+        monkeypatch.setattr(paths, "_worker_count", lambda: 2)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            EmpiricalJointMoment(x, y).matrix(grid, grid)
+        with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            EmpiricalJointMoment(x, y).matrix(grid, grid)
 
     @staticmethod
     def joint(seed=4, n=20_000):

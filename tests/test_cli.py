@@ -336,6 +336,18 @@ class TestBound:
         assert printed.out == ""
         assert printed.err.startswith(f"error: m={args[-1]} ") and "float range" in printed.err
 
+    @pytest.mark.parametrize("m", ["1e-15", "3e-15", "1e-300"])
+    def test_calibration_thresholds_rounding_together_name_m(self, m, capsys):
+        # 3 (e p)^m rounds to equal thresholds, which TailCurve rejected with
+        # an error naming no flag; m = 1e-14 still calibrates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["bound", "exp-envelope", "--m", m]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: m={m} ") and "equal values" in printed.err
+        assert run(["bound", "exp-envelope", "--m", "1e-14"]) == 0
+
     def test_module_threshold_beyond_float_range(self, capsys):
         # (omega |ln omega|)^(-m) = 3e366 raised OverflowError from Python float math;
         # no u reaches an infinite threshold

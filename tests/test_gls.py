@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from skorotail import gls
+from skorotail import gls, paths
 from skorotail.gls import (
     EmpiricalSample,
     PhiFunction,
@@ -255,7 +255,8 @@ def ties_after_rounding(rng):
 
 def wide_heavy(rng):
     """centered Student t(2) draws scaled to max |x| = 100: lam (max - min)
-    passes 746 from lam = 3.73 on, while the log-mgf stays below the cap"""
+    passes 746 from lam = 3.73 on, and the underflow floor 708.4 from 3.55
+    on, while the log-mgf stays below the cap"""
     t = rng.standard_t(2, size=1000)
     t *= 100.0 / np.abs(t).max()
     return np.concatenate([t, -t])
@@ -311,7 +312,7 @@ class TestLogMgfTable:
 
     def test_skipped_underflow_against_reference(self):
         # terms below the exp underflow are zeroed around exp on the mgf rows
-        # as on the lp_norms rows; they occur from lam = 3.73 on
+        # as on the lp_norms rows; they occur from lam = 3.55 on
         draws = wide_heavy(np.random.default_rng(8))
         sample = EmpiricalSample(draws)
         phi = natural_phi(sample)
@@ -337,6 +338,150 @@ class TestLogMgfTable:
         # eps / lam^2, 600 eps at the grid's least lam 0.04; a fresh sample,
         # as s keeps the table it built
         assert tau == pytest.approx(mgf_norm(EmpiricalSample(s.draws), phi), rel=1e-12)
+
+
+def shifted_means_746(v, cs):
+    """``gls._shifted_means`` with its floor at -746, in one thread: exp is
+    called on every entry whose result is subnormal, and only entries whose
+    exp is +0.0 are zeroed.  The oracle of the normal-range floor."""
+    with np.errstate(over="ignore"):
+        ends = np.multiply.outer(cs, [v.min(), v.max()])
+        tops, lows = ends.max(axis=1), ends.min(axis=1)
+        means = np.ones_like(tops)
+        buf, under = np.empty_like(v), np.empty(v.shape, dtype=bool)
+        for k in np.flatnonzero(np.isfinite(tops)):
+            np.multiply(cs[k], v, out=buf)
+            if tops[k]:
+                np.subtract(buf, tops[k], out=buf)
+            if lows[k] - tops[k] < -746.0:
+                np.less(buf, -746.0, out=under)
+                np.copyto(buf, 0.0, where=under)
+                np.exp(buf, out=buf)
+                np.copyto(buf, 0.0, where=under)
+            else:
+                np.exp(buf, out=buf)
+            means[k] = np.mean(buf)
+    return tops, means
+
+
+# the orders of the benchmark's moment-tail calls
+MTE_P_GRID = np.logspace(0.0, np.log10(256.0), 200, endpoint=False)
+
+
+def subnormal_terms(v, cs):
+    """The number of entries c v - top whose exp is subnormal: the terms the
+    normal-range floor zeroes and the -746 kernel keeps."""
+    count = 0
+    for c in cs:
+        row = c * v - (c * v).max()
+        count += np.count_nonzero((row < gls._EXP_UNDERFLOW) & (np.exp(row) > 0.0))
+    return count
+
+
+class TestUnderflowFloor:
+    """Zeroing the terms whose exp is subnormal keeps every mean's bits: each
+    row holds exp(0) = 1 at its top, and a term below 2^-1022 stays under
+    half an ulp of any partial sum it could change."""
+
+    def assert_same_bits(self, v, cs, least_subnormal):
+        assert subnormal_terms(v, cs) >= least_subnormal
+        tops, means = gls._shifted_means(v, cs)
+        want_tops, want_means = shifted_means_746(v, cs)
+        assert np.array_equal(tops, want_tops)
+        assert np.array_equal(means, want_means)
+
+    @pytest.mark.parametrize("zeros", [0, 50])
+    def test_pareto_moment_rows(self, zeros):
+        # the lp_norms rows: p log(x / max x), -inf at a zero draw
+        rng = np.random.default_rng(43)
+        draws = np.concatenate([rng.pareto(1.5, 100_000) + 1.0, np.zeros(zeros)])
+        rng.shuffle(draws)
+        with np.errstate(divide="ignore"):
+            log_r = np.log(draws / draws.max())
+        self.assert_same_bits(log_r, MTE_P_GRID, 180_000)
+
+    def test_wide_heavy_mgf_rows(self):
+        # natural_phi's grid reaches only 16 subnormal terms; twice its span, 29k
+        draws = wide_heavy(np.random.default_rng(8))
+        lams = np.linspace(0.0, 10.0, 200)[1:]
+        self.assert_same_bits(draws, np.concatenate([lams, -lams]), 20_000)
+
+    def test_mgf_rows_with_exact_zeros(self):
+        rng = np.random.default_rng(9)
+        draws = np.where(rng.random(20_000) < 0.25, 0.0, rng.standard_t(2, 20_000))
+        draws *= 100.0 / np.abs(draws).max()
+        lams = np.linspace(0.0, 10.0, 100)[1:]
+        self.assert_same_bits(draws, np.concatenate([lams, -lams]), 100_000)
+
+
+def log_mgf_cases():
+    """Samples for the log-mgf tables: those of ``SAMPLES``, rows whose top
+    overflows to +-inf, an all-zero sample and one with zero draws."""
+    return {**SAMPLES,
+            "overflow": lambda rng: np.array([1e308, -1e308, 5e307, -5e307, 0.0]),
+            "all_zero": lambda rng: np.zeros(10),
+            "some_zeros": lambda rng: np.where(rng.random(3000) < 0.3, 0.0,
+                                               rng.standard_t(2, 3000))}
+
+
+class TestWorkerCount:
+    """Every gls table has the same bits on 1, 2 and 3 workers."""
+
+    @staticmethod
+    def each_count(monkeypatch, f, pool_cells=0):
+        """f() at 1, 2 and 3 workers; by default the pool takes rows of
+        any length."""
+        monkeypatch.setattr(paths, "_POOL_CELLS", pool_cells)
+        out = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(paths, "_worker_count", lambda: workers)
+            out.append(f())
+        return out
+
+    def assert_alike(self, monkeypatch, f, pool_cells=0):
+        first, *rest = self.each_count(monkeypatch, f, pool_cells)
+        for got in rest:
+            assert np.array_equal(got, first)
+
+    @pytest.mark.parametrize("case", ["pareto", "zeros", "one_draw", "wide_heavy"])
+    def test_lp_norms(self, monkeypatch, case):
+        rng = np.random.default_rng(5)
+        draws = {"pareto": lambda: rng.pareto(1.5, 5000) + 1.0,
+                 "zeros": lambda: np.array([0.0, 3.0, -0.0, 1.0]),
+                 "one_draw": lambda: np.array([-2.5]),
+                 "wide_heavy": lambda: wide_heavy(rng)}[case]()
+        self.assert_alike(monkeypatch, lambda: gls.lp_norms(draws, MTE_P_GRID))
+
+    @pytest.mark.parametrize("case", log_mgf_cases())
+    def test_log_mgf(self, monkeypatch, case):
+        draws = log_mgf_cases()[case](np.random.default_rng(8))
+        lams = np.linspace(0.0, 5.0, 24)[1:]
+        # the tops overflow to +-inf at lam 1e306 on every sample wider than 180
+        lams = np.concatenate([-lams[::-2], [0.0, 1e-6], lams, [1e3, 1e306]])
+        self.assert_alike(monkeypatch, lambda: EmpiricalSample(draws).log_mgf(lams))
+
+    def test_natural_phi_and_mgf_norm(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        draws = [d - d.mean() for d in (rng.standard_t(3, 3000), wide_heavy(rng),
+                                        rng.laplace(0, 0.5, 1001))]
+
+        def phi_and_tau():
+            fam = [EmpiricalSample(d) for d in draws]
+            phi = natural_phi(fam)
+            return np.concatenate([phi.grid, phi.values, [mgf_norm(fam[0], phi)]])
+
+        self.assert_alike(monkeypatch, phi_and_tau)
+
+    def test_pool_at_its_own_size_rule(self, monkeypatch):
+        # rows from _POOL_CELLS draws go to the pool without a patched rule
+        rng = np.random.default_rng(6)
+        draws = rng.pareto(1.5, paths._POOL_CELLS + 5) + 1.0
+        draws -= draws.mean()
+        lams = np.linspace(0.0, 2.0, 40)[1:]
+        self.assert_alike(monkeypatch, lambda: gls.lp_norms(draws, MTE_P_GRID),
+                          paths._POOL_CELLS)
+        self.assert_alike(monkeypatch, lambda: EmpiricalSample(draws).log_mgf(lams),
+                          paths._POOL_CELLS)
 
 
 def assert_phi_near_reference(phi, samples):

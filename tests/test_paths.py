@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -176,7 +178,8 @@ class TestExactSpanBoundaries:
 
     def test_row_pool_changes_no_output(self, monkeypatch):
         # boundary two-jump paths and random walks; prefixes give m = 0, 1,
-        # fewer rows than blocks, and more
+        # fewer rows than blocks, and more; blocks of any size go to the pool
+        monkeypatch.setattr(paths, "_POOL_CELLS", 0)
         t = self.T64
         rng = np.random.default_rng(3)
         values = np.vstack([[jumps_at(t, a, b).values for a, b in ((2, 34), (33, 35), (1, 3))],
@@ -188,6 +191,57 @@ class TestExactSpanBoundaries:
                 for m in (0, 1, 5, values.shape[0]):
                     got = ps_module_matrix(t, values[:m], delta)
                     assert np.array_equal(got, brute[:m]), (delta, workers, m)
+
+
+class TestPoolMap:
+    def test_order_threads_and_the_callers_errstate(self, monkeypatch):
+        # a barrier holds each of the first two calls until the other has
+        # begun, so they run on two threads
+        monkeypatch.setattr(paths, "_POOL_CELLS", 0)
+        monkeypatch.setattr(paths, "_worker_count", lambda: 2)
+        barrier = threading.Barrier(2, timeout=10)
+
+        def call(item):
+            if item < 2:
+                barrier.wait()
+            return item, threading.get_ident(), np.geterr()["divide"]
+
+        with np.errstate(divide="raise"):
+            out = paths._pool_map(call, range(5), 0)
+        assert [item for item, _, _ in out] == list(range(5))
+        assert len({ident for _, ident, _ in out[:2]}) == 2
+        assert all(divide == "raise" for _, _, divide in out)
+
+    def test_each_item_once_under_contention(self, monkeypatch):
+        # more threads than CPUs, switching every microsecond: an item taken
+        # twice or lost would show in the calls or the results
+        monkeypatch.setattr(paths, "_worker_count", lambda: 8)
+        calls = []
+
+        def call(item):
+            calls.append(item)
+            return item * item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = paths._pool_map(call, range(2000), paths._POOL_CELLS)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(2000))
+        assert out == [i * i for i in range(2000)]
+
+    @pytest.mark.parametrize("workers, cells", [(1, 1 << 20), (4, 0)])
+    def test_in_the_caller_at_one_worker_or_few_cells(self, monkeypatch, workers, cells):
+        monkeypatch.setattr(paths, "_POOL_CELLS", 1 << 16)
+        monkeypatch.setattr(paths, "_worker_count", lambda: workers)
+        assert paths._pool_map(lambda i: threading.get_ident(), range(3), cells) \
+            == [threading.get_ident()] * 3
+
+    def test_an_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(paths, "_worker_count", lambda: 2)
+        with pytest.raises(ZeroDivisionError):
+            paths._pool_map(lambda i: 1 / i, [2, 1, 0, 4], paths._POOL_CELLS)
 
 
 def mixed_rows(rng, n):
@@ -215,6 +269,7 @@ class TestModuleVisitsOnlyJumps:
         # grid times on a coarse lattice: many pair differences coincide,
         # so runs of windows sharing a cap start mid-grid
         rng = np.random.default_rng(11)
+        monkeypatch.setattr(paths, "_POOL_CELLS", 0)  # blocks of any size go to the pool
         mid_grid_runs = 0
         for _ in range(40):
             n = int(rng.integers(5, 13))
@@ -274,6 +329,7 @@ class TestJumpListKernels:
         counted = []
         block_maxima = paths._block_maxima
         monkeypatch.setattr(paths, "_block_maxima", lambda b: counted.append(b) or block_maxima(b))
+        monkeypatch.setattr(paths, "_POOL_CELLS", 0)  # blocks of any size go to the pool
         for t, values, deltas in self.cases():
             rows = [SampledPath(t, row) for row in values]
             want = {d: [ps_module_brute(p, d) for p in rows] for d in deltas}
