@@ -25,6 +25,12 @@ without a warning.  An infinite raw bound clamps to 1, an order with an
 infinite moment is skipped, and an infinite threshold leaves u out of range.
 Python float ``**`` raises OverflowError whatever the rule, so such powers
 take an ``np.float64`` base.  The rule changes warnings, never values.
+
+Inputs follow the range rule of ``paths._in_range``: each parameter is checked
+against its declared range, where nan lies in no range and +-inf only in one
+that the evaluator returns a number for, and a ValueError names the
+parameter, its range and the value.  So the CLI exits 0 with a result, 2 on
+such an error and 3 on ``BoundUnavailable``, and prints no nan bound.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gls import PsiFunction
-from .paths import GFunction, _pool_map
+from .paths import GFunction, _in_range, _pool_map
 
 __all__ = [
     "BoundUnavailable",
@@ -113,10 +119,10 @@ class TailCurve:
         p = np.asarray(self.probs, dtype=float)
         if u.ndim != 1 or u.size != p.size or u.size == 0:
             raise ValueError("thresholds and probs must be 1-d of equal length")
-        if np.any(u <= 0) or not np.all(np.diff(u) > 0):
-            raise ValueError("thresholds must be positive and increasing")
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
-            raise ValueError("probs must lie in [0,1]")
+        _in_range("thresholds", u, "(0, inf]")
+        if not np.all(np.diff(u) > 0):
+            raise ValueError("thresholds must be increasing")
+        _in_range("probs", p, f"[{-1e-12}, {1 + 1e-12}]")  # a rounding's leeway
         if np.any(np.diff(p) > 1e-9):
             raise ValueError("probs must be nonincreasing along the threshold grid")
         object.__setattr__(self, "thresholds", u)
@@ -133,11 +139,10 @@ class TailCurve:
 # ---------------------------------------------------------------------------
 
 
-def _check_alpha_beta(alpha: float, beta: float) -> None:
-    if not alpha > 1:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+def _check_alpha_beta(alpha: float, beta: float, upper: str = "inf]") -> None:
+    """alpha in (1, inf] and beta in (0, inf]; ``upper="inf)"`` leaves inf out."""
+    _in_range("alpha", alpha, "(1, " + upper)
+    _in_range("beta", beta, "(0, " + upper)
 
 
 @_float_range
@@ -146,8 +151,7 @@ def chaining_theta_form(alpha: float, beta: float, theta: float) -> float:
     theta in (2^((1-alpha)/(2 beta)), 1)."""
     _check_alpha_beta(alpha, beta)
     lo = 2 ** ((1 - alpha) / (2 * beta))
-    if not lo < theta < 1:
-        raise ValueError(f"theta must lie in ({lo}, 1)")
+    _in_range("theta", theta, f"({float(lo)}, 1)")
     num = 2 ** ((1 - alpha) / (2 * beta)) * theta ** (-2 * beta) * (1 - theta) ** (-2 * beta)
     den = 1 - 2 ** (1 - alpha) * theta ** (-2 * beta)
     return num / den
@@ -164,7 +168,8 @@ def _optimize_theta(alpha: float, beta: float) -> tuple[float, float]:
     """
     from scipy.optimize import brentq  # loaded only for mode="optimized"
 
-    lo = 2 ** ((1 - alpha) / (2 * beta))
+    # the admissible interval (lo, 1) must be nonempty in floats
+    lo = _in_range("2^((1-alpha)/(2 beta))", 2 ** ((1 - alpha) / (2 * beta)), "(0, 1)")
     a = 2 ** (1 - alpha)
     t_star = brentq(lambda t: 2 * t - 1 - a * t ** (1 - 2 * beta), lo, 1.0, xtol=1e-16)
     t_star = np.float64(t_star)  # so a K beyond float range is inf, not an error
@@ -208,15 +213,12 @@ def _as_pairs(pairs) -> list[tuple[float, float]]:
     if not out:
         raise ValueError("need at least one (alpha, beta) pair")
     for a, b in out:
-        _check_alpha_beta(a, b)
+        _check_alpha_beta(a, b, "inf)")  # an infinite exponent makes a bound inf * 0
     return out
 
 
 def _u_grid(u_grid) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if np.any(u <= 0):
-        raise ValueError("thresholds must be positive")
-    return u
+    return _in_range("u", np.atleast_1d(np.asarray(u_grid, dtype=float)), "(0, inf]")
 
 
 def _zero_curve(u: np.ndarray) -> TailCurve:
@@ -227,10 +229,8 @@ def _zero_curve(u: np.ndarray) -> TailCurve:
 def _envelope(g: GFunction, h) -> tuple[float, Optional[float], bool]:
     """G(1) - G(0), omega_G(2h) (None without a span h) and whether either is 0,
     which makes every bound built on them 0.  A span must lie in (0, 1/2]."""
-    if h is not None and not 0.0 < h <= 0.5:
-        raise ValueError("h must lie in (0, 1/2]")
     g1 = g.total
-    om = None if h is None else g.modulus(2 * h)
+    om = None if h is None else g.modulus(2 * _in_range("h", h, "(0, 0.5]"))
     return g1, om, g1 == 0.0 or om == 0.0
 
 
@@ -262,7 +262,11 @@ def _power_curve(pairs, g: GFunction, h, u_grid, mode: str) -> TailCurve:
         return _zero_curve(u)
     rows = []
     for a, b in pl:
-        log_k = math.log(chaining_constant(a, b, mode))
+        k = chaining_constant(a, b, mode)
+        # K underflows to 0 only in the closed form, where its denominator
+        # 2^((alpha-1)/2) - 1 overflows; its log is then (alpha-1)/2 ln 2
+        log_k = math.log(k) if k > 0 else (
+            -2 * b * math.log1p(-2 ** ((1 - a) / (4 * b))) - (a - 1) / 2 * math.log(2.0))
         if om is None:
             log_c = log_k + a * math.log(g1)
         else:
@@ -302,8 +306,8 @@ class SequencePair:
 
 def geometric_sequences(s: float = 0.1, theta: float = 0.6) -> SequencePair:
     """eps(k) = s^(k-1), theta(k) = (1-theta) theta^(k-1) (weights sum to 1)."""
-    if not (0 < s < 1 and 0 < theta < 1):
-        raise ValueError("s and theta must lie in (0,1)")
+    _in_range("s", s, "(0, 1)")
+    _in_range("theta", theta, "(0, 1)")
     return SequencePair(
         eps=lambda k: s ** (k - 1),
         theta=lambda k: (1 - theta) * theta ** (k - 1),
@@ -313,8 +317,7 @@ def geometric_sequences(s: float = 0.1, theta: float = 0.6) -> SequencePair:
 
 def polynomial_sequences(nu: float = 2.0) -> SequencePair:
     """eps(k) = e^(1-k), theta(k) = k^(-nu) / zeta(nu)."""
-    if not nu > 1:
-        raise ValueError("nu must exceed 1 for summable weights")
+    _in_range("nu", nu, "(1, inf)")  # for summable weights
     from scipy.special import zeta  # loaded only for polynomial weights
 
     c = 1.0 / float(zeta(nu))
@@ -334,10 +337,8 @@ def validate_sequence_pair(pair: SequencePair) -> None:
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError(f"{pair.label}: eps must be strictly decreasing")
     th = [pair.theta(k) for k in range(1, _SEQUENCE_CHECK_TERMS + 1)]
-    if any(x <= 0 for x in th):
-        raise ValueError(f"{pair.label}: theta must be positive")
-    if sum(th) > 1.0 + 1e-9:
-        raise ValueError(f"{pair.label}: theta weights must sum to at most 1")
+    _in_range(f"{pair.label}: theta", th, "(0, inf)")
+    _in_range(f"{pair.label}: the sum of the theta weights", sum(th), f"(0, {1 + 1e-9}]")
 
 
 @dataclass(frozen=True)
@@ -404,8 +405,7 @@ def entropy_series_bound(
     ``BoundUnavailable`` when no supplied pair yields a numerically
     convergent series within ``_SERIES_MAX_TERMS`` terms.
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
+    _in_range("u", u, "(0, inf)")  # the growth lam(inf theta(k)) is no number
     if isinstance(pairs, SequencePair):
         pairs = [pairs]
     if not pairs:
@@ -431,6 +431,7 @@ def entropy_series_bound(
 
 def _nu_table(nu, b: float, p_grid) -> tuple[np.ndarray, np.ndarray]:
     """Normalize the moment-function argument to (p grid, values) in [2, b)."""
+    _in_range("b", b, "(2, inf]")
     if hasattr(nu, "p_grid") and hasattr(nu, "values"):
         ps = np.asarray(nu.p_grid, dtype=float)
         vals = np.asarray(nu.values, dtype=float)
@@ -445,10 +446,8 @@ def _nu_table(nu, b: float, p_grid) -> tuple[np.ndarray, np.ndarray]:
     keep = (ps >= 2.0) & (ps < b) & np.isfinite(vals)
     ps, vals = ps[keep], vals[keep]
     if ps.size == 0:
-        raise ValueError("moment function has no finite values on [2, b)")
-    if np.any(vals < 0):
-        raise ValueError("moment function must be nonnegative")
-    return ps, vals
+        raise ValueError("moment function nu has no finite values on [2, b)")
+    return ps, _in_range("nu", vals, "[0, inf)")
 
 
 @_float_range
@@ -538,10 +537,9 @@ def exp_tail_envelopes(
     bounds there.  The module envelope carries a validity flag for
     u >= (omega |ln omega|)^(-m).
     """
-    if c1 <= 0 or m <= 0:
-        raise ValueError("c1 and m must be positive")
-    if u <= 0:
-        raise ValueError("u must be positive")
+    _in_range("c1", c1, "(0, inf)")
+    _in_range("m", m, "(0, inf)")
+    _in_range("u", u, "(0, inf]")
     g1, om, _ = _envelope(g, h)
     if g1 == 0.0:
         return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
@@ -557,12 +555,12 @@ def exp_tail_envelopes(
         # of the same bound a direct call produces
         grid = scale * (math.e * p_cal) ** m
         if not np.all(np.isfinite(grid)):
-            raise ValueError(f"m={m:g} (c1={c1:g}) puts the calibration thresholds "
-                             f"{scale:.6g} (e p)^m beyond the float range")
+            raise ValueError(f"m={m:g} (c1={c1:g}, G(1)={g1:g}) puts the calibration "
+                             f"thresholds {scale:.6g} (e p)^m beyond the float range")
         if not np.all(np.diff(grid) > 0):
-            raise ValueError(f"m={m:g} (c1={c1:g}) rounds the calibration thresholds "
-                             f"{scale:.6g} (e p)^m to equal values")
-        return np.sort(np.append(grid, u))
+            raise ValueError(f"m={m:g} (c1={c1:g}, G(1)={g1:g}) rounds the calibration "
+                             f"thresholds {scale:.6g} (e p)^m to equal values")
+        return np.unique(np.append(grid, u))  # a u on the grid is not repeated
 
     u_cal = cal_grid(a)
     delta_curve = moment_global_bound(nu, g, u_cal)
@@ -678,8 +676,8 @@ def min_tail_2d(moment, u: float, v: float, p1_grid=None, p2_grid=None) -> MinTa
     Infinite moments are skipped; if nothing on the grid is finite the bound
     degenerates to 1 with a warning.
     """
-    if u <= 0 or v <= 0:
-        raise ValueError("u and v must be positive")
+    _in_range("u", u, "(0, inf]")
+    _in_range("v", v, "(0, inf]")
     if p1_grid is None:
         p1_grid = np.logspace(-1, np.log10(16.0), 60)
     if p2_grid is None:
@@ -722,10 +720,8 @@ def min_tail_fenchel(psi: PsiFunction, d: int, u: float) -> MinTailFenchel:
     u > 1.  The achieving p is reported, with a flag when it sits at the grid
     edge (the infimum is then a grid artifact, not an interior optimum).
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if not u > 1.0:
-        raise ValueError("the transform bound applies only for u > 1")
+    _in_range("d", d, "[1, inf)")
+    _in_range("u", u, "(1, inf]")  # where the transform bound applies
     ps = psi.grid
     psi1 = ps * np.log(psi.values)
     # psi1*(d ln u) is the largest exponent (d ln u) p - psi1(p)
@@ -742,8 +738,7 @@ def min_tail_fenchel(psi: PsiFunction, d: int, u: float) -> MinTailFenchel:
 def pizier_min_bound(d2p, r: float, s: float, t: float, u: float, p_grid=None) -> tuple[float, float]:
     """Triple bound inf over p of d(p, r, s)^p d(p, s, t)^p / u^(2p), clamped;
     d2p(p, a, b) is the order-2p increment norm.  Returns (value, achieving p)."""
-    if u <= 0:
-        raise ValueError("u must be positive")
+    _in_range("u", u, "(0, inf]")
     if p_grid is None:
         p_grid = np.logspace(-1, np.log10(32.0), 120)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -775,15 +770,10 @@ def factored_module_term(
     d_p(r,s) d_p(s,t) <= Z(p) |V(t)-V(r)|^l; requires l*p > 1 so the
     chaining constant exists.
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
-    if not l * p > 1:
-        raise ValueError("need l*p > 1 for the chaining constant")
+    _in_range("l*p", l * p, "(1, inf)")  # for the chaining constant
     # Z(2p)^(1/l) times the power module bound of the pair (alpha, beta) = (lp, p)
     raw = float(power_module_bound((l * p, p), v, h, [u]).raw[0])
-    zval = z(2 * p)
-    if zval < 0:
-        raise ValueError("Z must be nonnegative")
+    zval = _in_range("Z(2p)", z(2 * p), "[0, inf]")
     if zval == 0.0 or raw == 0.0:  # no inf * 0 for an infinite Z
         return 0.0
     return min(1.0, float(np.float64(zval) ** (1.0 / l) * raw))
@@ -797,9 +787,7 @@ def factored_module_term(
 def rosenthal_constant(p: float) -> float:
     """Upper bound 0.6535 p / ln p on the constant relating the p-norm of a
     normalized iid sum to the summand's p-norm, for p >= 2."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    return ROSENTHAL_FACTOR * p / math.log(p)
+    return ROSENTHAL_FACTOR * _in_range("p", p, "[2, inf)") / math.log(p)
 
 
 @_float_range
@@ -832,10 +820,10 @@ def clt_exp_envelope(
     central-limit bounds over a reference range.  The global form is stated
     for u >= e; the module form for u > e omega |ln omega|^(1+1/m); the
     returned flags mark whether the requested u is inside those ranges."""
-    if c1 <= 0 or m <= 0:
-        raise ValueError("c1 and m must be positive")
-    if u <= 0:
-        raise ValueError("u must be positive")
+    _in_range("c1", c1, "(0, inf)")
+    _in_range("m", m, "(0, inf]")
+    _in_range("s", s, "[-inf, inf]")
+    _in_range("u", u, "(0, inf)")  # the rate at u = inf is inf * 0 for s < 1
     b1, om, _ = _envelope(b_env, h)
     if b1 == 0.0:
         return ExpEnvelopes(0.0, 0.0, np.inf, np.inf, True, True)
@@ -852,16 +840,20 @@ def clt_exp_envelope(
     def cal_grid(lo):  # six decades of thresholds from lo
         grid = np.logspace(np.log10(lo), np.log10(lo) + 6, _ENVELOPE_CAL_POINTS)
         if not np.isfinite(grid[-1]):
-            raise ValueError(f"m={m:g} (c1={c1:g}) puts the calibration thresholds, six "
-                             f"decades from {lo:.6g}, beyond the float range")
+            raise ValueError(f"m={m:g} (c1={c1:g}, G(1)={b1:g}) puts the calibration "
+                             f"thresholds, six decades from {lo:.6g}, beyond the float range")
         return grid
 
     d0 = 3.0 * rosenthal_constant(2.0) * c1 * b1
     u_lo = max(math.e * 1.0001, d0)
     u_cal = cal_grid(u_lo)
     if u >= math.e:
-        u_cal = np.sort(np.append(u_cal, u))
-    nu = rosenthal_nu((p_eval, c1 * p_eval ** (1.0 / m) * np.log(p_eval) ** s))
+        u_cal = np.unique(np.append(u_cal, u))  # a u on the grid is not repeated
+    y = c1 * p_eval ** (1.0 / m) * np.log(p_eval) ** s
+    if not np.any(np.isfinite(y)):
+        raise ValueError(f"m={m:g} (c1={c1:g}, s={s:g}) puts y(p) = c1 p^(1/m) ln^s p "
+                         "beyond the float range")
+    nu = rosenthal_nu((p_eval, y))
     c2 = _calibrate(moment_global_bound(nu, b_env, u_cal).raw, rate(u_cal))
     delta_value = _decay(c2, float(rate(u)))
 
@@ -875,7 +867,7 @@ def clt_exp_envelope(
     lo_k = max(threshold * 1.0001, u_lo)
     u_cal_k = cal_grid(lo_k)
     if u > threshold:
-        u_cal_k = np.sort(np.append(u_cal_k, u))
+        u_cal_k = np.unique(np.append(u_cal_k, u))
     c3 = _calibrate(moment_module_bound(nu, b_env, h, u_cal_k).raw * om / 2.0,
                     rate(u_cal_k, om))
     kappa_value = min(1.0, 2.0 / om * _decay(c3, float(rate(u, om))))

@@ -37,7 +37,7 @@ from . import pipeline
 from . import simulate as sim
 from .entropy import SemiDistanceGrid, covering_number, scaled_window_modulus
 from .gls import PsiFunction, young_fenchel
-from .paths import GFunction, SampledPath, ps_module, triple_min_sup
+from .paths import GFunction, SampledPath, _in_range, ps_module, triple_min_sup
 
 TWO_JUMP_FIXTURE = SampledPath(
     np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 1.0, 2.0, 2.0])
@@ -48,11 +48,9 @@ def _parse_grid(spec: str) -> np.ndarray:
     """Grid spec: 'lo:hi:n' (log-spaced), or a comma list."""
     if ":" in spec:
         lo, hi, n = spec.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-        if lo <= 0 or hi <= lo:
-            raise ValueError("log grid needs 0 < lo < hi")
-        if n < 1:
-            raise ValueError("log grid needs at least one point")
+        lo = _in_range("log grid lo", float(lo), "(0, inf)")
+        hi = _in_range("log grid hi", float(hi), f"({lo}, inf)")
+        n = _in_range("log grid n", int(n), "[1, inf)")
         return np.logspace(np.log10(lo), np.log10(hi), n)
     return np.array(_parse_floats(spec))
 
@@ -193,7 +191,9 @@ def cmd_entropy(ns) -> int:
         t, q = tio.read_matrix(ns.matrix)
         grid = SemiDistanceGrid(t, q)
     else:
-        grid = SemiDistanceGrid.from_gap_function(lambda g: g**ns.gap_power, ns.grid)
+        # under the bounds' rule: a negative power is inf on the diagonal, not a warning
+        grid = SemiDistanceGrid.from_gap_function(B._float_range(lambda g: g**ns.gap_power),
+                                                  ns.grid)
     rows = []
     for eps in _parse_floats(ns.epsilon):
         res = covering_number(grid, eps)
@@ -213,7 +213,8 @@ def cmd_conjugate(ns) -> int:
     if ns.table:
         x, f = tio.read_two_columns(ns.table)
     else:  # the demo f = x^2/2, inf beyond float range under the bounds' rule
-        x = np.linspace(-ns.lam_max, ns.lam_max, ns.points)
+        lam_max = _in_range("lam_max", ns.lam_max, "(0, inf)")
+        x = np.linspace(-lam_max, lam_max, _in_range("points", ns.points, "[2, inf)"))
         f = 0.5 * B._float_range(np.square)(x)
     u = _parse_grid(ns.u_grid) if ns.u_grid else None
     us, fs = young_fenchel(x, f, u)
@@ -336,9 +337,9 @@ def cmd_verify(ns) -> int:
 
 def cmd_clt(ns) -> int:
     spec, config, u_grid = _run_inputs(ns)
-    n_list = _parse_floats(ns.n)
-    if not all(x.is_integer() and x >= 1 for x in n_list):
-        raise ValueError(f"n must be positive integers, got {ns.n!r}")
+    n_list = _in_range("n", _parse_floats(ns.n), "[1, inf)")
+    if not all(x.is_integer() for x in n_list):
+        raise ValueError(f"n must be integers, got {ns.n!r}")
     n_list = [int(x) for x in n_list]
     t_marks = _parse_floats(ns.t_marks)
     return _finish(ns, pipeline.clt(spec, config, n_list, t_marks, u_grid,

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .paths import _in_range
+
 __all__ = [
     "SemiDistanceGrid",
     "CoveringResult",
@@ -40,8 +42,7 @@ class SemiDistanceGrid:
             raise ValueError("times must be 1-d and strictly increasing")
         if q.shape != (n, n):
             raise ValueError("q must be a square matrix matching times")
-        if np.any(q < 0):
-            raise ValueError("q must be nonnegative")
+        _in_range("q", q, "[0, inf]")
         if np.max(np.abs(np.diag(q))) > 1e-12:
             raise ValueError("q must vanish on the diagonal")
         if np.max(np.abs(q - q.T)) > 1e-12:
@@ -52,7 +53,7 @@ class SemiDistanceGrid:
     @classmethod
     def from_gap_function(cls, fn, n: int = 1024) -> "SemiDistanceGrid":
         """Tabulate q(r,t) = fn(|r-t|) on a uniform n-point grid."""
-        t = np.linspace(0.0, 1.0, n)
+        t = np.linspace(0.0, 1.0, _in_range("n", n, "[2, inf)"))
         gaps = np.abs(t[:, None] - t[None, :])
         return cls(t, np.asarray(fn(gaps), dtype=float))
 
@@ -150,9 +151,7 @@ def covering_number(grid: SemiDistanceGrid, epsilon: float) -> CoveringResult:
     back to greedy set cover over the grid points, an upper bound on the
     minimal grid cover.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    within = grid.q <= _tolerant(epsilon)
+    within = grid.q <= _tolerant(_in_range("epsilon", epsilon, "(0, inf]"))
     exact = _balls_are_intervals(within)
     if exact:
         centers, continuum = _interval_sweep(grid.times, within)
@@ -181,9 +180,7 @@ def scaled_window_modulus(grid: SemiDistanceGrid, h: float) -> float:
     The vanishing of this ratio as h -> 0 is the hypothesis under which the
     entropy-series bound controls the span-constrained module.
     """
-    if not 0.0 < h <= 0.5:
-        raise ValueError("h must lie in (0, 1/2]")
     t = grid.times
     gaps = np.abs(t[:, None] - t[None, :])
-    mask = gaps <= 2.0 * h
+    mask = gaps <= 2.0 * _in_range("h", h, "(0, 0.5]")
     return float(grid.q[mask].max() / h)

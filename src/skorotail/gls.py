@@ -108,9 +108,7 @@ def lp_norms(draws: np.ndarray, ps) -> np.ndarray:
     x = np.abs(np.asarray(draws, dtype=float))
     if x.size == 0:
         raise ValueError("empty sample")
-    ps = np.asarray(ps, dtype=float)
-    if not np.all(np.isfinite(ps) & (ps > 0)):
-        raise ValueError("orders p must be finite and positive")
+    ps = paths._in_range("orders p", np.asarray(ps, dtype=float), "(0, inf)")
     c = x.max()
     if c == 0.0:
         return np.zeros_like(ps)
@@ -144,12 +142,9 @@ class PhiFunction:
             raise ValueError("grid and values must be 1-d of equal length >= 2")
         if g[0] != 0.0 or not np.all(np.diff(g) > 0):
             raise ValueError("grid must start at 0 and increase strictly")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("phi values must be finite")
+        paths._in_range("phi", v, f"[{-1e-12}, inf)")  # a rounding's leeway
         if abs(v[0]) > 1e-12:
             raise ValueError("phi(0) must be 0")
-        if np.any(v < -1e-12):
-            raise ValueError("phi must be nonnegative")
         if np.any(np.diff(v) < -1e-12):
             raise ValueError("phi must be nondecreasing for positive arguments")
         # convexity along the grid: divided differences nondecreasing
@@ -200,10 +195,9 @@ class PsiFunction:
             raise ValueError("grid and values must be 1-d of equal length >= 1")
         if not np.all(np.diff(g) > 0):
             raise ValueError("grid must be strictly increasing")
-        if g[0] < 1.0 or not self.b > 1.0 or g[-1] >= self.b:
-            raise ValueError("grid must lie in [1, b) with b > 1")
-        if not np.all(v > 0):  # +inf is an infinite moment; NaN is no value
-            raise ValueError("psi must be positive, not NaN")
+        b = paths._in_range("b", self.b, "(1, inf]")
+        paths._in_range("grid", g, f"[1, {float(b)})")
+        paths._in_range("psi", v, "(0, inf]")  # +inf is an infinite moment
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -218,8 +212,7 @@ class PsiFunction:
 
     @classmethod
     def degenerate(cls, l: float) -> "PsiFunction":
-        if l < 1:
-            raise ValueError("degenerate order must be >= 1")
+        paths._in_range("degenerate order", l, "[1, inf)")
         return cls(np.array([l]), np.array([1.0]), b=max(l + 1.0, 2.0))
 
 
@@ -239,8 +232,7 @@ class EmpiricalSample:
         d = np.array(self.draws, dtype=float)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("draws must be a nonempty 1-d array")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("draws must be finite")
+        paths._in_range("draws", d, "(-inf, inf)")
         d.setflags(write=False)
         object.__setattr__(self, "draws", d)
 
@@ -412,8 +404,7 @@ def young_fenchel(
         raise ValueError("x and f must be 1-d of equal length >= 2")
     if not np.all(np.diff(x) > 0):
         raise ValueError("x must be strictly increasing")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("f must be finite on its grid")
+    paths._in_range("f", f, "(-inf, inf)")
     if u is None:
         u = np.unique(np.diff(f) / np.diff(x))
         tol = SLOPE_MERGE_RTOL * (np.abs(u).max() + np.abs(f).max() / np.abs(x).max())
@@ -424,7 +415,7 @@ def young_fenchel(
         kept[-1] = u[-1]
         u = np.array(kept)
     else:
-        u = np.asarray(u, dtype=float)
+        u = paths._in_range("u", np.asarray(u, dtype=float), "(-inf, inf)")
     return u, conjugate_at(x, f, u)
 
 
@@ -438,11 +429,8 @@ def double_conjugate(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 def tail_from_phi(phi: PhiFunction, c: float, x) -> np.ndarray:
     """Tail estimate min(1, exp(-phi*(c*x))) from an exponential-moment
     function, nonincreasing in x."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
+    paths._in_range("c", c, "(0, inf)")
+    x = paths._in_range("x", np.asarray(x, dtype=float), "[0, inf]")
     star = conjugate_at(phi.grid, phi.values, c * np.atleast_1d(x))
     out = np.minimum(1.0, np.exp(-star))
     return out if x.ndim else float(out[0])
@@ -477,16 +465,15 @@ def moment_tail_equivalence(
     x >= e; C2 is +inf when the sample never reaches e.  ``p_grid`` must
     increase strictly, and lie above 1 when s != 0, where log^s p is the weight.
     """
-    if m <= 0:
-        raise ValueError("m must be positive")
+    paths._in_range("m", m, "(0, inf)")
     if p_grid is None:
         lo = 1.0 if s == 0.0 else 2.0
         p_grid = np.logspace(np.log10(lo), np.log10(256.0), 200, endpoint=False)
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.ndim != 1 or p_grid.size == 0 or np.any(np.diff(p_grid) <= 0):
         raise ValueError("p_grid must be a nonempty, strictly increasing 1-d grid")
-    if s != 0.0 and p_grid[0] <= 1.0:
-        raise ValueError("orders must exceed 1 when s != 0")
+    if s != 0.0:
+        paths._in_range("orders p (s != 0)", p_grid, "(1, inf)")
     weights = p_grid ** (1.0 / m)
     if s != 0.0:
         weights = weights * np.log(p_grid) ** s

@@ -85,17 +85,38 @@ def _pool_map(fn, items, cells: int) -> list:
     return out
 
 
+def _in_range(name: str, value, interval: str):
+    """Check that ``value``, a number or an array of them, lies in
+    ``interval``, written as "(lo, hi]" with either bracket at either end
+    and ends that ``float`` reads ("inf" too); return ``value``.
+
+    This is the one range check of the package.  nan lies in no interval,
+    and +-inf only in one closed at it, so a range admits an infinite value
+    only where the caller returns a number for it.  The error names the
+    parameter, its range and the first value outside it.
+    """
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    x = np.asarray(value, dtype=float)
+    inside = ((x >= lo) if interval[0] == "[" else (x > lo)) & (
+        (x <= hi) if interval[-1] == "]" else (x < hi))
+    if not np.all(inside):
+        got = value if x.ndim == 0 else x[~inside].flat[0]
+        raise ValueError(f"{name} must lie in {interval}, got {got}")
+    return value
+
+
 def _unit_grid(times, values, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """``times`` and ``values`` as float arrays, checked: times a finite,
-    strictly increasing grid of at least two points from 0 to 1, and values
+    """``times`` and ``values`` as float arrays, checked: times a strictly
+    increasing grid of at least two points from 0 to 1, and values
     ``ndim``-d with one entry per time along their last axis."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.size < 2 or v.ndim != ndim or v.shape[-1] != t.size:
         raise ValueError(f"times must be 1-d of length >= 2 and values {ndim}-d "
                          "with one entry per time")
-    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
-        raise ValueError("times must be finite and strictly increasing")
+    _in_range("times", t, "[0, 1]")
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("times must be strictly increasing")
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("times must start at 0 and end at 1")
     return t, v
@@ -114,16 +135,12 @@ class SampledPath:
 
     def __post_init__(self):
         t, v = _unit_grid(self.times, self.values)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _in_range("values", v, "(-inf, inf)"))
 
     def value_at(self, t: float) -> float:
         """Evaluate by the step rule: value at the greatest grid time <= t."""
-        if t < 0.0 or t > 1.0:
-            raise ValueError(f"t={t} outside [0,1]")
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        i = int(np.searchsorted(self.times, _in_range("t", t, "[0, 1]"), side="right")) - 1
         return float(self.values[i])
 
 
@@ -138,12 +155,10 @@ class GFunction:
 
     def __post_init__(self):
         t, v = _unit_grid(self.times, self.values)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("G values must be finite")
-        if abs(v[0]) > 1e-12:
+        if abs(_in_range("G", v, "(-inf, inf)")[0]) > 1e-12:
             raise ValueError("G(0) must be 0")
         if np.any(np.diff(v) < -1e-12):
-            raise ValueError("values must be nondecreasing")
+            raise ValueError("G must be nondecreasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", np.maximum.accumulate(v))
 
@@ -165,8 +180,9 @@ class GFunction:
 
 
 def _check_triple(r: float, s: float, t: float) -> None:
-    if not (0.0 <= r <= s <= t <= 1.0):
-        raise ValueError(f"triple must satisfy 0 <= r <= s <= t <= 1, got ({r}, {s}, {t})")
+    _in_range("triple", [r, s, t], "[0, 1]")
+    if not r <= s <= t:
+        raise ValueError(f"triple must satisfy r <= s <= t, got ({r}, {s}, {t})")
 
 
 def triple_min(path: SampledPath, r: float, s: float, t: float) -> float:
@@ -234,8 +250,7 @@ def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.
     delta, so the module is the largest ``triple_min_sup`` over those
     windows (``_window_maxima``).
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta={delta} outside [0,1]")
+    _in_range("delta", delta, "[0, 1]")
     t, v = _unit_grid(times, values, ndim=2)
     # the brute force's difference predicate; subtraction is monotone, so
     # each row's admissible indices form a prefix and caps never decrease
@@ -381,8 +396,7 @@ def global_stat_brute(path: SampledPath) -> float:
 
 def ps_module_brute(path: SampledPath, delta: float) -> float:
     """Reference O(n^3) enumeration of the span-constrained module."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta={delta} outside [0,1]")
+    _in_range("delta", delta, "[0, 1]")
     t, v = path.times, path.values
     n = v.size
     best = 0.0
@@ -413,9 +427,7 @@ def continuity_modulus(times, values, h: float) -> float:
         raise ValueError("times must be increasing")
     if np.any(np.diff(v) < -1e-12):
         raise ValueError("table must be nondecreasing")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    if h == 0:
+    if _in_range("h", h, "[0, inf]") == 0:
         return 0.0
     h = min(h, float(t[-1] - t[0]))
     lo, hi = t[0], t[-1]

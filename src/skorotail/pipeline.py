@@ -16,7 +16,7 @@ import numpy as np
 from . import io as tio
 from . import simulate as sim
 from .bounds import moment_global_bound, moment_module_bound, rosenthal_nu
-from .paths import GFunction
+from .paths import GFunction, _in_range
 
 __all__ = ["Estimation", "Run", "estimate", "simulate", "verify", "clt", "triple_grid"]
 
@@ -159,8 +159,7 @@ def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=No
     level 1%."""
     from scipy.stats import anderson  # loaded only by this command
 
-    if not all(0.0 <= tm <= 1.0 for tm in t_marks):
-        raise ValueError(f"t_marks must lie in [0, 1], got {list(t_marks)}")
+    _in_range("t_marks", t_marks, "[0, 1]")
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"n must not repeat, got {list(n_list)}")
     rng = np.random.default_rng(config.seed)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import TailCurve
-from .paths import (GFunction, _unit_grid, _worker_count, ps_module_matrix,
+from .paths import (GFunction, _in_range, _unit_grid, _worker_count, ps_module_matrix,
                     triple_min_sup_matrix)
 
 __all__ = [
@@ -72,16 +72,15 @@ class ProcessSpec:
         if kind not in _KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}; choose from {_KINDS}")
         object.__setattr__(self, "kind", kind)
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
-        if kind in ("compound_poisson", "poisson") and self.rate < 0:
-            raise ValueError("rate must be nonnegative")
-        if kind == "compound_poisson" and self.jump_scale <= 0:
-            raise ValueError("jump_scale must be positive")
-        if kind == "brownian" and self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if kind == "empirical" and self.sample_size < 1:
-            raise ValueError("sample_size must be positive")
+        _in_range("grid_size", self.grid_size, "[2, inf)")
+        if kind in ("compound_poisson", "poisson"):
+            _in_range("rate", self.rate, "[0, inf)")
+        if kind == "compound_poisson":
+            _in_range("jump_scale", self.jump_scale, "(0, inf)")
+        if kind == "brownian":
+            _in_range("scale", self.scale, "(0, inf)")
+        if kind == "empirical":
+            _in_range("sample_size", self.sample_size, "[1, inf)")
 
     @property
     def centered(self) -> bool:
@@ -105,22 +104,17 @@ class SimConfig:
     triple_stride: int = 1
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be positive")
-        if self.u_points < 1:
-            raise ValueError("u_points must be positive")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0,1)")
-        p = np.asarray(self.p_grid, dtype=float)
-        if np.any(p < 2.0) or not np.all(np.diff(p) > 0):
-            raise ValueError("p_grid must be increasing and start at >= 2")
-        if np.any(p > 512.0):
-            raise ValueError("p_grid orders above 512 carry no resolution at these "
-                             "sample sizes")
+        _in_range("n_paths", self.n_paths, "[1, inf)")
+        _in_range("seed", self.seed, "[0, inf)")
+        _in_range("u_points", self.u_points, "[1, inf)")
+        _in_range("confidence", self.confidence, "(0, 1)")
+        # orders above 512 carry no resolution at these sample sizes
+        p = _in_range("p_grid", np.asarray(self.p_grid, dtype=float), "[2, 512]")
+        if not np.all(np.diff(p) > 0):
+            raise ValueError("p_grid must be increasing")
         object.__setattr__(self, "p_grid", p)
-        for h in self.h_grid:
-            if not 0.0 < h <= 0.5:
-                raise ValueError("every h must lie in (0, 1/2]")
+        _in_range("h", self.h_grid, "(0, 0.5]")
+        _in_range("triple_stride", self.triple_stride, "[1, inf)")
         if len({f"{h:g}" for h in self.h_grid}) < len(self.h_grid):  # as checks label them
             raise ValueError(f"spans must differ in 6 significant digits, got {self.h_grid}")
 
@@ -206,8 +200,7 @@ def partial_sum_paths(
     process."""
     if not spec.centered:
         raise ValueError(f"partial sums require a centered process, got {spec.kind!r}")
-    if n_terms < 1:
-        raise ValueError("n_terms must be positive")
+    _in_range("n_terms", n_terms, "[1, inf)")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     m = config.n_paths
@@ -397,8 +390,7 @@ def estimate_triple_moments(bundle: PathBundle, p_grid=None, stride: int = 1) ->
     m, n = v.shape
     if m == 0:
         raise ValueError("empty path collection")
-    if stride < 1:
-        raise ValueError("stride must be a positive integer")
+    _in_range("stride", stride, "[1, inf)")
     ps = np.asarray(_default_p_grid() if p_grid is None else p_grid, dtype=float)
     idx = np.unique(np.concatenate([np.arange(0, n, stride), [n - 1]]))
     k = idx.size
@@ -463,8 +455,8 @@ def fit_g_envelope(pair_times: np.ndarray, w: np.ndarray) -> GFunction:
     k = t.size
     if w.shape != (k, k):
         raise ValueError("w must be square and match pair_times")
-    if np.any(w < 0) or np.max(np.abs(w - w.T)) > 1e-9:
-        raise ValueError("w must be symmetric and nonnegative")
+    if np.max(np.abs(_in_range("w", w, "[0, inf)") - w.T)) > 1e-9:
+        raise ValueError("w must be symmetric")
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("pair grid must span [0,1]")
     values = np.zeros(k)
@@ -500,8 +492,7 @@ def empirical_tail(stats, u_grid, confidence: float = 0.99) -> TailEstimate:
     ``confidence`` quantile of beta(count + 1, n - count)."""
     from scipy.special import betaincinv  # loaded at the first tail estimate
 
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0,1)")
+    _in_range("confidence", confidence, "(0, 1)")
     stats = np.asarray(stats, dtype=float)
     u = np.asarray(u_grid, dtype=float)
     n = stats.size
@@ -524,9 +515,9 @@ class BoundaryEstimate:
 
 
 def boundary_functionals(bundle: PathBundle, beta_grid) -> BoundaryEstimate:
-    betas = np.asarray(beta_grid, dtype=float)
-    if not betas.size or np.any((betas <= 0) | (betas >= 0.5)) or not np.all(np.diff(betas) > 0):
-        raise ValueError("beta grid must be nonempty and increasing inside (0, 1/2)")
+    betas = _in_range("beta_grid", np.asarray(beta_grid, dtype=float), "(0, 0.5)")
+    if not betas.size or not np.all(np.diff(betas) > 0):
+        raise ValueError("beta_grid must be nonempty and increasing")
     t = bundle.times
     v = bundle.values
     z0 = np.empty(betas.size)

@@ -156,6 +156,20 @@ class TestPowerBounds:
             single = power_global_bound(pair, g, u)
             assert np.all(combined.probs <= single.probs + 1e-15)
 
+    @pytest.mark.parametrize("alpha", [1e6, 1e300])
+    def test_chaining_constant_below_the_float_range_gives_0(self, alpha):
+        # K(alpha, 1) underflows to 0, and math.log(0) raised ValueError
+        u, g = np.array([1.0, 10.0]), GFunction.linear()
+        assert power_global_bound((alpha, 1.0), g, u).probs.tolist() == [0.0, 0.0]
+        assert power_module_bound((alpha, 1.0), g, 0.05, u).probs.tolist() == [0.0, 0.0]
+
+    def test_chaining_constant_below_the_float_range_keeps_its_log(self):
+        # K(2100, 1) = 2^-1049.5 / (1 - 2^-1049.5) / (1 - 2^-524.75)^2 underflows, and
+        # G(1)^alpha = 2^1050 makes up for it: the bound is 2^(1/2) / u^2, not 0
+        curve = power_global_bound((2100.0, 1.0), GFunction.linear(math.sqrt(2.0)),
+                                   np.array([10.0]))
+        assert curve.probs[0] == pytest.approx(math.sqrt(2.0) / 100.0, rel=1e-10)
+
     def test_float_range_rule_restores_the_callers_errstate(self):
         # K(1.0001, 50) overflows to inf inside the nested ruled calls
         # _power_curve -> chaining_constant -> chaining_theta_form
@@ -321,6 +335,31 @@ class TestExpEnvelopes:
         above = exp_tail_envelopes(1.0, 1.0, g, 0.05, threshold * 2.0)
         assert not below.kappa_in_range
         assert above.kappa_in_range
+
+
+# the calibration orders of ``exp_tail_envelopes``
+P_CAL = np.logspace(np.log10(2.0), np.log10(bounds._ENVELOPE_P_MAX / 4.0),
+                    bounds._ENVELOPE_CAL_POINTS)
+
+
+@pytest.mark.parametrize("envelope, u", [
+    # 3 c1 G(1) (e p)^m at m = 1 and the eleventh order, on the global grid,
+    # and 3 c1 G(1) omega (e p)^m on the module's
+    (exp_tail_envelopes, 3.0 * (math.e * P_CAL[10])),
+    (exp_tail_envelopes, 3.0 * GFunction.linear().modulus(0.1) * (math.e * P_CAL[10])),
+    # the eleventh of the six decades of thresholds from 3 K_R(2) c1 G(1),
+    # on the global grid and the module's
+    (lambda c1, m, g, h, u: clt_exp_envelope(c1, m, 0.0, g, h, u),
+     np.logspace(np.log10(3.0 * rosenthal_constant(2.0)),
+                 np.log10(3.0 * rosenthal_constant(2.0)) + 6, 60)[10]),
+], ids=["exp-global", "exp-module", "clt"])
+def test_a_threshold_on_the_calibration_grid(envelope, u):
+    # joining the grid, u repeated a threshold, and TailCurve rejected the grid
+    g = GFunction.linear()
+    env = envelope(1.0, 1.0, g, 0.05, u)
+    nearby = envelope(1.0, 1.0, g, 0.05, u * (1 + 1e-12))
+    assert env.delta_value == pytest.approx(nearby.delta_value, rel=1e-9)
+    assert env.kappa_value == pytest.approx(nearby.kappa_value, rel=1e-9)
 
 
 class TestMinTail2D:
@@ -663,7 +702,7 @@ class TestFactoredModule:
         assert val == want and type(val) is float
 
     def test_negative_z_rejected(self):
-        with pytest.raises(ValueError, match="Z must be nonnegative"):
+        with pytest.raises(ValueError, match=r"Z\(2p\) must lie in \[0, inf\], got -1.0"):
             factored_module_term(lambda p: -1.0, GFunction.linear(), 2.0, 2.0, 0.05, 10.0)
 
 
@@ -679,7 +718,7 @@ def test_every_span_bound_rejects_a_span_outside_the_half_interval(h):
         lambda: clt_exp_envelope(1.0, 1.0, 0.0, g, h, 100.0),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match=r"h must lie in \(0, 1/2\]"):
+        with pytest.raises(ValueError, match=rf"h must lie in \(0, 0.5\], got {h}"):
             call()
 
 

@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 
 from skorotail import bounds as B
 from skorotail import io as tio
+from skorotail import pipeline
 from skorotail.cli import _process_spec, _sim_config, build_parser, run
 from skorotail.entropy import SemiDistanceGrid, scaled_window_modulus
 from skorotail.gls import PsiFunction
 from skorotail.io import read_matrix, read_two_columns, write_csv
 from skorotail.paths import GFunction
 from skorotail.simulate import ProcessSpec, SimConfig, generate_paths
+from test_ranges import PINNED
 
 
 def read_out(capsys):
@@ -357,43 +359,12 @@ class TestBound:
         assert fields["kappa_in_range"] == "false"
         assert 0.0 <= float(fields["delta"]) <= 1.0 and 0.0 <= float(fields["kappa"]) <= 1.0
 
-    SILENT_OVERFLOWS = [
-        # _calibrate's -log(raw) / rate
-        (["exp-envelope", "--m", "0.0016272"], "delta=1 kappa=4.2387974753829718e-129 "
-         "c2=3.6392014270886754e-297 c3=2985.8492965506462 delta_in_range=true "
-         "kappa_in_range=false"),
-        # an infinite c3 at a rate u^(1/m) that underflowed to 0
-        (["exp-envelope", "--m", "0.0016272", "--u", "0.001"], "delta=1 kappa=1 "
-         "c2=3.6392014270886754e-297 c3=inf delta_in_range=false kappa_in_range=false"),
-        # _decay's c * rate * scale
-        (["exp-envelope", "--m", "0.0104", "--h", "0.01", "--u", "1000"], "delta=0 kappa=0 "
-         "c2=5.0776773262251064e-49 c3=5.8497259467794881e+116 delta_in_range=true "
-         "kappa_in_range=true"),
-        # the module's calibration rates times omega
-        (["exp-envelope", "--m", "0.0205", "--g-slope", "1000", "--h", "0.3", "--u", "0.001"],
-         "delta=1 kappa=0.0033333333333333335 c2=1.8270834425298091e-172 c3=0 "
-         "delta_in_range=false kappa_in_range=true"),
-        # the module's raw bounds times omega
-        (["clt-envelope", "--m", "0.001977", "--g-slope", "1000"], "delta=1 kappa=0.02 c2=0 "
-         "c3=0 delta_in_range=false kappa_in_range=false"),
-        # K(alpha, beta) in both modes, and the power bounds built on it
-        (["k-constant", "--alpha", "1.0001", "--beta", "50"], "inf"),
-        (["k-constant", "--alpha", "1.0001", "--beta", "50", "--mode", "optimized"], "inf"),
-        (["power-module", "--alpha", "1.0001", "--beta", "50", "--u", "1,10"],
-         '1,1,"(1.0001, 50.0)"\n10,1,"(1.0001, 50.0)"'),
-        # the --nu-power table c p^m
-        (["moment-module", "--nu-power", "1,300", "--u", "1,10"], "1,1,2.0\n10,1,2.0"),
-        (["clt", "--nu-power", "1,300", "--u", "1,10"], "1,1,1\n10,1,1"),
-        # the --psi-power table p^a
-        (["min-tail-fenchel", "--psi-power", "1e300"], "value=0.5 p=1 at_edge=false"),
-    ]
-
     @pytest.mark.parametrize("args, out", [pytest.param(a, o, id=" ".join(a))
-                                           for a, o in SILENT_OVERFLOWS])
+                                           for a, o in PINNED])
     def test_envelope_overflows_are_silent_under_w_error(self, args, out, tmp_path):
-        # each bound above, envelope or not, printed a RuntimeWarning from a float
-        # beyond range, and under -W error ended in a traceback; the output is
-        # the one printed with the warning
+        # the range sweep's pinned rows, of every bound, envelope or not: each
+        # printed a RuntimeWarning from a float beyond range and under -W error
+        # ended in a traceback.  Here -W error holds from the interpreter's start
         done = skorotail(["bound", *args], tmp_path, flags=["-W", "error"])
         assert (done.returncode, done.stderr, done.stdout) == (0, "", out + "\n")
 
@@ -406,9 +377,9 @@ class TestBound:
 
     @pytest.mark.parametrize("name, table, flags, error", [
         ("moment-global", "0,0\n0.5,nan\n1,1\n", ["--g-file", "--u", "1,10"],
-         "G values must be finite"),
+         "G must lie in (-inf, inf), got nan"),
         ("min-tail-fenchel", "1,1\n2,nan\n4,3\n", ["--psi-file", "--u", "3"],
-         "psi must be positive, not NaN"),
+         "psi must lie in (0, inf], got nan"),
     ], ids=["g-file", "psi-file"])
     def test_nan_in_a_table_file_exits_2(self, name, table, flags, error, tmp_path, capsys):
         # they printed nan bounds and exited 0
@@ -444,7 +415,7 @@ class TestBound:
         # the envelopes used to print kappa=0 at h = 0
         assert run(["bound", name, "--h", h]) == 2
         printed = capsys.readouterr()
-        assert printed.out == "" and "error: h must lie in (0, 1/2]" in printed.err
+        assert printed.out == "" and f"error: h must lie in (0, 0.5], got {h}" in printed.err
 
     def test_invalid_alpha(self, capsys):
         assert run(["bound", "k-constant", "--alpha", "0.5", "--beta", "1"]) == 2
@@ -479,7 +450,7 @@ def test_a_grid_spec_of_no_points_exits_2(args, tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert run([*args, "--out", str(out)]) == 2
     printed = capsys.readouterr()
-    assert printed.out == "" and "error: log grid needs at least one point" in printed.err
+    assert printed.out == "" and "error: log grid n must lie in [1, inf), got 0" in printed.err
     assert not out.exists()
 
 
@@ -547,7 +518,7 @@ class TestConjugateCli:
         # 0.5 x^2 overflowed with a RuntimeWarning, under -W error a traceback
         done = skorotail(["conjugate", "--lam-max", "1e300"], tmp_path, flags=["-W", "error"])
         assert (done.returncode, done.stdout, done.stderr) == (
-            2, "", "error: f must be finite on its grid\n")
+            2, "", "error: f must lie in (-inf, inf), got inf\n")
 
     def test_quadratic_demo(self, tmp_path):
         out = tmp_path / "conj.csv"
@@ -596,7 +567,7 @@ class TestSimulateVerify:
     @pytest.mark.parametrize("p_grid", ["1024", "2,1024"])
     def test_p_grid_above_512_is_an_error(self, p_grid, capsys):
         assert run(["verify", *SMALL_SIM, "--p-grid", p_grid]) == 2
-        assert "above 512" in capsys.readouterr().err
+        assert "p_grid must lie in [2, 512], got 1024" in capsys.readouterr().err
 
     def test_verify_passes_and_is_reproducible(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -626,6 +597,18 @@ class TestSimulateVerify:
         assert grids[None] == {"points": 24, "stride": 1}  # full grid by default
         assert grids[5] == {"points": 6, "stride": 5}  # 0, 5, ..., 20 and 23
         assert run([cmd, *SMALL_SIM, "--stride", "0"]) == 2
+
+    @pytest.mark.parametrize("cmd", ["simulate", "verify", "clt"])
+    @pytest.mark.parametrize("flag, error", [
+        ("--seed=-1", "seed must lie in [0, inf), got -1"),
+        ("--stride=0", "triple_stride must lie in [1, inf), got 0"),
+    ], ids=["seed", "stride"])
+    def test_seed_and_stride_are_checked_before_any_path(self, cmd, flag, error, capsys):
+        # --seed -1 reached numpy's "expected non-negative integer", which names
+        # no flag, and --stride 0 simulated every path first
+        with mock.patch.object(pipeline.sim, "generate_paths", side_effect=AssertionError):
+            assert run([cmd, *SMALL_SIM, flag]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -728,7 +711,7 @@ class TestSimulateVerify:
         # simulate wrote tail tables with no rows, verify failed with an unrelated message
         out = tmp_path / "run"
         assert run([cmd, *SMALL_SIM, "--u-points", "0", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: u_points must be positive\n"
+        assert capsys.readouterr().err == "error: u_points must lie in [1, inf), got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("args, error", [

@@ -26,6 +26,12 @@ class TestSemiDistanceGrid:
         with pytest.raises(ValueError):
             SemiDistanceGrid(t, -np.abs(t[:, None] - t[None, :]))
 
+    def test_nan_rejected(self):
+        # nan passed the sign, diagonal and symmetry tests, and covering_number
+        # then raised RuntimeError
+        with pytest.raises(ValueError, match=r"q must lie in \[0, inf\], got nan"):
+            SemiDistanceGrid.from_gap_function(lambda g: g**np.nan, 8)
+
     def test_triangle_inequality_not_required(self):
         # a squared gap violates the triangle inequality but is accepted
         SemiDistanceGrid.from_gap_function(lambda g: g**2, 32)

@@ -471,7 +471,7 @@ class TestGFunction:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, bad):
         # a NaN passed the monotonicity check and gave nan bounds
-        with pytest.raises(ValueError, match="G values must be finite"):
+        with pytest.raises(ValueError, match=rf"G must lie in \(-inf, inf\), got {bad}"):
             GFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, bad, 1.0]))
 
     def test_total_and_modulus(self):

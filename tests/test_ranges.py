@@ -1,0 +1,201 @@
+"""One declared sweep of every numeric flag against the exit-code contract.
+
+Each flag of each ``bound`` name and of ``kappa``, ``entropy`` and
+``conjugate`` that takes a number, a number list or a grid spec takes each
+value of ``VALUES``, one flag at a time from the defaults, through
+``cli.run`` in this process with every warning an error.  The contract:
+the exit code is 0, 2 or 3; no warning and no traceback; no nan in a
+printed bound or value (the achieving-parameter column of an all-zero curve
+excepted); and an exit-2 message names the flag or its parameter.
+
+The fields of ``ProcessSpec`` and ``SimConfig`` take the same values at
+their constructors, through the flags of ``verify``, for each process: a
+value such as ``--paths 1e6`` is valid, and simulating it would allocate
+gigabytes.
+"""
+
+import argparse
+import io
+import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from skorotail import cli
+
+VALUES = ["0", "-1", "1e-300", "1e-15", "1e6", "1e300", "inf", "nan"]
+# the parameters an error may name for a flag, besides the flag's own name
+ALIASES = {"g-slope": "G", "seq-s": "s", "seq-theta": "theta", "seq-nu": "nu",
+           "nu-power": "nu", "psi-power": "psi", "gap-power": "q", "sigma-h": "h",
+           "delta-grid": "delta", "grid": "n grid_size", "paths": "n_paths",
+           "stride": "triple_stride", "lam-max": "lam_max f", "u-grid": "u"}
+# flags that a name reads only away from its defaults, with the flags that make it read them
+CONTEXT = {"seq-nu": ["--preset=polynomial"]}
+REQUIRED = {"entropy": ["--epsilon=0.1"]}
+PARSER = cli.build_parser()
+
+# Rows whose floats pass beyond the float range on the way to the printed
+# value, each with that value.  Each warned, and under -W error ended in a
+# traceback; they run here and, in a fresh interpreter, in test_cli.py.
+PINNED = [
+    # _calibrate's -log(raw) / rate
+    (["exp-envelope", "--m", "0.0016272"], "delta=1 kappa=4.2387974753829718e-129 "
+     "c2=3.6392014270886754e-297 c3=2985.8492965506462 delta_in_range=true "
+     "kappa_in_range=false"),
+    # an infinite c3 at a rate u^(1/m) that underflowed to 0
+    (["exp-envelope", "--m", "0.0016272", "--u", "0.001"], "delta=1 kappa=1 "
+     "c2=3.6392014270886754e-297 c3=inf delta_in_range=false kappa_in_range=false"),
+    # _decay's c * rate * scale
+    (["exp-envelope", "--m", "0.0104", "--h", "0.01", "--u", "1000"], "delta=0 kappa=0 "
+     "c2=5.0776773262251064e-49 c3=5.8497259467794881e+116 delta_in_range=true "
+     "kappa_in_range=true"),
+    # the module's calibration rates times omega
+    (["exp-envelope", "--m", "0.0205", "--g-slope", "1000", "--h", "0.3", "--u", "0.001"],
+     "delta=1 kappa=0.0033333333333333335 c2=1.8270834425298091e-172 c3=0 "
+     "delta_in_range=false kappa_in_range=true"),
+    # the module's raw bounds times omega
+    (["clt-envelope", "--m", "0.001977", "--g-slope", "1000"], "delta=1 kappa=0.02 c2=0 "
+     "c3=0 delta_in_range=false kappa_in_range=false"),
+    # K(alpha, beta) in both modes, and the power bounds built on it
+    (["k-constant", "--alpha", "1.0001", "--beta", "50"], "inf"),
+    (["k-constant", "--alpha", "1.0001", "--beta", "50", "--mode", "optimized"], "inf"),
+    (["power-module", "--alpha", "1.0001", "--beta", "50", "--u", "1,10"],
+     '1,1,"(1.0001, 50.0)"\n10,1,"(1.0001, 50.0)"'),
+    # the --nu-power table c p^m
+    (["moment-module", "--nu-power", "1,300", "--u", "1,10"], "1,1,2.0\n10,1,2.0"),
+    (["clt", "--nu-power", "1,300", "--u", "1,10"], "1,1,1\n10,1,1"),
+    # the --psi-power table p^a
+    (["min-tail-fenchel", "--psi-power", "1e300"], "value=0.5 p=1 at_edge=false"),
+]
+
+
+def subparsers(parser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def numeric(action) -> bool:
+    """Whether a flag takes a number, a number list or a grid spec."""
+    if action.type in (int, float):
+        return True
+    if action.type is not None or action.choices or action.nargs == 0:
+        return False
+    if any(words in (action.help or "") for words in ("comma list", "grid spec")):
+        return True
+    try:
+        return bool([float(x) for x in action.default.split(",")])
+    except (AttributeError, ValueError):
+        return False
+
+
+def values_of(action) -> list[str]:
+    """Each value of VALUES as the flag's value, or in each place of a list default."""
+    parts = action.default.split(",") if isinstance(action.default, str) else [None]
+    if len(parts) < 2:
+        return VALUES
+    return [",".join(parts[:i] + [v] + parts[i + 1:]) for i in range(len(parts)) for v in VALUES]
+
+
+def flags(words) -> list:
+    parser = PARSER
+    for w in words:
+        parser = subparsers(parser)[w]
+    return [(words, a) for a in parser._actions if a.option_strings[0] != "-h" and numeric(a)]
+
+
+COMMANDS = [["bound", name] for name in subparsers(subparsers(PARSER)["bound"])]
+COMMANDS += [["kappa"], ["entropy"], ["conjugate"]]
+SWEEP = [case for words in COMMANDS for case in flags(words)]
+
+
+def names_it(message: str, key: str) -> bool:
+    """Whether an error message names the flag ``key`` or one of its parameters."""
+    names = {key, key.replace("-", "_"), *ALIASES.get(key, "").split()}
+    return any(re.search(rf"(?<![\w.]){re.escape(n)}(?!\w)", message) for n in names)
+
+
+def outcome(argv) -> tuple[int, str, str]:
+    """``cli.run``'s exit code, stdout and stderr, with every warning an error.
+    The run reuses PARSER: building the parser takes most of a run's time."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err), \
+            mock.patch.object(cli, "build_parser", lambda: PARSER):
+        warnings.simplefilter("error")
+        try:
+            code = cli.run(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def breach(argv, key):
+    """How one run breaks the contract, or None."""
+    try:
+        code, out, err = outcome(argv)
+    except Exception as e:  # a traceback, a warning among them
+        return f"raised {type(e).__name__}: {e}"
+    if code not in (0, 2, 3):
+        return f"exit {code}"
+    zero_curve = all(re.fullmatch(r"[^,]+,0,nan", row) for row in out.splitlines())
+    if code == 0 and (err or ("nan" in out and not zero_curve)):
+        return f"printed {out!r} {err!r}"
+    if code == 2 and not names_it(err, key):
+        return f"exit 2 naming no {key}: {err!r}"
+    return None
+
+
+@pytest.mark.parametrize("words, action", SWEEP,
+                         ids=[" ".join([*w, a.option_strings[0]]) for w, a in SWEEP])
+def test_every_numeric_flag_keeps_the_contract(words, action):
+    key = action.option_strings[0][2:]
+    faults = {}
+    for value in values_of(action):
+        # the swept flag comes last, so it overrides a required one's stand-in
+        argv = [*words, *REQUIRED.get(words[0], []), *CONTEXT.get(key, []), f"--{key}={value}"]
+        if fault := breach(argv, key):
+            faults[" ".join(argv)] = fault
+    assert faults == {}
+
+
+def test_the_sweep_covers_every_numeric_flag():
+    # the 77 flags of the bound names, less 11 --config, 5 --out, 11 table
+    # files and the 3 --mode and 1 --preset choices
+    assert len([1 for w, _ in SWEEP if w[0] == "bound"]) == 46
+    keys = {a.option_strings[0] for _, a in SWEEP}
+    assert {"--u", "--nu-power", "--delta-grid", "--delta", "--epsilon", "--gap-power",
+            "--lam-max", "--points", "--g-slope", "--psi-power"} <= keys
+    assert not keys & {"--config", "--out", "--mode", "--preset", "--g-file", "--nu-file",
+                       "--psi-file", "--path", "--matrix", "--table"}
+
+
+@pytest.mark.parametrize("args, out", [pytest.param(a, o, id=" ".join(a)) for a, o in PINNED])
+def test_pinned_rows(args, out):
+    assert outcome(["bound", *args]) == (0, out + "\n", "")
+
+
+SIM_FLAGS = [a for _, a in flags(["verify"])]
+PROCESSES = next(a.choices for a in subparsers(PARSER)["verify"]._actions
+                 if a.dest == "process")
+
+
+@pytest.mark.parametrize("process", PROCESSES)
+def test_every_process_and_run_field_is_checked_at_its_constructor(process):
+    faults = {}
+    for action in SIM_FLAGS:
+        key = action.option_strings[0][2:]
+        for value in values_of(action):
+            argv = ["verify", f"--process={process}", f"--{key}={value}"]
+            with warnings.catch_warnings(), redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error")
+                try:
+                    config = cli._run_inputs(PARSER.parse_args(argv))[1]
+                    np.random.default_rng(config.seed)  # where every run starts
+                except ValueError as e:
+                    if not names_it(str(e), key):
+                        faults[" ".join(argv)] = str(e)
+                except SystemExit:  # argparse names the flag of a value it cannot read
+                    pass
+    assert faults == {}

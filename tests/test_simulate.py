@@ -138,7 +138,7 @@ class TestProcessSpec:
 class TestSimConfig:
     @pytest.mark.parametrize("u_points", [0, -1])
     def test_u_points_below_one_rejected(self, u_points):
-        with pytest.raises(ValueError, match="u_points must be positive"):
+        with pytest.raises(ValueError, match=rf"u_points must lie in \[1, inf\), got {u_points}"):
             SimConfig(u_points=u_points)
 
     @pytest.mark.parametrize("h_grid", [(0.1, 0.1), (0.1, 0.1000001), (0.05, 0.2, 0.05)])
