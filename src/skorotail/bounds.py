@@ -176,6 +176,16 @@ def _optimize_theta(alpha: float, beta: float) -> tuple[float, float]:
     return chaining_theta_form(alpha, beta, t_star), t_star
 
 
+def _log_closed_k(alpha: float, beta: float) -> float:
+    """log of the closed-form K where its denominator 2^((alpha-1)/2) - 1
+    overflows: the denominator's log is then (alpha-1)/2 ln 2 to within
+    2^-1024.  Where 2^((1-alpha)/(4 beta)) rounds to 1, the numerator is
+    0^(-2 beta) = inf."""
+    q = 2 ** ((1 - alpha) / (4 * beta))
+    log_num = math.inf if q == 1 else -2 * beta * math.log1p(-q)
+    return log_num - (alpha - 1) / 2 * math.log(2.0)
+
+
 @_float_range
 def chaining_constant(alpha: float, beta: float, mode: str = "closed") -> float:
     """Constant K(alpha, beta) of the power tail bounds.
@@ -195,6 +205,8 @@ def chaining_constant(alpha: float, beta: float, mode: str = "closed") -> float:
         two = np.float64(2.0)  # so a K beyond float range is inf, not an error
         num = (1 - two ** ((1 - alpha) / (4 * beta))) ** (-2 * beta)
         den = two ** ((alpha - 1) / 2) - 1
+        if np.isinf(num) and np.isinf(den):  # inf / inf: the ratio in log space
+            return np.exp(_log_closed_k(alpha, beta))
         return num / den
     if mode == "optimized":
         return _optimize_theta(alpha, beta)[0]
@@ -263,10 +275,8 @@ def _power_curve(pairs, g: GFunction, h, u_grid, mode: str) -> TailCurve:
     rows = []
     for a, b in pl:
         k = chaining_constant(a, b, mode)
-        # K underflows to 0 only in the closed form, where its denominator
-        # 2^((alpha-1)/2) - 1 overflows; its log is then (alpha-1)/2 ln 2
-        log_k = math.log(k) if k > 0 else (
-            -2 * b * math.log1p(-2 ** ((1 - a) / (4 * b))) - (a - 1) / 2 * math.log(2.0))
+        # K underflows to 0 only in the closed form, where its denominator overflows
+        log_k = math.log(k) if k > 0 else _log_closed_k(a, b)
         if om is None:
             log_c = log_k + a * math.log(g1)
         else:
@@ -606,9 +616,11 @@ def pair_pseudo_norm(xs, ys, p1: float, p2: float) -> float:
     return joint_moment(xs, ys, p1, p2) ** (1.0 / (p1 + p2))
 
 
-# sample rows per block of ``EmpiricalJointMoment.matrix``: each block's two
-# power tables take 8 bytes per row and order
+# sample rows per task of ``EmpiricalJointMoment.matrix``, and rows per slice
+# on which a task forms its two power tables: at 8 bytes per row and order, a
+# slice's tables stay in cache at the grids of ``min_tail_2d``
 _JOINT_BLOCK = 8192
+_JOINT_SLICE = 512
 
 
 class EmpiricalJointMoment:
@@ -633,7 +645,13 @@ class EmpiricalJointMoment:
     def matrix(self, p1s: np.ndarray, p2s: np.ndarray) -> np.ndarray:
         """E|x|^p1 |y|^p2 at every (p1, p2) of the two 1-d grids.  The matrix
         is built once for a grid pair and kept until another pair is asked
-        for; it is returned read-only."""
+        for; it is returned read-only.
+
+        Each block of ``_JOINT_BLOCK`` draws is one task of a pool with one
+        thread per available CPU.  A task forms the scaled power tables on
+        slices of ``_JOINT_SLICE`` draws and adds each slice's product into
+        its block's part; the parts are added in block order, so the result
+        is the same for any number of workers."""
         p1s = np.asarray(p1s, dtype=float)
         p2s = np.asarray(p2s, dtype=float)
         key = (p1s.shape, p1s.tobytes(), p2s.shape, p2s.tobytes())
@@ -641,17 +659,19 @@ class EmpiricalJointMoment:
             cx = self.x.max() or 1.0
             cy = self.y.max() or 1.0
             n = self.x.size
-            acc = np.zeros((p1s.size, p2s.size))
-            sides = [(self.x, cx, p1s), (self.y, cy, p2s)]
-            for lo in range(0, n, _JOINT_BLOCK):
-                def table(side):
-                    z, c, ps = side
-                    return (z[lo : lo + _JOINT_BLOCK] / c)[:, None] ** ps[None, :]
 
-                rows = min(n - lo, _JOINT_BLOCK)
-                xb, yb = _pool_map(table, sides, rows * min(p1s.size, p2s.size))
-                acc += xb.T @ yb
-                del xb, yb  # freed before the next block's tables are formed
+            def block(lo):
+                part = np.zeros((p1s.size, p2s.size))
+                for a in range(lo, min(lo + _JOINT_BLOCK, n), _JOINT_SLICE):
+                    xs = (self.x[a : a + _JOINT_SLICE] / cx)[:, None] ** p1s
+                    ys = (self.y[a : a + _JOINT_SLICE] / cy)[:, None] ** p2s
+                    part += xs.T @ ys
+                return part
+
+            cells = min(n, _JOINT_BLOCK) * (p1s.size + p2s.size)
+            acc = np.zeros((p1s.size, p2s.size))
+            for part in _pool_map(block, range(0, n, _JOINT_BLOCK), cells):
+                acc += part
             mat = np.outer(cx**p1s, cy**p2s) * acc / n
             mat.setflags(write=False)
             self._matrix = (key, mat)

@@ -450,6 +450,13 @@ class EquivalenceReport:
     both_finite: bool
 
 
+def _distinct_abs_from_e(d: np.ndarray) -> np.ndarray:
+    """The distinct |x| >= e of a sorted sample, ascending, from its two
+    tails alone."""
+    return np.union1d(-d[: np.searchsorted(d, -np.e, side="right")],
+                      d[np.searchsorted(d, np.e, side="left"):])
+
+
 def moment_tail_equivalence(
     sample: EmpiricalSample,
     m: float,
@@ -485,8 +492,7 @@ def moment_tail_equivalence(
     # sample.tail just below each distinct |draw| >= e, from one sort: the
     # atom itself counts, so every tail is at least 1/n
     d = np.sort(sample.draws)
-    xs = np.unique(np.abs(d))
-    xs = xs[xs >= np.e]
+    xs = _distinct_abs_from_e(d)
     y = xs * (1 - 1e-12)
     above = d.size - np.searchsorted(d, y, side="right")
     below = np.searchsorted(d, -y, side="left")

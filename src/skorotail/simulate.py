@@ -46,6 +46,8 @@ _KINDS = ("compound_poisson", "poisson", "brownian", "empirical", "uniform_jump"
 _CENTERED = ("compound_poisson", "brownian", "empirical")
 # ``quantile_u_grid`` starts at this quantile of the statistic
 _U_GRID_QUANTILE = 0.5
+# the largest mean numpy's Poisson sampler accepts
+_RATE_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class ProcessSpec:
         object.__setattr__(self, "kind", kind)
         _in_range("grid_size", self.grid_size, "[2, inf)")
         if kind in ("compound_poisson", "poisson"):
-            _in_range("rate", self.rate, "[0, inf)")
+            _in_range("rate", self.rate, f"[0, {_RATE_MAX!r}]")
         if kind == "compound_poisson":
             _in_range("jump_scale", self.jump_scale, "(0, inf)")
         if kind == "brownian":

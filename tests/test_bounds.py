@@ -163,6 +163,16 @@ class TestPowerBounds:
         assert power_global_bound((alpha, 1.0), g, u).probs.tolist() == [0.0, 0.0]
         assert power_module_bound((alpha, 1.0), g, 0.05, u).probs.tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("beta, k", [(900.0, 5.9353462874879291e192),
+                                         (1e300, np.inf), (np.inf, np.inf)])
+    def test_chaining_constant_where_both_factors_overflow(self, beta, k):
+        # (1 - 2^((1-alpha)/(4 beta)))^(-2 beta) and 2^((alpha-1)/2) - 1 are
+        # both inf, and their quotient was nan; 5.93...e192 is from 50-digit
+        # arithmetic, and a log near 1500 rounds to about 3e-13
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chaining_constant(3000.0, beta) == pytest.approx(k, rel=1e-12)
+
     def test_chaining_constant_below_the_float_range_keeps_its_log(self):
         # K(2100, 1) = 2^-1049.5 / (1 - 2^-1049.5) / (1 - 2^-524.75)^2 underflows, and
         # G(1)^alpha = 2^1050 makes up for it: the bound is 2^(1/2) / u^2, not 0
@@ -386,7 +396,8 @@ class TestMinTail2D:
         closed = min_tail_2d(self.UNIFORM, 0.5, 0.5)
         assert emp.value == pytest.approx(closed.value, rel=0.02)
 
-    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2.5, 0)])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2.5, 0),
+                                              (1, bounds._JOINT_SLICE + 1)])
     def test_matrix_blocks_against_per_cell_moments(self, blocks, extra):
         n = int(blocks * bounds._JOINT_BLOCK) + extra
         rng = np.random.default_rng(n)
@@ -396,25 +407,28 @@ class TestMinTail2D:
         got = EmpiricalJointMoment(x, y).matrix(p1s, p2s)
         assert np.allclose(got, want, rtol=1e-13, atol=0)
 
-    def test_matrix_memory_stays_within_blocks(self):
+    def test_matrix_memory_stays_within_blocks(self, monkeypatch):
         rng = np.random.default_rng(2)
         joint = EmpiricalJointMoment(rng.normal(size=100_000), rng.pareto(1.5, 100_000))
         grid = np.logspace(-1, np.log10(16.0), 60)
+        monkeypatch.setattr(paths, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
             joint.matrix(grid, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two (100k, 60) power tables in one block would take 92 MiB; two
-        # 8192-row tables take 7.5 MiB, and the last block's pair, kept
-        # while the next one's are formed, would add up to 7.5 MiB more
-        assert peak < 10 * 2**20
+        # two (100k, 60) power tables would take 92 MiB and two 8192-row
+        # tables 7.5 MiB; each worker holds two 512-row tables (0.47 MiB),
+        # numpy's buffers for forming them and its part, and the 13 parts
+        # wait for the caller: 2.04 MiB measured
+        assert peak < 2.5 * 2**20
 
-    @pytest.mark.parametrize("n", [1, 3 * bounds._JOINT_BLOCK // 2])
+    @pytest.mark.parametrize("n", [1, 3 * bounds._JOINT_BLOCK // 2,
+                                   bounds._JOINT_BLOCK + bounds._JOINT_SLICE + 1])
     def test_matrix_alike_on_any_worker_count(self, monkeypatch, n):
-        # x and y tables on the pool from any size, over a partial last
-        # block, zero draws and orders down to 0
+        # blocks on the pool from any size, over a partial last block and
+        # slice, zero draws and orders down to 0
         rng = np.random.default_rng(n)
         x, y = rng.normal(size=n), rng.pareto(1.5, n) + 1.0
         x[::7], y[1::5] = 0.0, 0.0
@@ -427,8 +441,10 @@ class TestMinTail2D:
         assert np.array_equal(mats[1], mats[0]) and np.array_equal(mats[2], mats[0])
 
     def test_matrix_pool_keeps_the_callers_errstate(self, monkeypatch):
-        # 0^-1 divides by zero in both tables, formed on either thread
-        x, y = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        # 0^-1 divides by zero in both tables of both blocks, formed on
+        # either thread
+        x, y = np.ones(bounds._JOINT_BLOCK + 1), np.ones(bounds._JOINT_BLOCK + 1)
+        x[:: bounds._JOINT_BLOCK], y[1 :: bounds._JOINT_BLOCK - 1] = 0.0, 0.0
         grid = np.array([-1.0, 1.0])
         monkeypatch.setattr(paths, "_POOL_CELLS", 0)
         monkeypatch.setattr(paths, "_worker_count", lambda: 2)

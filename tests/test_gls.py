@@ -735,6 +735,21 @@ class TestMomentTailEquivalence:
         # tie moves the constant by about 1e-12
         assert rep.tail_constant == pytest.approx(min(cs), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("draws", [
+        [np.e, -np.e, np.e, 0.0, -0.0, 3.0, -3.0, -4.5, 1.0],  # exactly +-e, ties
+        [0.5, -2.7, np.nextafter(np.e, 0), -np.nextafter(np.e, 0)],  # all below e
+        [0.0, -0.0, 0.0],  # zeros
+        [-np.e],  # one side only
+        np.random.default_rng(3).standard_cauchy(5000),  # mixed signs
+        np.round(np.random.default_rng(4).normal(0, 3, 5000), 1),  # ties across signs
+    ])
+    def test_tail_atoms_against_every_draw(self, draws):
+        draws = np.asarray(draws, dtype=float)
+        want = np.unique(np.abs(draws))
+        got = gls._distinct_abs_from_e(np.sort(draws))
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want[want >= np.e].tobytes()
+
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             moment_tail_equivalence(RADEMACHER, m=0.0)

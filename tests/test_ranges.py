@@ -9,9 +9,10 @@ printed bound or value (the achieving-parameter column of an all-zero curve
 excepted); and an exit-2 message names the flag or its parameter.
 
 The fields of ``ProcessSpec`` and ``SimConfig`` take the same values at
-their constructors, through the flags of ``verify``, for each process: a
-value such as ``--paths 1e6`` is valid, and simulating it would allocate
-gigabytes.
+their constructors, through the flags of ``verify``, for each process, and
+each accepted process generates zero paths, which reaches every sampler's
+parameters: a value such as ``--paths 1e6`` is valid, and simulating it
+would allocate gigabytes.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from skorotail import cli
+from skorotail import cli, simulate
 
 VALUES = ["0", "-1", "1e-300", "1e-15", "1e6", "1e300", "inf", "nan"]
 # the parameters an error may name for a flag, besides the flag's own name
@@ -64,6 +65,10 @@ PINNED = [
     (["k-constant", "--alpha", "1.0001", "--beta", "50", "--mode", "optimized"], "inf"),
     (["power-module", "--alpha", "1.0001", "--beta", "50", "--u", "1,10"],
      '1,1,"(1.0001, 50.0)"\n10,1,"(1.0001, 50.0)"'),
+    # both factors of the closed-form K overflow, and inf / inf was nan
+    (["k-constant", "--alpha", "3000", "--beta", "1e300"], "inf"),
+    (["power-global", "--alpha", "3000", "--beta", "1e300", "--u", "1,10"],
+     '1,1,"(3000.0, 1e+300)"\n10,1,"(3000.0, 1e+300)"'),
     # the --nu-power table c p^m
     (["moment-module", "--nu-power", "1,300", "--u", "1,10"], "1,1,2.0\n10,1,2.0"),
     (["clt", "--nu-power", "1,300", "--u", "1,10"], "1,1,1\n10,1,1"),
@@ -191,8 +196,8 @@ def test_every_process_and_run_field_is_checked_at_its_constructor(process):
             with warnings.catch_warnings(), redirect_stderr(io.StringIO()):
                 warnings.simplefilter("error")
                 try:
-                    config = cli._run_inputs(PARSER.parse_args(argv))[1]
-                    np.random.default_rng(config.seed)  # where every run starts
+                    spec, config = cli._run_inputs(PARSER.parse_args(argv))[:2]
+                    simulate._generate(spec, 0, np.random.default_rng(config.seed))
                 except ValueError as e:
                     if not names_it(str(e), key):
                         faults[" ".join(argv)] = str(e)

@@ -127,6 +127,15 @@ class TestProcessSpec:
         with pytest.raises(ValueError):
             ProcessSpec("poisson", grid_size=1)
 
+    @pytest.mark.parametrize("kind", ["compound-poisson", "poisson"])
+    def test_rate_within_the_poisson_sampler(self, kind):
+        # numpy's sampler rejects a larger mean with "lam value too large",
+        # which names no parameter; one count is drawn at the limit itself
+        spec = ProcessSpec(kind, rate=simulate._RATE_MAX)
+        assert np.random.default_rng(0).poisson(spec.rate) >= 0
+        with pytest.raises(ValueError, match="rate must lie in"):
+            ProcessSpec(kind, rate=np.nextafter(simulate._RATE_MAX, np.inf))
+
     def test_centered_flags(self):
         assert ProcessSpec("compound-poisson").centered
         assert ProcessSpec("brownian").centered
