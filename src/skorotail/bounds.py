@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -177,13 +178,14 @@ def _optimize_theta(alpha: float, beta: float) -> tuple[float, float]:
 
 
 def _log_closed_k(alpha: float, beta: float) -> float:
-    """log of the closed-form K where its denominator 2^((alpha-1)/2) - 1
-    overflows: the denominator's log is then (alpha-1)/2 ln 2 to within
-    2^-1024.  Where 2^((1-alpha)/(4 beta)) rounds to 1, the numerator is
-    0^(-2 beta) = inf."""
+    """log of the closed-form K, for where K or a factor of it leaves the
+    float range.  The denominator 2^((alpha-1)/2) - 1 = e^t - 1 has log
+    t to within e^-700 from t = 700 on, and log expm1(t) below.  Where
+    2^((1-alpha)/(4 beta)) rounds to 1, the numerator is 0^(-2 beta) = inf."""
     q = 2 ** ((1 - alpha) / (4 * beta))
     log_num = math.inf if q == 1 else -2 * beta * math.log1p(-q)
-    return log_num - (alpha - 1) / 2 * math.log(2.0)
+    t = (alpha - 1) / 2 * math.log(2.0)
+    return log_num - (t if t > 700 else math.log(math.expm1(t)))
 
 
 @_float_range
@@ -205,9 +207,9 @@ def chaining_constant(alpha: float, beta: float, mode: str = "closed") -> float:
         two = np.float64(2.0)  # so a K beyond float range is inf, not an error
         num = (1 - two ** ((1 - alpha) / (4 * beta))) ** (-2 * beta)
         den = two ** ((alpha - 1) / 2) - 1
-        if np.isinf(num) and np.isinf(den):  # inf / inf: the ratio in log space
-            return np.exp(_log_closed_k(alpha, beta))
-        return num / den
+        k = num / den if num < np.inf else np.inf  # num >= 1, and inf / inf is nan
+        # a factor or the ratio has left the float range: K from its log
+        return k if 0 < k < np.inf else np.exp(_log_closed_k(alpha, beta))
     if mode == "optimized":
         return _optimize_theta(alpha, beta)[0]
     raise ValueError(f"unknown mode {mode!r}")
@@ -275,8 +277,10 @@ def _power_curve(pairs, g: GFunction, h, u_grid, mode: str) -> TailCurve:
     rows = []
     for a, b in pl:
         k = chaining_constant(a, b, mode)
-        # K underflows to 0 only in the closed form, where its denominator overflows
-        log_k = math.log(k) if k > 0 else _log_closed_k(a, b)
+        if mode == "closed":  # a K outside the normal range has lost digits
+            log_k = math.log(k) if sys.float_info.min <= k < math.inf else _log_closed_k(a, b)
+        else:
+            log_k = math.log(k) if k > 0 else _log_closed_k(a, b)
         if om is None:
             log_c = log_k + a * math.log(g1)
         else:
@@ -616,10 +620,12 @@ def pair_pseudo_norm(xs, ys, p1: float, p2: float) -> float:
     return joint_moment(xs, ys, p1, p2) ** (1.0 / (p1 + p2))
 
 
-# sample rows per task of ``EmpiricalJointMoment.matrix``, and rows per slice
-# on which a task forms its two power tables: at 8 bytes per row and order, a
-# slice's tables stay in cache at the grids of ``min_tail_2d``
+# sample rows per task of ``EmpiricalJointMoment.matrix`` at most, the tasks
+# a sample of fewer blocks is cut into, and rows per slice on which a task
+# forms its two power tables: at 8 bytes per row and order, a slice's tables
+# stay in cache at the grids of ``min_tail_2d``
 _JOINT_BLOCK = 8192
+_JOINT_TASKS = 2
 _JOINT_SLICE = 512
 
 
@@ -647,11 +653,13 @@ class EmpiricalJointMoment:
         is built once for a grid pair and kept until another pair is asked
         for; it is returned read-only.
 
-        Each block of ``_JOINT_BLOCK`` draws is one task of a pool with one
-        thread per available CPU.  A task forms the scaled power tables on
-        slices of ``_JOINT_SLICE`` draws and adds each slice's product into
-        its block's part; the parts are added in block order, so the result
-        is the same for any number of workers."""
+        The draws are cut into tasks of a pool with one thread per available
+        CPU: blocks of ``_JOINT_BLOCK`` draws, or ``_JOINT_TASKS`` runs of
+        whole slices for a smaller sample.  A task forms the scaled power
+        tables on slices of ``_JOINT_SLICE`` draws and adds each slice's
+        product into its part; the parts are added in order, and the cut
+        depends on n alone, so the result is the same for any number of
+        workers."""
         p1s = np.asarray(p1s, dtype=float)
         p2s = np.asarray(p2s, dtype=float)
         key = (p1s.shape, p1s.tobytes(), p2s.shape, p2s.tobytes())
@@ -659,18 +667,21 @@ class EmpiricalJointMoment:
             cx = self.x.max() or 1.0
             cy = self.y.max() or 1.0
             n = self.x.size
+            # rows per task: a block, or a small sample's share in whole slices
+            step = min(_JOINT_BLOCK, -(-n // (_JOINT_TASKS * _JOINT_SLICE)) * _JOINT_SLICE)
 
-            def block(lo):
+            def task(lo):
                 part = np.zeros((p1s.size, p2s.size))
-                for a in range(lo, min(lo + _JOINT_BLOCK, n), _JOINT_SLICE):
-                    xs = (self.x[a : a + _JOINT_SLICE] / cx)[:, None] ** p1s
-                    ys = (self.y[a : a + _JOINT_SLICE] / cy)[:, None] ** p2s
+                hi = min(lo + step, n)
+                for a in range(lo, hi, _JOINT_SLICE):
+                    xs = (self.x[a : min(a + _JOINT_SLICE, hi)] / cx)[:, None] ** p1s
+                    ys = (self.y[a : min(a + _JOINT_SLICE, hi)] / cy)[:, None] ** p2s
                     part += xs.T @ ys
                 return part
 
-            cells = min(n, _JOINT_BLOCK) * (p1s.size + p2s.size)
+            cells = min(n, step) * (p1s.size + p2s.size)
             acc = np.zeros((p1s.size, p2s.size))
-            for part in _pool_map(block, range(0, n, _JOINT_BLOCK), cells):
+            for part in _pool_map(task, range(0, n, step), cells):
                 acc += part
             mat = np.outer(cx**p1s, cy**p2s) * acc / n
             mat.setflags(write=False)

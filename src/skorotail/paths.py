@@ -338,7 +338,7 @@ def _jump_blocks(v, moves, ids, caps, run_lo):
     if ids.size == 0:
         return
     n = v.shape[1]
-    rows, cols = np.divmod(np.flatnonzero(moves if ids.size == v.shape[0] else moves[ids]), n - 1)
+    rows, cols = np.nonzero(moves if ids.size == v.shape[0] else moves[ids])
     rows = ids[rows]
     # a row's moves are adjacent in the list; -1 and n stand for none
     same = rows[1:] == rows[:-1]

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -163,15 +164,20 @@ class TestPowerBounds:
         assert power_global_bound((alpha, 1.0), g, u).probs.tolist() == [0.0, 0.0]
         assert power_module_bound((alpha, 1.0), g, 0.05, u).probs.tolist() == [0.0, 0.0]
 
-    @pytest.mark.parametrize("beta, k", [(900.0, 5.9353462874879291e192),
-                                         (1e300, np.inf), (np.inf, np.inf)])
-    def test_chaining_constant_where_both_factors_overflow(self, beta, k):
-        # (1 - 2^((1-alpha)/(4 beta)))^(-2 beta) and 2^((alpha-1)/2) - 1 are
-        # both inf, and their quotient was nan; 5.93...e192 is from 50-digit
-        # arithmetic, and a log near 1500 rounds to about 3e-13
+    @pytest.mark.parametrize("alpha, beta, k", [
+        (3000.0, 900.0, 5.9353462874879291e192), (3000.0, 1e300, np.inf),
+        (3000.0, np.inf, np.inf), (41.0, 123.0, 1.7748354781152199e304),
+        (2100.0, 1.0, 1.1722481355006685e-316)])
+    def test_chaining_constant_where_a_factor_leaves_the_float_range(self, alpha, beta, k):
+        # at alpha 3000 both factors (1 - 2^((1-alpha)/(4 beta)))^(-2 beta) and
+        # 2^((alpha-1)/2) - 1 are inf, and their quotient was nan; at (41, 123)
+        # the first is inf and K is finite; at (2100, 1) K is subnormal.  Each
+        # finite K is from 50-digit arithmetic, and a log near 1500 rounds to
+        # about 3e-13; a subnormal keeps about 7 digits
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert chaining_constant(3000.0, beta) == pytest.approx(k, rel=1e-12)
+            rel = 1e-7 if k < sys.float_info.min else 1e-12
+            assert chaining_constant(alpha, beta) == pytest.approx(k, rel=rel)
 
     def test_chaining_constant_below_the_float_range_keeps_its_log(self):
         # K(2100, 1) = 2^-1049.5 / (1 - 2^-1049.5) / (1 - 2^-524.75)^2 underflows, and
@@ -397,7 +403,8 @@ class TestMinTail2D:
         assert emp.value == pytest.approx(closed.value, rel=0.02)
 
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2.5, 0),
-                                              (1, bounds._JOINT_SLICE + 1)])
+                                              (1, bounds._JOINT_SLICE + 1),
+                                              (bounds._JOINT_TASKS, bounds._JOINT_SLICE + 1)])
     def test_matrix_blocks_against_per_cell_moments(self, blocks, extra):
         n = int(blocks * bounds._JOINT_BLOCK) + extra
         rng = np.random.default_rng(n)
@@ -424,11 +431,13 @@ class TestMinTail2D:
         # wait for the caller: 2.04 MiB measured
         assert peak < 2.5 * 2**20
 
-    @pytest.mark.parametrize("n", [1, 3 * bounds._JOINT_BLOCK // 2,
-                                   bounds._JOINT_BLOCK + bounds._JOINT_SLICE + 1])
+    @pytest.mark.parametrize("n", [1, 2 * bounds._JOINT_SLICE + 1, 3 * bounds._JOINT_BLOCK // 2,
+                                   bounds._JOINT_BLOCK + bounds._JOINT_SLICE + 1,
+                                   bounds._JOINT_TASKS * bounds._JOINT_BLOCK + bounds._JOINT_SLICE + 1])
     def test_matrix_alike_on_any_worker_count(self, monkeypatch, n):
-        # blocks on the pool from any size, over a partial last block and
-        # slice, zero draws and orders down to 0
+        # tasks on the pool from any size, cut into runs of slices or into
+        # blocks, over a partial last task and slice, zero draws and orders
+        # down to 0
         rng = np.random.default_rng(n)
         x, y = rng.normal(size=n), rng.pareto(1.5, n) + 1.0
         x[::7], y[1::5] = 0.0, 0.0
@@ -441,10 +450,11 @@ class TestMinTail2D:
         assert np.array_equal(mats[1], mats[0]) and np.array_equal(mats[2], mats[0])
 
     def test_matrix_pool_keeps_the_callers_errstate(self, monkeypatch):
-        # 0^-1 divides by zero in both tables of both blocks, formed on
+        # 0^-1 divides by zero in both tables of every task, formed on
         # either thread
-        x, y = np.ones(bounds._JOINT_BLOCK + 1), np.ones(bounds._JOINT_BLOCK + 1)
-        x[:: bounds._JOINT_BLOCK], y[1 :: bounds._JOINT_BLOCK - 1] = 0.0, 0.0
+        x, y = np.ones(bounds._JOINT_TASKS * bounds._JOINT_SLICE), np.ones(
+            bounds._JOINT_TASKS * bounds._JOINT_SLICE)
+        x[:: bounds._JOINT_SLICE], y[1 :: bounds._JOINT_SLICE] = 0.0, 0.0
         grid = np.array([-1.0, 1.0])
         monkeypatch.setattr(paths, "_POOL_CELLS", 0)
         monkeypatch.setattr(paths, "_worker_count", lambda: 2)

@@ -65,10 +65,18 @@ PINNED = [
     (["k-constant", "--alpha", "1.0001", "--beta", "50", "--mode", "optimized"], "inf"),
     (["power-module", "--alpha", "1.0001", "--beta", "50", "--u", "1,10"],
      '1,1,"(1.0001, 50.0)"\n10,1,"(1.0001, 50.0)"'),
-    # both factors of the closed-form K overflow, and inf / inf was nan
+    # both factors of the closed-form K overflow, and inf / inf was nan; the
+    # power bound takes log K = 4859.77 in log space
     (["k-constant", "--alpha", "3000", "--beta", "1e300"], "inf"),
     (["power-global", "--alpha", "3000", "--beta", "1e300", "--u", "1,10"],
      '1,1,"(3000.0, 1e+300)"\n10,1,"(3000.0, 1e+300)"'),
+    (["k-constant", "--alpha", "3000", "--beta", "2000"], "inf"),
+    (["power-global", "--alpha", "3000", "--beta", "2000", "--u", "3.37,3.38,10"],
+     '3.3700000000000001,1,"(3000.0, 2000.0)"\n'
+     '3.3799999999999999,8.0127746099458566e-06,"(3000.0, 2000.0)"\n'
+     '10,0,"(3000.0, 2000.0)"'),
+    # the numerator alone overflows, and K = 1.77e304 printed inf
+    (["k-constant", "--alpha", "41", "--beta", "123"], "1.774835478114613e+304"),
     # the --nu-power table c p^m
     (["moment-module", "--nu-power", "1,300", "--u", "1,10"], "1,1,2.0\n10,1,2.0"),
     (["clt", "--nu-power", "1,300", "--u", "1,10"], "1,1,1\n10,1,1"),
