@@ -23,8 +23,9 @@ Bounds are routinely +inf, 0 or beyond the float range, so every evaluator
 runs under one rule, ``_float_range``: an overflow is +-inf and log 0 is -inf,
 without a warning.  An infinite raw bound clamps to 1, an order with an
 infinite moment is skipped, and an infinite threshold leaves u out of range.
-Python float ``**`` raises OverflowError whatever the rule, so such powers
-take an ``np.float64`` base.  The rule changes warnings, never values.
+A power bound reads log K (``_log_k``), so a K beyond the float range keeps
+its digits.  Python float ``**`` raises OverflowError whatever the rule, so
+such powers take an ``np.float64`` base.  The rule changes warnings, never values.
 
 Inputs follow the range rule of ``paths._in_range``: each parameter is checked
 against its declared range, where nan lies in no range and +-inf only in one
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -141,78 +141,76 @@ class TailCurve:
 
 
 def _check_alpha_beta(alpha: float, beta: float, upper: str = "inf]") -> None:
-    """alpha in (1, inf] and beta in (0, inf]; ``upper="inf)"`` leaves inf out."""
+    """alpha in (1, inf], beta in (0, inf], not both inf; ``upper="inf)"`` leaves inf out."""
     _in_range("alpha", alpha, "(1, " + upper)
     _in_range("beta", beta, "(0, " + upper)
+    if alpha == beta == math.inf:
+        raise ValueError("alpha and beta must not both be inf, where K has no limit")
+
+
+def _log1mexp(x):
+    """log(1 - e^-x) for x in [0, inf], to full precision near 0."""
+    return np.log(-np.expm1(-x))
+
+
+@_float_range
+def _optimize_theta(q: float, beta: float) -> float:
+    """s* = log(1/theta*) at the minimizer theta* of the theta form, lo = e^-q.
+    Its stationarity condition 2 theta - 1 = theta (lo/theta)^(2 beta) reads
+    -log(2 - e^s) = 2 beta (q - s); the residual rises strictly from -q at s = 0
+    and is >= 0 at ln 2, q and 4 beta q / (2 beta + 1), as -log(2 - e^s) >= s."""
+    from scipy.optimize import brentq  # loaded only for mode="optimized"
+
+    hi = min(math.log(2.0), q, 4 * beta * q / (2 * beta + 1))
+    residual = lambda s: -np.log1p(-np.expm1(s)) / (2 * beta) + s - q
+    return brentq(residual, 0.0, hi, xtol=1e-300)  # a relative tolerance only
+
+
+@_float_range
+def _log_k(alpha: float, beta: float, mode: str, theta: Optional[float] = None) -> float:
+    """log K(alpha, beta) in ``mode``, or of the theta form at ``theta``, factor
+    by factor, so no term overflows or cancels.  With t = (alpha-1)/2 ln 2,
+    closed     log K = -2 beta log(1 - e^(-t/(2 beta))) - log(e^t - 1);
+    optimized  with q = t/beta = -log lo, s = log(1/theta) (or s*) and
+               q - s = log(theta/lo), the form's log is
+               -q + 2 beta s - 2 beta log(1 - e^-s) - log(1 - e^(-2 beta (q - s)))."""
+    _check_alpha_beta(alpha, beta)
+    t = (alpha - 1) / 2 * math.log(2.0)
+    if mode == "closed":  # log(e^t - 1) = t + log(1 - e^-t)
+        return -2 * beta * _log1mexp(t / (2 * beta)) - t - _log1mexp(t)
+    if mode != "optimized":
+        raise ValueError(f"unknown mode {mode!r}")
+    lo, q = 2 ** ((1 - alpha) / (2 * beta)), t / beta
+    if theta is None:  # the admissible interval (lo, 1) must be nonempty in floats
+        _in_range("2^((1-alpha)/(2 beta))", lo, "(0, 1)")
+        s = _optimize_theta(q, beta)
+    else:
+        s = -math.log(_in_range("theta", theta, f"({lo}, 1)"))
+    x = max(q - s, 0.0)  # a theta within rounding of lo gives F = inf
+    return -q + 2 * beta * s - 2 * beta * _log1mexp(s) - _log1mexp(2 * beta * x)
 
 
 @_float_range
 def chaining_theta_form(alpha: float, beta: float, theta: float) -> float:
     """One-parameter family of chaining constants; valid for
     theta in (2^((1-alpha)/(2 beta)), 1)."""
-    _check_alpha_beta(alpha, beta)
-    lo = 2 ** ((1 - alpha) / (2 * beta))
-    _in_range("theta", theta, f"({float(lo)}, 1)")
-    num = 2 ** ((1 - alpha) / (2 * beta)) * theta ** (-2 * beta) * (1 - theta) ** (-2 * beta)
-    den = 1 - 2 ** (1 - alpha) * theta ** (-2 * beta)
-    return num / den
-
-
-def _optimize_theta(alpha: float, beta: float) -> tuple[float, float]:
-    """Minimum (K, theta*) of the theta form over its admissible interval.
-
-    The derivative of its logarithm vanishes where
-    2 theta - 1 = 2^(1-alpha) theta^(1-2 beta).  The difference of the two
-    sides increases strictly on (2^((1-alpha)/(2 beta)), 1), where it runs
-    from theta - 1 < 0 up to 1 - 2^(1-alpha) > 0, so its root is the
-    unique minimizer.
-    """
-    from scipy.optimize import brentq  # loaded only for mode="optimized"
-
-    # the admissible interval (lo, 1) must be nonempty in floats
-    lo = _in_range("2^((1-alpha)/(2 beta))", 2 ** ((1 - alpha) / (2 * beta)), "(0, 1)")
-    a = 2 ** (1 - alpha)
-    t_star = brentq(lambda t: 2 * t - 1 - a * t ** (1 - 2 * beta), lo, 1.0, xtol=1e-16)
-    t_star = np.float64(t_star)  # so a K beyond float range is inf, not an error
-    return chaining_theta_form(alpha, beta, t_star), t_star
-
-
-def _log_closed_k(alpha: float, beta: float) -> float:
-    """log of the closed-form K, for where K or a factor of it leaves the
-    float range.  The denominator 2^((alpha-1)/2) - 1 = e^t - 1 has log
-    t to within e^-700 from t = 700 on, and log expm1(t) below.  Where
-    2^((1-alpha)/(4 beta)) rounds to 1, the numerator is 0^(-2 beta) = inf."""
-    q = 2 ** ((1 - alpha) / (4 * beta))
-    log_num = math.inf if q == 1 else -2 * beta * math.log1p(-q)
-    t = (alpha - 1) / 2 * math.log(2.0)
-    return log_num - (t if t > 700 else math.log(math.expm1(t)))
+    return float(np.exp(_log_k(alpha, beta, "optimized", theta)))
 
 
 @_float_range
 def chaining_constant(alpha: float, beta: float, mode: str = "closed") -> float:
-    """Constant K(alpha, beta) of the power tail bounds.
+    """Constant K(alpha, beta) of the power tail bounds, the exp of ``_log_k``.
 
-    ``closed``     evaluates the closed form
+    ``closed``     the closed form
                    (1 - 2^((1-alpha)/(4 beta)))^(-2 beta) / (2^((alpha-1)/2) - 1);
-    ``optimized``  minimizes the theta form at the root of its stationarity
-                   condition (see ``_optimize_theta``).
+    ``optimized``  the theta form at the root of its stationarity condition.
 
     The two modes come from distinct displayed estimates and do not order
     consistently: the closed form is smaller than the theta-form minimum for
     beta > 1/2 (substituting the nominal theta into the theta form reproduces
     the closed form only up to a factor 2^((alpha-1)(1-1/(2 beta)))).
     """
-    _check_alpha_beta(alpha, beta)
-    if mode == "closed":
-        two = np.float64(2.0)  # so a K beyond float range is inf, not an error
-        num = (1 - two ** ((1 - alpha) / (4 * beta))) ** (-2 * beta)
-        den = two ** ((alpha - 1) / 2) - 1
-        k = num / den if num < np.inf else np.inf  # num >= 1, and inf / inf is nan
-        # a factor or the ratio has left the float range: K from its log
-        return k if 0 < k < np.inf else np.exp(_log_closed_k(alpha, beta))
-    if mode == "optimized":
-        return _optimize_theta(alpha, beta)[0]
-    raise ValueError(f"unknown mode {mode!r}")
+    return float(np.exp(_log_k(alpha, beta, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +262,30 @@ def _curve_from_log(u, log_terms, params) -> TailCurve:
     return TailCurve(thresholds=u, probs=probs, raw=raw, params=par[j])
 
 
-@_float_range
-def _power_curve(pairs, g: GFunction, h, u_grid, mode: str) -> TailCurve:
-    """Pointwise min over (alpha, beta) of K(alpha,beta) u^(-2 beta) G(1)^alpha,
-    times the module factor 2 omega_G(2h)^(alpha-1) when a span h is given;
-    clamped."""
+def _power_terms(pairs, g: GFunction, h, u_grid, mode: str):
+    """Pairs, u grid and (n_pairs, n_u) log table of K(alpha,beta) u^(-2 beta) G(1)^alpha,
+    times 2 omega_G(2h)^(alpha-1) when a span h is given; None for a 0 envelope."""
     g1, om, zero = _envelope(g, h)
     pl = _as_pairs(pairs)
     u = _u_grid(u_grid)
     if zero:
-        return _zero_curve(u)
+        return pl, u, None
     rows = []
     for a, b in pl:
-        k = chaining_constant(a, b, mode)
-        if mode == "closed":  # a K outside the normal range has lost digits
-            log_k = math.log(k) if sys.float_info.min <= k < math.inf else _log_closed_k(a, b)
-        else:
-            log_k = math.log(k) if k > 0 else _log_closed_k(a, b)
+        log_k = _log_k(a, b, mode)
         if om is None:
             log_c = log_k + a * math.log(g1)
         else:
             log_c = math.log(2.0) + log_k + a * math.log(g1) + (a - 1) * math.log(om)
         rows.append(log_c - 2 * b * np.log(u))
-    return _curve_from_log(u, np.vstack(rows), pl)
+    return pl, u, np.vstack(rows)
+
+
+@_float_range
+def _power_curve(pairs, g: GFunction, h, u_grid, mode: str) -> TailCurve:
+    """Pointwise min over (alpha, beta) of the power terms; clamped."""
+    pl, u, log_terms = _power_terms(pairs, g, h, u_grid, mode)
+    return _zero_curve(u) if log_terms is None else _curve_from_log(u, log_terms, pl)
 
 
 def power_global_bound(pairs, g: GFunction, u_grid, mode: str = "closed") -> TailCurve:
@@ -802,12 +801,12 @@ def factored_module_term(
     chaining constant exists.
     """
     _in_range("l*p", l * p, "(1, inf)")  # for the chaining constant
-    # Z(2p)^(1/l) times the power module bound of the pair (alpha, beta) = (lp, p)
-    raw = float(power_module_bound((l * p, p), v, h, [u]).raw[0])
+    # log Z(2p) / l plus the (lp, p) power module log term; 0 for a 0 envelope, Z or u^(-2p)
+    _, _, log_terms = _power_terms((l * p, p), v, h, [u], "closed")
     zval = _in_range("Z(2p)", z(2 * p), "[0, inf]")
-    if zval == 0.0 or raw == 0.0:  # no inf * 0 for an infinite Z
+    if log_terms is None or zval == 0.0 or log_terms[0, 0] == -np.inf:
         return 0.0
-    return min(1.0, float(np.float64(zval) ** (1.0 / l) * raw))
+    return min(1.0, float(np.exp(log_terms[0, 0] + math.log(zval) / l)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,42 @@ def kbar_oracle(alpha, beta):
     return num / den
 
 
+# K(alpha, beta) to 20 digits, from 80-digit arithmetic (mpmath) on the double
+# inputs: the closed form as written, and the theta form at the root of its
+# stationarity condition 2 theta - 1 = 2^(1-alpha) theta^(1-2 beta), found by
+# 400 bisections in theta.  Optimized K(3000, 900) = 1.6e1083 is left out.
+K_TABLE = {
+    "closed": {
+        (2.0, 1.0): 95.370872487501044369,
+        (1 + 2**-52, 1.0): 8.7771378401109276405e48,
+        (41.0, 123.0): 1.7748354781152198834e304,
+        (1.001, 0.3): 253056.79295283207484,
+        (3000.0, 900.0): 5.9353462874879291238e192,
+        (1.5, 0.5): 33.21869533179476319,
+        (3.0, 2.5): 27510.543804823016342,
+        (1.1, 4.0): 2.3256066231565532461e20,
+        (300.0, 0.5): 9.908676465903734969e-46,
+        (20.0, 60.0): 6.9188000034281026502e149,
+    },
+    "optimized": {
+        (2.0, 1.0): 125.47094994778376879,
+        (1 + 2**-52, 1.0): 7.4057100525935959566e48,
+        (41.0, 123.0): 3.2231555112521636738e252,
+        (1.001, 0.3): 240454.49409409470187,
+        (1.5, 0.5): 32.970562748477140586,
+        (3.0, 2.5): 30445.752393672071645,
+        (1.1, 4.0): 11449305063422857481.0,
+        (300.0, 0.5): 3.9272747722381812425e-90,
+        (20.0, 60.0): 1.0085506847951412258e125,
+    },
+}
+
+
+def theta_star(alpha, beta):
+    """The library's minimizer of the theta form, from its s* = log(1/theta*)."""
+    return math.exp(-bounds._optimize_theta((alpha - 1) / 2 * math.log(2.0) / beta, beta))
+
+
 class TestChainingConstant:
     def test_closed_against_independent_formula(self):
         for a, b in [(2.0, 1.0), (1.5, 0.5), (3.0, 2.5), (1.1, 4.0)]:
@@ -55,6 +91,14 @@ class TestChainingConstant:
     def test_closed_reference_value(self):
         assert chaining_constant(2.0, 1.0) == pytest.approx(95.3709, abs=1e-3)
 
+    @pytest.mark.parametrize("mode, alpha, beta, k", [
+        (mode, a, b, k) for mode, table in K_TABLE.items() for (a, b), k in table.items()])
+    def test_both_modes_match_high_precision_values(self, mode, alpha, beta, k):
+        # log K factor by factor keeps every digit that the double inputs allow,
+        # also where 2^((1-alpha)/(4 beta)) rounds to 1 (alpha = 1 + 2^-52) and
+        # where a factor of the closed form overflows (41, 123)
+        assert chaining_constant(alpha, beta, mode) == pytest.approx(k, rel=2e-13)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             chaining_constant(1.0, 1.0)
@@ -62,10 +106,12 @@ class TestChainingConstant:
             chaining_constant(2.0, 0.0)
         with pytest.raises(ValueError):
             chaining_constant(2.0, 1.0, mode="fancy")
+        # each is accepted alone, but K has no limit where both grow
+        for mode in ("closed", "optimized"):
+            with pytest.raises(ValueError, match="alpha and beta must not both be inf"):
+                chaining_constant(np.inf, np.inf, mode)
 
     def test_optimized_matches_dense_grid_search(self):
-        from skorotail.bounds import _optimize_theta
-
         for a, b in [(2.0, 1.0), (1.5, 1.0), (3.0, 0.5), (2.0, 0.25), (1.2, 0.1),
                      (1.01, 1.0), (1.001, 1.0), (1.001, 0.3)]:
             lo = 2 ** ((1 - a) / (2 * b))
@@ -73,8 +119,8 @@ class TestChainingConstant:
             # the theta form, vectorized independently of the library
             dense = np.min(2 ** ((1 - a) / (2 * b)) * (grid * (1 - grid)) ** (-2 * b)
                            / (1 - 2 ** (1 - a) * grid ** (-2 * b)))
-            k, th = _optimize_theta(a, b)
-            assert chaining_constant(a, b, "optimized") == k
+            k, th = chaining_constant(a, b, "optimized"), theta_star(a, b)
+            assert k == pytest.approx(chaining_theta_form(a, b, th), rel=1e-13)
             assert k == pytest.approx(dense, rel=1e-9)
             assert k <= dense * (1 + 1e-14)
             # stationarity: 2 theta - 1 = 2^(1-alpha) theta^(1-2 beta)
@@ -90,6 +136,12 @@ class TestChainingConstant:
             for t in lo + (1 - lo) * np.array([0.1, 0.5, 0.9]):
                 assert opt <= chaining_theta_form(a, b, t) + 1e-9
 
+    def test_theta_form_next_to_its_left_end_is_inf(self):
+        # -log theta rounds above -log lo = (alpha-1)/(2 beta) ln 2 at the float
+        # next to lo, where the log of 1 - (lo/theta)^(2 beta) would be nan
+        lo = 2 ** ((1 - 1001.0) / 2.0)
+        assert chaining_theta_form(1001.0, 1.0, math.nextafter(lo, 1.0)) == np.inf
+
     def test_theta0_substitution_identity(self):
         # plugging the nominal theta into the theta form reproduces the closed
         # form only up to the factor 2^((alpha-1)(1-1/(2 beta)))
@@ -100,11 +152,9 @@ class TestChainingConstant:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_optimizer_theta_approaches_nominal_theta(self):
-        from skorotail.bounds import _optimize_theta
-
         ratios = []
         for a in (1.1, 1.01, 1.001):
-            _, th = _optimize_theta(a, 1.0)
+            th = theta_star(a, 1.0)
             th0 = 2 ** ((1 - a) / 4)
             ratios.append(th / th0)
         assert abs(ratios[-1] - 1) < 0.001
@@ -187,8 +237,8 @@ class TestPowerBounds:
         assert curve.probs[0] == pytest.approx(math.sqrt(2.0) / 100.0, rel=1e-10)
 
     def test_float_range_rule_restores_the_callers_errstate(self):
-        # K(1.0001, 50) overflows to inf inside the nested ruled calls
-        # _power_curve -> chaining_constant -> chaining_theta_form
+        # log K(1.0001, 50) = 1497, whose bound overflows to inf in _power_curve,
+        # a ruled call that nests the ruled _log_k
         with np.errstate(all="raise"):
             before = np.geterr()
             curve = power_global_bound((1.0001, 50.0), GFunction.linear(), np.array([1.0, 10.0]))
@@ -726,6 +776,17 @@ class TestFactoredModule:
         with np.errstate(all="raise"):
             val = factored_module_term(lambda p: z, v, 2.0, 2.0, 0.05, 10.0)
         assert val == want and type(val) is float
+
+    @pytest.mark.parametrize("z, u, want", [
+        (1e300, 1e100, 1.0),  # the term is 2.0185243054115808e108
+        (1e200, 1e90, 4.3487787862511609239e-19),  # 60-digit arithmetic on the double inputs
+    ])
+    def test_a_power_term_below_the_float_range_keeps_its_log(self, z, u, want):
+        # the power module bound of (lp, p) = (1.2, 2) underflows to 0 at these u,
+        # and Z(2p)^(1/l) makes up for it
+        assert power_module_bound((1.2, 2.0), GFunction.linear(), 0.05, [u]).raw[0] == 0.0
+        val = factored_module_term(lambda p: z, GFunction.linear(), 0.6, 2.0, 0.05, u)
+        assert val == pytest.approx(want, rel=1e-13)
 
     def test_negative_z_rejected(self):
         with pytest.raises(ValueError, match=r"Z\(2p\) must lie in \[0, inf\], got -1.0"):

@@ -6,7 +6,9 @@ value of ``VALUES``, one flag at a time from the defaults, through
 ``cli.run`` in this process with every warning an error.  The contract:
 the exit code is 0, 2 or 3; no warning and no traceback; no nan in a
 printed bound or value (the achieving-parameter column of an all-zero curve
-excepted); and an exit-2 message names the flag or its parameter.
+excepted); and an exit-2 message names the flag or its parameter.  The
+names that read the chaining constant's alpha and beta also take every pair
+of ``VALUES`` for the two, in both modes.
 
 The fields of ``ProcessSpec`` and ``SimConfig`` take the same values at
 their constructors, through the flags of ``verify``, for each process, and
@@ -17,6 +19,7 @@ would allocate gigabytes.
 
 import argparse
 import io
+import itertools
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -38,9 +41,10 @@ CONTEXT = {"seq-nu": ["--preset=polynomial"]}
 REQUIRED = {"entropy": ["--epsilon=0.1"]}
 PARSER = cli.build_parser()
 
-# Rows whose floats pass beyond the float range on the way to the printed
-# value, each with that value.  Each warned, and under -W error ended in a
-# traceback; they run here and, in a fresh interpreter, in test_cli.py.
+# Rows whose floats pass beyond the float range, or below its precision, on
+# the way to the printed value, each with that value.  Most warned, and under
+# -W error ended in a traceback; they run here and, in a fresh interpreter
+# under -W error, in test_cli.py.
 PINNED = [
     # _calibrate's -log(raw) / rate
     (["exp-envelope", "--m", "0.0016272"], "delta=1 kappa=4.2387974753829718e-129 "
@@ -60,23 +64,31 @@ PINNED = [
     # the module's raw bounds times omega
     (["clt-envelope", "--m", "0.001977", "--g-slope", "1000"], "delta=1 kappa=0.02 c2=0 "
      "c3=0 delta_in_range=false kappa_in_range=false"),
-    # K(alpha, beta) in both modes, and the power bounds built on it
+    # K(alpha, beta) in both modes, and the power bounds built on it, all from log K
     (["k-constant", "--alpha", "1.0001", "--beta", "50"], "inf"),
     (["k-constant", "--alpha", "1.0001", "--beta", "50", "--mode", "optimized"], "inf"),
     (["power-module", "--alpha", "1.0001", "--beta", "50", "--u", "1,10"],
      '1,1,"(1.0001, 50.0)"\n10,1,"(1.0001, 50.0)"'),
-    # both factors of the closed-form K overflow, and inf / inf was nan; the
-    # power bound takes log K = 4859.77 in log space
+    # both factors of the closed-form K overflow, and inf / inf was nan
     (["k-constant", "--alpha", "3000", "--beta", "1e300"], "inf"),
     (["power-global", "--alpha", "3000", "--beta", "1e300", "--u", "1,10"],
      '1,1,"(3000.0, 1e+300)"\n10,1,"(3000.0, 1e+300)"'),
+    # log K = 4859.77; the bound at 3.38 is 8.0127746099519193e-06 in 50 digits
     (["k-constant", "--alpha", "3000", "--beta", "2000"], "inf"),
     (["power-global", "--alpha", "3000", "--beta", "2000", "--u", "3.37,3.38,10"],
      '3.3700000000000001,1,"(3000.0, 2000.0)"\n'
-     '3.3799999999999999,8.0127746099458566e-06,"(3000.0, 2000.0)"\n'
+     '3.3799999999999999,8.0127746099531444e-06,"(3000.0, 2000.0)"\n'
      '10,0,"(3000.0, 2000.0)"'),
-    # the numerator alone overflows, and K = 1.77e304 printed inf
-    (["k-constant", "--alpha", "41", "--beta", "123"], "1.774835478114613e+304"),
+    # theta^(1 - 2 beta) = theta^-3999 leaves the float range near lo, so the
+    # search for theta* runs in log space
+    (["k-constant", "--alpha", "3000", "--beta", "2000", "--mode", "optimized"], "inf"),
+    (["power-global", "--alpha", "3000", "--beta", "2000", "--mode", "optimized",
+      "--u", "3.37,10"], '3.3700000000000001,1,"(3000.0, 2000.0)"\n10,0,"(3000.0, 2000.0)"'),
+    # the numerator alone overflows; K is 1.7748354781152199e+304 in 50 digits
+    (["k-constant", "--alpha", "41", "--beta", "123"], "1.7748354781152185e+304"),
+    # 2^((1-alpha)/(4 beta)) rounds to 1, so log K takes 1 - 2^(...) through
+    # expm1; K is 8.7771378401109276e+48 in 50 digits
+    (["k-constant", "--alpha", "1.0000000000000002", "--beta", "1"], "8.7771378401109602e+48"),
     # the --nu-power table c p^m
     (["moment-module", "--nu-power", "1,300", "--u", "1,10"], "1,1,2.0\n10,1,2.0"),
     (["clt", "--nu-power", "1,300", "--u", "1,10"], "1,1,1\n10,1,1"),
@@ -144,8 +156,9 @@ def outcome(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def breach(argv, key):
-    """How one run breaks the contract, or None."""
+def breach(argv, *keys):
+    """How one run breaks the contract, or None; an exit-2 message must name
+    one of ``keys``."""
     try:
         code, out, err = outcome(argv)
     except Exception as e:  # a traceback, a warning among them
@@ -155,8 +168,8 @@ def breach(argv, key):
     zero_curve = all(re.fullmatch(r"[^,]+,0,nan", row) for row in out.splitlines())
     if code == 0 and (err or ("nan" in out and not zero_curve)):
         return f"printed {out!r} {err!r}"
-    if code == 2 and not names_it(err, key):
-        return f"exit 2 naming no {key}: {err!r}"
+    if code == 2 and not any(names_it(err, key) for key in keys):
+        return f"exit 2 naming none of {keys}: {err!r}"
     return None
 
 
@@ -171,6 +184,26 @@ def test_every_numeric_flag_keeps_the_contract(words, action):
         if fault := breach(argv, key):
             faults[" ".join(argv)] = fault
     assert faults == {}
+
+
+@pytest.mark.parametrize("mode", ["closed", "optimized"])
+@pytest.mark.parametrize("name", ["k-constant", "power-global", "power-module"])
+def test_every_alpha_beta_pair_keeps_the_contract(name, mode):
+    # the one-flag sweep holds the other flag at its default, so it never
+    # reaches two extreme values together
+    faults = {}
+    for alpha, beta in itertools.product(VALUES, VALUES):
+        argv = ["bound", name, f"--alpha={alpha}", f"--beta={beta}", f"--mode={mode}"]
+        if fault := breach(argv, "alpha", "beta"):
+            faults[" ".join(argv)] = fault
+    assert faults == {}
+
+
+def test_alpha_and_beta_both_inf_is_an_error():
+    # each is accepted alone (K is 0 at alpha = inf and inf at beta = inf), but
+    # K has no limit where both grow
+    code, out, err = outcome(["bound", "k-constant", "--alpha", "inf", "--beta", "inf"])
+    assert (code, out) == (2, "") and names_it(err, "alpha") and names_it(err, "beta")
 
 
 def test_the_sweep_covers_every_numeric_flag():
