@@ -5,6 +5,9 @@ Layers: ``paths`` (step paths, triple-minimum statistics, moduli),
 ``entropy`` (covering numbers), ``bounds`` (every tail-bound evaluator),
 ``simulate`` (seeded processes, estimation, domination reports),
 ``pipeline`` (simulate -> estimate -> bound -> check), ``cli`` (front end).
+
+``import skorotail`` loads numpy and the standard library only; each scipy
+part loads in the function that uses it (``tests/test_api.py`` pins this).
 """
 
 from .bounds import (

@@ -108,7 +108,8 @@ class BoundUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class TailCurve:
-    """Threshold grid with bound (or tail) values in [0,1], nonincreasing."""
+    """Threshold grid with bound (or tail) values in [0,1], nonincreasing;
+    ``params`` defaults to nan, the achieving parameter of no row."""
 
     thresholds: np.ndarray
     probs: np.ndarray
@@ -128,6 +129,8 @@ class TailCurve:
             raise ValueError("probs must be nonincreasing along the threshold grid")
         object.__setattr__(self, "thresholds", u)
         object.__setattr__(self, "probs", np.clip(p, 0.0, 1.0))
+        if self.params is None:
+            object.__setattr__(self, "params", np.full(u.size, np.nan))
 
     def table(self) -> tuple[list, list]:
         """CSV header and columns: threshold, bound, achieving parameter."""
@@ -180,12 +183,11 @@ def _log_k(alpha: float, beta: float, mode: str, theta: Optional[float] = None) 
         return -2 * beta * _log1mexp(t / (2 * beta)) - t - _log1mexp(t)
     if mode != "optimized":
         raise ValueError(f"unknown mode {mode!r}")
-    lo, q = 2 ** ((1 - alpha) / (2 * beta)), t / beta
-    if theta is None:  # the admissible interval (lo, 1) must be nonempty in floats
-        _in_range("2^((1-alpha)/(2 beta))", lo, "(0, 1)")
+    q = _in_range("(alpha-1)/(2 beta) ln 2", t / beta, "(0, inf)")
+    if theta is None:  # lo = e^-q may round to 0 or 1; log K reads q alone
         s = _optimize_theta(q, beta)
     else:
-        s = -math.log(_in_range("theta", theta, f"({lo}, 1)"))
+        s = -math.log(_in_range("theta", theta, f"({2 ** ((1 - alpha) / (2 * beta))}, 1)"))
     x = max(q - s, 0.0)  # a theta within rounding of lo gives F = inf
     return -q + 2 * beta * s - 2 * beta * _log1mexp(s) - _log1mexp(2 * beta * x)
 
@@ -235,7 +237,7 @@ def _u_grid(u_grid) -> np.ndarray:
 
 def _zero_curve(u: np.ndarray) -> TailCurve:
     zeros = np.zeros_like(u)
-    return TailCurve(u, zeros, raw=zeros, params=np.full(u.size, np.nan))
+    return TailCurve(u, zeros, raw=zeros)
 
 
 def _envelope(g: GFunction, h) -> tuple[float, Optional[float], bool]:

@@ -272,7 +272,9 @@ def gls_norm(sample: EmpiricalSample, psi: PsiFunction) -> float:
 
 def _log_mgf_table(draws: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """max over signs of log mean exp(+-lam xi) at each lam, as top + log(mean)
-    of the shifted means; +inf where lam xi overflows."""
+    of the shifted means; +inf where lam xi overflows.  Within
+    2 eps max(1, |lam| max|xi|, |value|) of a long-double oracle (tested in
+    ``tests/test_gls.py``), as the rounding of lam xi alone is eps |lam| max|xi|."""
     tops, means = _shifted_means(draws, np.concatenate([lams, -lams]))
     return np.max((tops + np.log(means)).reshape(2, -1), axis=0)
 

@@ -202,7 +202,9 @@ def _arm_maxima(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reach(x: np.ndarray) -> np.ndarray:
     """max_{r<=s} |x[s]-x[r]| along axis 0, from running minima and maxima.
     From ``_LOOP_WINDOWS`` windows on, these are taken one position at a
-    time over all windows at once, which beats numpy's accumulate there."""
+    time over all windows at once, which beats numpy's accumulate there.
+    Only min, max and subtraction run, so the values are the brute force's
+    bits for any block size or worker count."""
     if x[0].size < _LOOP_WINDOWS:
         below, above = np.minimum.accumulate(x, axis=0), np.maximum.accumulate(x, axis=0)
     else:

@@ -67,6 +67,7 @@ K_TABLE = {
     "optimized": {
         (2.0, 1.0): 125.47094994778376879,
         (1 + 2**-52, 1.0): 7.4057100525935959566e48,
+        (1 + 2**-52, 2.0): 3.6184417781839595022e82,
         (41.0, 123.0): 3.2231555112521636738e252,
         (1.001, 0.3): 240454.49409409470187,
         (1.5, 0.5): 32.970562748477140586,
@@ -889,3 +890,6 @@ class TestTailCurve:
             TailCurve(np.array([2.0, 1.0]), np.array([0.4, 0.2]))  # decreasing u
         with pytest.raises(ValueError):
             TailCurve(np.array([1.0, 2.0]), np.array([1.4, 0.2]))  # above 1
+        # a curve built without params has nan in the param column
+        header, columns = TailCurve(np.array([1.0, 2.0]), np.array([0.5, 0.2])).table()
+        assert header == ["u", "bound", "param"] and columns[2].tolist() == ["nan", "nan"]

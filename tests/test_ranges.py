@@ -89,6 +89,13 @@ PINNED = [
     # 2^((1-alpha)/(4 beta)) rounds to 1, so log K takes 1 - 2^(...) through
     # expm1; K is 8.7771378401109276e+48 in 50 digits
     (["k-constant", "--alpha", "1.0000000000000002", "--beta", "1"], "8.7771378401109602e+48"),
+    # 2^((1-alpha)/(2 beta)) underflows to 0 or rounds to 1, but the optimized
+    # mode reads only its log; K(1 + 2^-52, 2) is 3.6184417781839595e+82 in 80 digits
+    (["k-constant", "--alpha", "3000", "--beta", "1", "--mode", "optimized"], "0"),
+    (["k-constant", "--alpha", "1.0000000000000002", "--beta", "2", "--mode", "optimized"],
+     "3.6184417781839581e+82"),
+    (["power-global", "--alpha", "3000", "--beta", "1", "--g-slope", "2", "--mode",
+      "optimized", "--u", "3,10"], '3,1,"(3000.0, 1.0)"\n10,1,"(3000.0, 1.0)"'),
     # the --nu-power table c p^m
     (["moment-module", "--nu-power", "1,300", "--u", "1,10"], "1,1,2.0\n10,1,2.0"),
     (["clt", "--nu-power", "1,300", "--u", "1,10"], "1,1,1\n10,1,1"),
