@@ -45,7 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gls import PsiFunction
-from .paths import GFunction, _in_range, _pool_map
+from .paths import GFunction, _in_range, _pool_map, _table
 
 __all__ = [
     "BoundUnavailable",
@@ -117,16 +117,9 @@ class TailCurve:
     params: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        u = np.asarray(self.thresholds, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        if u.ndim != 1 or u.size != p.size or u.size == 0:
-            raise ValueError("thresholds and probs must be 1-d of equal length")
-        _in_range("thresholds", u, "(0, inf]")
-        if not np.all(np.diff(u) > 0):
-            raise ValueError("thresholds must be increasing")
-        _in_range("probs", p, f"[{-1e-12}, {1 + 1e-12}]")  # a rounding's leeway
-        if np.any(np.diff(p) > 1e-9):
-            raise ValueError("probs must be nonincreasing along the threshold grid")
+        u, p = _table("thresholds", self.thresholds, "(0, inf]",  # probs: a rounding's leeway
+                      values=("probs", self.probs, f"[{-1e-12}, {1 + 1e-12}]"),
+                      monotone=("nonincreasing", 1e-9))
         object.__setattr__(self, "thresholds", u)
         object.__setattr__(self, "probs", np.clip(p, 0.0, 1.0))
         if self.params is None:
@@ -445,19 +438,21 @@ def entropy_series_bound(
 
 
 def _nu_table(nu, b: float, p_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize the moment-function argument to (p grid, values) in [2, b)."""
+    """Normalize the moment-function argument to (p grid, values) in [2, b).
+    The orders must increase strictly and neither column may be nan; the
+    orders outside [2, b) and the infinite moments are left out."""
     _in_range("b", b, "(2, inf]")
     if hasattr(nu, "p_grid") and hasattr(nu, "values"):
-        ps = np.asarray(nu.p_grid, dtype=float)
-        vals = np.asarray(nu.values, dtype=float)
+        ps, vals = nu.p_grid, nu.values
     elif callable(nu):
         if p_grid is None:
             hi = min(b, 256.0)
             p_grid = np.logspace(np.log10(2.0), np.log10(hi), 200, endpoint=False)
         ps = np.asarray(p_grid, dtype=float)
-        vals = np.asarray(nu(ps), dtype=float)
+        vals = nu(ps)
     else:
-        ps, vals = (np.asarray(a, dtype=float) for a in nu)
+        ps, vals = nu
+    ps, vals = _table("p", ps, "[-inf, inf]", values=("nu", vals, "[-inf, inf]"))
     keep = (ps >= 2.0) & (ps < b) & np.isfinite(vals)
     ps, vals = ps[keep], vals[keep]
     if ps.size == 0:
@@ -477,7 +472,11 @@ def _moment_curve(nu, g: GFunction, h, u_grid, b: float, p_grid) -> TailCurve:
     log_coef = np.log(3.0 * vals * g1)
     log_terms = ps[:, None] * (log_coef[:, None] - np.log(u)[None, :])
     if om is not None:
-        log_terms = log_terms + (math.log(2.0) + (ps - 1.0) * math.log(om))[:, None]
+        # a term whose two factors leave the float range at opposite ends is
+        # inf - inf: no number, so that order is skipped there
+        with np.errstate(invalid="ignore"):
+            log_terms = log_terms + (math.log(2.0) + (ps - 1.0) * math.log(om))[:, None]
+        log_terms[np.isnan(log_terms)] = np.inf
     return _curve_from_log(u, log_terms, ps)
 
 
@@ -606,10 +605,7 @@ def exp_tail_envelopes(
 
 def joint_moment(xs, ys, p1: float, p2: float) -> float:
     """mean |x|^p1 |y|^p2 on paired samples, scale-free against overflow."""
-    x = np.abs(np.asarray(xs, dtype=float))
-    y = np.abs(np.asarray(ys, dtype=float))
-    if x.shape != y.shape or x.size == 0:
-        raise ValueError("xs and ys must be nonempty and equally shaped")
+    x, y = (np.abs(a) for a in _table("xs", xs, None, values=("ys", ys, None), ordered=False))
     cx = x.max() or 1.0
     cy = y.max() or 1.0
     return float(cx**p1 * cy**p2 * np.mean((x / cx) ** p1 * (y / cy) ** p2))
@@ -638,10 +634,8 @@ class EmpiricalJointMoment:
     """
 
     def __init__(self, xs, ys):
-        self.x = np.abs(np.asarray(xs, dtype=float))
-        self.y = np.abs(np.asarray(ys, dtype=float))
-        if self.x.shape != self.y.shape or self.x.size == 0:
-            raise ValueError("xs and ys must be nonempty and equally shaped")
+        self.x, self.y = (np.abs(a) for a in _table("xs", xs, None, values=("ys", ys, None),
+                                                   ordered=False))
         self.x.setflags(write=False)
         self.y.setflags(write=False)
         self._matrix = (None, None)
@@ -870,11 +864,12 @@ def clt_exp_envelope(
             return uu ** (m / (m + 1)) * np.abs(np.log(uu)) ** (m * (s - 1) / (m + 1))
 
     def cal_grid(lo):  # six decades of thresholds from lo
-        grid = np.logspace(np.log10(lo), np.log10(lo) + 6, _ENVELOPE_CAL_POINTS)
-        if not np.isfinite(grid[-1]):
-            raise ValueError(f"m={m:g} (c1={c1:g}, G(1)={b1:g}) puts the calibration "
-                             f"thresholds, six decades from {lo:.6g}, beyond the float range")
-        return grid
+        if lo < np.inf:
+            grid = np.logspace(np.log10(lo), np.log10(lo) + 6, _ENVELOPE_CAL_POINTS)
+            if np.isfinite(grid[-1]):
+                return grid
+        raise ValueError(f"m={m:g} (c1={c1:g}, G(1)={b1:g}) puts the calibration "
+                         f"thresholds, six decades from {lo:.6g}, beyond the float range")
 
     d0 = 3.0 * rosenthal_constant(2.0) * c1 * b1
     u_lo = max(math.e * 1.0001, d0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import _in_range
+from .paths import _in_range, _table
 
 __all__ = [
     "SemiDistanceGrid",
@@ -35,18 +35,12 @@ class SemiDistanceGrid:
     q: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        n = t.size
-        if t.ndim != 1 or n < 2 or not np.all(np.diff(t) > 0):
-            raise ValueError("times must be 1-d and strictly increasing")
-        if q.shape != (n, n):
-            raise ValueError("q must be a square matrix matching times")
-        _in_range("q", q, "[0, inf]")
+        t, q = _table("times", self.times, "(-inf, inf)", 2, ("q", self.q, "[0, inf]"), "nn")
         if np.max(np.abs(np.diag(q))) > 1e-12:
             raise ValueError("q must vanish on the diagonal")
-        if np.max(np.abs(q - q.T)) > 1e-12:
-            raise ValueError("q must be symmetric")
+        with np.errstate(invalid="ignore"):  # inf - inf is nan: a symmetric pair
+            if np.any(np.abs(q - q.T) > 1e-12):
+                raise ValueError("q must be symmetric")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "q", q)
 

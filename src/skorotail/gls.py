@@ -105,9 +105,7 @@ def _shifted_means(v: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def lp_norms(draws: np.ndarray, ps) -> np.ndarray:
-    x = np.abs(np.asarray(draws, dtype=float))
-    if x.size == 0:
-        raise ValueError("empty sample")
+    x = np.abs(paths._table("draws", draws, None, ordered=False))
     ps = paths._in_range("orders p", np.asarray(ps, dtype=float), "(0, inf)")
     c = x.max()
     if c == 0.0:
@@ -136,21 +134,17 @@ class PhiFunction:
     lambda_max: float = np.inf
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size != v.size or g.size < 2:
-            raise ValueError("grid and values must be 1-d of equal length >= 2")
-        if g[0] != 0.0 or not np.all(np.diff(g) > 0):
-            raise ValueError("grid must start at 0 and increase strictly")
-        paths._in_range("phi", v, f"[{-1e-12}, inf)")  # a rounding's leeway
+        g, v = paths._table("grid", self.grid, "[0, inf)", 2,
+                            ("phi", self.values, f"[{-1e-12}, inf)"),  # a rounding's leeway
+                            monotone=("nondecreasing", 1e-12))
+        if g[0] != 0.0:
+            raise ValueError("grid must start at 0")
         if abs(v[0]) > 1e-12:
             raise ValueError("phi(0) must be 0")
-        if np.any(np.diff(v) < -1e-12):
-            raise ValueError("phi must be nondecreasing for positive arguments")
         # convexity along the grid: divided differences nondecreasing
         slopes = np.diff(v) / np.diff(g)
-        if np.any(np.diff(slopes) < -1e-9 * max(1.0, np.abs(slopes).max())):
-            raise ValueError("phi must be convex along the grid")
+        paths._table("grid", g[1:], None, values=("the slopes of phi", slopes, None),
+                     monotone=("nondecreasing", 1e-9 * max(1.0, np.abs(slopes).max())))
         if self.lambda_max != np.inf and self.lambda_max != g[-1]:
             raise ValueError("lambda_max must be +inf or the last grid point")
         object.__setattr__(self, "grid", g)
@@ -189,15 +183,9 @@ class PsiFunction:
     b: float = np.inf
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size != v.size or g.size < 1:
-            raise ValueError("grid and values must be 1-d of equal length >= 1")
-        if not np.all(np.diff(g) > 0):
-            raise ValueError("grid must be strictly increasing")
         b = paths._in_range("b", self.b, "(1, inf]")
-        paths._in_range("grid", g, f"[1, {float(b)})")
-        paths._in_range("psi", v, "(0, inf]")  # +inf is an infinite moment
+        g, v = paths._table("grid", self.grid, f"[1, {float(b)})",
+                            values=("psi", self.values, "(0, inf]"))  # inf: an infinite moment
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -229,10 +217,8 @@ class EmpiricalSample:
     _log_mgf: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
-        d = np.array(self.draws, dtype=float)
-        if d.ndim != 1 or d.size == 0:
-            raise ValueError("draws must be a nonempty 1-d array")
-        paths._in_range("draws", d, "(-inf, inf)")
+        d = paths._table("draws", np.array(self.draws, dtype=float), "(-inf, inf)",
+                         ordered=False)
         d.setflags(write=False)
         object.__setattr__(self, "draws", d)
 
@@ -400,25 +386,22 @@ def young_fenchel(
     so difference quotients between closer nodes are noise.
     Returns (u, conjugate values); the output is convex in u.
     """
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if x.ndim != 1 or x.size != f.size or x.size < 2:
-        raise ValueError("x and f must be 1-d of equal length >= 2")
-    if not np.all(np.diff(x) > 0):
-        raise ValueError("x must be strictly increasing")
-    paths._in_range("f", f, "(-inf, inf)")
-    if u is None:
-        u = np.unique(np.diff(f) / np.diff(x))
-        tol = SLOPE_MERGE_RTOL * (np.abs(u).max() + np.abs(f).max() / np.abs(x).max())
-        kept = [u[0]]
-        for slope in u[1:]:
-            if slope - kept[-1] > tol:
-                kept.append(slope)
-        kept[-1] = u[-1]
-        u = np.array(kept)
-    else:
-        u = paths._in_range("u", np.asarray(u, dtype=float), "(-inf, inf)")
-    return u, conjugate_at(x, f, u)
+    x, f = paths._table("x", x, "(-inf, inf)", 2, ("f", f, "(-inf, inf)"))
+    # an overflow is +-inf; a chord slope beyond the float range is an error
+    with np.errstate(over="ignore"):
+        if u is None:
+            u = paths._in_range("chord slopes", np.unique(np.diff(f) / np.diff(x)),
+                                "(-inf, inf)")
+            tol = SLOPE_MERGE_RTOL * (np.abs(u).max() + np.abs(f).max() / np.abs(x).max())
+            kept = [u[0]]
+            for slope in u[1:]:
+                if slope - kept[-1] > tol:
+                    kept.append(slope)
+            kept[-1] = u[-1]
+            u = np.array(kept)
+        else:
+            u = paths._in_range("u", np.asarray(u, dtype=float), "(-inf, inf)")
+        return u, conjugate_at(x, f, u)
 
 
 def double_conjugate(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -478,11 +461,8 @@ def moment_tail_equivalence(
     if p_grid is None:
         lo = 1.0 if s == 0.0 else 2.0
         p_grid = np.logspace(np.log10(lo), np.log10(256.0), 200, endpoint=False)
-    p_grid = np.asarray(p_grid, dtype=float)
-    if p_grid.ndim != 1 or p_grid.size == 0 or np.any(np.diff(p_grid) <= 0):
-        raise ValueError("p_grid must be a nonempty, strictly increasing 1-d grid")
-    if s != 0.0:
-        paths._in_range("orders p (s != 0)", p_grid, "(1, inf)")
+    p_grid = (paths._table("orders p", p_grid, "(0, inf)") if s == 0.0
+              else paths._table("orders p (s != 0)", p_grid, "(1, inf)"))
     weights = p_grid ** (1.0 / m)
     if s != 0.0:
         weights = weights * np.log(p_grid) ** s

@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .paths import _table
+
 __all__ = [
     "fmt",
     "write_csv",
@@ -139,7 +141,7 @@ def read_two_columns(path) -> tuple[np.ndarray, np.ndarray]:
         rows += 1
         parts = line.replace(",", " ").split()
         if len(parts) < 2:
-            raise ValueError(f"expected two columns, got {raw!r}")
+            raise ValueError(f"expected two columns in {path}, got {raw!r}")
         try:
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
@@ -154,12 +156,16 @@ def read_two_columns(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_matrix(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = [r for r in Path(path).read_text().splitlines() if r.strip()]
-    times = np.array([float(x) for x in rows[0].split(",")])
-    m = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
-    if m.shape != (times.size, times.size):
-        raise ValueError("matrix shape does not match the header grid")
-    return times, m
+    """The header grid and the square matrix below it, one row per header
+    time, of a comma-separated file (blank lines are skipped).  Any fault
+    of the file raises a ``ValueError`` that names it."""
+    try:
+        rows = [[float(x) for x in r.split(",")]
+                for r in Path(path).read_text().splitlines() if r.strip()]
+        return _table("header", rows[0] if rows else [], None,
+                      values=("matrix", rows[1:], None), shape="nn")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _tolist(obj):

@@ -105,18 +105,54 @@ def _in_range(name: str, value, interval: str):
     return value
 
 
-def _unit_grid(times, values, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """``times`` and ``values`` as float arrays, checked: times a strictly
-    increasing grid of at least two points from 0 to 1, and values
-    ``ndim``-d with one entry per time along their last axis."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.size < 2 or v.ndim != ndim or v.shape[-1] != t.size:
-        raise ValueError(f"times must be 1-d of length >= 2 and values {ndim}-d "
-                         "with one entry per time")
-    _in_range("times", t, "[0, 1]")
-    if not np.all(np.diff(t) > 0):
-        raise ValueError("times must be strictly increasing")
+def _table(name: str, grid, interval: str | None, k: int = 1, values=None,
+           shape: str = "n", monotone=None, ordered: bool = True):
+    """``grid``, a table's first column, as a 1-d float array of at least
+    ``k`` entries, each in ``interval`` (``_in_range``; None checks none),
+    that increase strictly unless ``ordered`` is false (a sample).  With
+    ``values``, a triple (name, array, interval), return (grid, values):
+    values has one axis per letter of ``shape``, each "n" as long as the
+    grid ("nn" a square, "mn" rows), lies in its interval and, with
+    ``monotone`` a pair (direction, tolerance), is "nondecreasing" or
+    "nonincreasing", no step going back by more than the tolerance.
+
+    The one shape and order check of the package's tables, as ``_in_range``
+    is its one range check; each error names the column.
+    """
+    g = np.asarray(grid, dtype=float)
+    if interval is not None:
+        _in_range(name, g, interval)
+    if g.ndim != 1 or g.size < k or (ordered and not np.all(g[1:] > g[:-1])):
+        kind = ", strictly increasing 1-d grid" if ordered else " 1-d array"
+        raise ValueError(f"{name} must be a nonempty{kind}"
+                         + (f" of at least {k} points" if k > 1 else ""))
+    if values is None:
+        return g
+    vname, v, v_interval = values
+    try:
+        v = np.asarray(v, dtype=float)
+        fits = v.ndim == len(shape) and all(
+            d == g.size for a, d in zip(shape, v.shape) if a == "n")
+    except ValueError:  # rows of unequal length
+        fits = False
+    if not fits:
+        dims = " x ".join(str(g.size) if a == "n" else a for a in shape)
+        raise ValueError(f"{vname} must have shape {dims} to match {name}")
+    if v_interval is not None:
+        _in_range(vname, v, v_interval)
+    if monotone is not None:
+        direction, tol = monotone
+        with np.errstate(over="ignore"):  # a step beyond the float range is +-inf
+            steps = np.diff(v) if direction == "nondecreasing" else -np.diff(v)
+        if np.any(steps < -tol):
+            raise ValueError(f"{vname} must be {direction}")
+    return g, v
+
+
+def _unit_grid(times, values, shape: str = "n", monotone=None) -> tuple[np.ndarray, np.ndarray]:
+    """``_table`` of ``times``, a grid of at least two points from 0 to 1,
+    and ``values``, a triple (name, array, interval)."""
+    t, v = _table("times", times, "[0, 1]", 2, values, shape, monotone)
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("times must start at 0 and end at 1")
     return t, v
@@ -134,9 +170,9 @@ class SampledPath:
     values: np.ndarray
 
     def __post_init__(self):
-        t, v = _unit_grid(self.times, self.values)
+        t, v = _unit_grid(self.times, ("values", self.values, "(-inf, inf)"))
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", _in_range("values", v, "(-inf, inf)"))
+        object.__setattr__(self, "values", v)
 
     def value_at(self, t: float) -> float:
         """Evaluate by the step rule: value at the greatest grid time <= t."""
@@ -154,11 +190,10 @@ class GFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        t, v = _unit_grid(self.times, self.values)
-        if abs(_in_range("G", v, "(-inf, inf)")[0]) > 1e-12:
+        t, v = _unit_grid(self.times, ("G", self.values, "(-inf, inf)"),
+                          monotone=("nondecreasing", 1e-12))
+        if abs(v[0]) > 1e-12:
             raise ValueError("G(0) must be 0")
-        if np.any(np.diff(v) < -1e-12):
-            raise ValueError("G must be nondecreasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", np.maximum.accumulate(v))
 
@@ -253,7 +288,7 @@ def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.
     windows (``_window_maxima``).
     """
     _in_range("delta", delta, "[0, 1]")
-    t, v = _unit_grid(times, values, ndim=2)
+    t, v = _unit_grid(times, ("values", values, None), "mn")
     # the brute force's difference predicate; subtraction is monotone, so
     # each row's admissible indices form a prefix and caps never decrease
     caps = (t[None, :] - t[:, None] <= delta).sum(axis=1) - 1
@@ -421,14 +456,8 @@ def continuity_modulus(times, values, h: float) -> float:
     is computed exactly from the knots and their h-shifts.  On grids where h
     aligns with the spacing this coincides with the maximum over grid pairs.
     """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.size != v.size or t.size < 2:
-        raise ValueError("times and values must be 1-d of equal length >= 2")
-    if not np.all(np.diff(t) > 0):
-        raise ValueError("times must be increasing")
-    if np.any(np.diff(v) < -1e-12):
-        raise ValueError("table must be nondecreasing")
+    t, v = _table("times", times, "(-inf, inf)", 2, ("values", values, "(-inf, inf)"),
+                  monotone=("nondecreasing", 1e-12))
     if _in_range("h", h, "[0, inf]") == 0:
         return 0.0
     h = min(h, float(t[-1] - t[0]))

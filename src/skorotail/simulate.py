@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .bounds import TailCurve
-from .paths import (GFunction, _in_range, _unit_grid, _worker_count, ps_module_matrix,
-                    triple_min_sup_matrix)
+from .paths import (GFunction, _in_range, _table, _unit_grid, _worker_count,
+                    ps_module_matrix, triple_min_sup_matrix)
 
 __all__ = [
     "ProcessSpec",
@@ -111,10 +111,7 @@ class SimConfig:
         _in_range("u_points", self.u_points, "[1, inf)")
         _in_range("confidence", self.confidence, "(0, 1)")
         # orders above 512 carry no resolution at these sample sizes
-        p = _in_range("p_grid", np.asarray(self.p_grid, dtype=float), "[2, 512]")
-        if not np.all(np.diff(p) > 0):
-            raise ValueError("p_grid must be increasing")
-        object.__setattr__(self, "p_grid", p)
+        object.__setattr__(self, "p_grid", _table("p_grid", self.p_grid, "[2, 512]"))
         _in_range("h", self.h_grid, "(0, 0.5]")
         _in_range("triple_stride", self.triple_stride, "[1, inf)")
         if len({f"{h:g}" for h in self.h_grid}) < len(self.h_grid):  # as checks label them
@@ -129,7 +126,7 @@ class PathBundle:
     values: np.ndarray
 
     def __post_init__(self):
-        t, v = _unit_grid(self.times, self.values, ndim=2)
+        t, v = _unit_grid(self.times, ("values", self.values, None), "mn")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -235,8 +232,9 @@ class MomentTable:
     raw_moments: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.values) < -1e-6 * max(1.0, float(self.values.max(initial=0.0)))):
-            raise ValueError("moment values must be nondecreasing in p")
+        tol = 1e-6 * max(1.0, float(np.max(self.values, initial=0.0)))
+        _table("p_grid", self.p_grid, "(0, inf)", values=("moment values", self.values, None),
+               monotone=("nondecreasing", tol))
 
 
 _TRIPLE_BLOCK = 256  # path rows per block of a full step; fewer
@@ -452,15 +450,10 @@ def fit_g_envelope(pair_times: np.ndarray, w: np.ndarray) -> GFunction:
     grid points; every admissible envelope is at least this at each point,
     and w >= 0 makes it nondecreasing.
     """
-    t = np.asarray(pair_times, dtype=float)
-    w = np.asarray(w, dtype=float)
-    k = t.size
-    if w.shape != (k, k):
-        raise ValueError("w must be square and match pair_times")
-    if np.max(np.abs(_in_range("w", w, "[0, inf)") - w.T)) > 1e-9:
+    t, w = _unit_grid(pair_times, ("w", w, "[0, inf)"), "nn")
+    if np.max(np.abs(w - w.T)) > 1e-9:
         raise ValueError("w must be symmetric")
-    if t[0] != 0.0 or t[-1] != 1.0:
-        raise ValueError("pair grid must span [0,1]")
+    k = t.size
     values = np.zeros(k)
     for j in range(1, k):
         values[j] = np.max(values[:j] + w[:j, j])
@@ -517,9 +510,7 @@ class BoundaryEstimate:
 
 
 def boundary_functionals(bundle: PathBundle, beta_grid) -> BoundaryEstimate:
-    betas = _in_range("beta_grid", np.asarray(beta_grid, dtype=float), "(0, 0.5)")
-    if not betas.size or not np.all(np.diff(betas) > 0):
-        raise ValueError("beta_grid must be nonempty and increasing")
+    betas = _table("beta_grid", beta_grid, "(0, 0.5)")
     t = bundle.times
     v = bundle.values
     z0 = np.empty(betas.size)

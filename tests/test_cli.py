@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -483,6 +484,16 @@ class TestEntropyCli:
         assert np.array_equal(t, t2) and np.array_equal(q, q2)
         assert run(["entropy", "--epsilon", "0.5", "--matrix", str(f)]) == 0
         assert "count=1" in read_out(capsys)
+
+    @pytest.mark.parametrize("text", ["", "0,0.5,1\n0,0.5,1\n0.5,0\n1,0.5,0\n", "0,1\n0,x\n"],
+                             ids=["empty", "ragged", "non-numeric"])
+    def test_a_faulty_matrix_file_is_named(self, text, tmp_path):
+        # an empty file raised IndexError, and numpy's text for a ragged row
+        # or float's for a word named no file
+        f = tmp_path / "q.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: "):
+            read_matrix(f)
 
     def test_sigma_h_and_out(self, tmp_path, capsys):
         out = tmp_path / "entropy.csv"

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skorotail import paths
+from skorotail.bounds import TailCurve
+from skorotail.gls import PhiFunction
 from skorotail.paths import (
     GFunction,
     SampledPath,
@@ -20,6 +22,7 @@ from skorotail.paths import (
     triple_min_sup,
     triple_min_sup_matrix,
 )
+from skorotail.simulate import MomentTable
 
 TWO_JUMP = SampledPath(np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 1.0, 2.0, 2.0]))
 ONE_JUMP = SampledPath(np.array([0.0, 0.3, 1.0]), np.array([0.0, 1.0, 1.0]))
@@ -460,6 +463,14 @@ class TestContinuityModulus:
         t = np.linspace(0, 1, 11)
         assert continuity_modulus(t, t**2, 0.1) == pytest.approx(0.19)
 
+    @pytest.mark.parametrize("values", [[0.0, 0.5, np.nan], [0.0, 0.5, np.inf],
+                                        [-np.inf, 0.5, 1.0]])
+    def test_non_finite_values_rejected(self, values):
+        # the table's nan or inf gave a nan modulus
+        bad = next(v for v in values if not np.isfinite(v))
+        with pytest.raises(ValueError, match=rf"values must lie in \(-inf, inf\), got {bad}"):
+            continuity_modulus([0.0, 0.5, 1.0], values, 0.5)
+
 
 class TestGFunction:
     def test_validation(self):
@@ -479,3 +490,22 @@ class TestGFunction:
         assert g.total == 2.0
         assert g.modulus(0.25) == pytest.approx(0.5)
         assert GFunction.constant().total == 0.0
+
+
+class TestTableTolerances:
+    """Each site of ``paths._table`` keeps the monotonicity tolerance it
+    declares: a step back by half of it passes, by twice it raises."""
+
+    @pytest.mark.parametrize("make, tol", [
+        (lambda d: GFunction([0.0, 0.5, 1.0], [0.0, 0.5, 0.5 - d]), 1e-12),
+        (lambda d: continuity_modulus([0.0, 0.5, 1.0], [0.0, 0.5, 0.5 - d], 0.1), 1e-12),
+        (lambda d: TailCurve([1.0, 2.0], [0.5, 0.5 + d]), 1e-9),
+        (lambda d: PhiFunction([0.0, 1.0, 2.0], [0.0, 1.0, 2.0 - d]), 1e-9),
+        # 1e-6 times the largest value
+        (lambda d: MomentTable([2.0, 4.0], np.array([10.0, 10.0 - d]), None, None, None), 1e-5),
+    ], ids=["GFunction", "continuity_modulus", "TailCurve", "PhiFunction convexity",
+            "MomentTable"])
+    def test_each_site_keeps_its_tolerance(self, make, tol):
+        make(tol / 2)
+        with pytest.raises(ValueError, match="must be nondecreasing|must be nonincreasing"):
+            make(2 * tol)

@@ -10,6 +10,11 @@ excepted); and an exit-2 message names the flag or its parameter.  The
 names that read the chaining constant's alpha and beta also take every pair
 of ``VALUES`` for the two, in both modes.
 
+Each flag that reads a table file reads, under the same contract, each
+table of ``TABLE_FAULTS`` made from one it accepts (``GOOD_TABLES``), where
+an exit-2 message may also name the file, and a fault of ``REJECTED`` must
+exit 2.
+
 The fields of ``ProcessSpec`` and ``SimConfig`` take the same values at
 their constructors, through the flags of ``verify``, for each process, and
 each accepted process generates zero paths, which reaches every sampler's
@@ -35,7 +40,9 @@ VALUES = ["0", "-1", "1e-300", "1e-15", "1e6", "1e300", "inf", "nan"]
 ALIASES = {"g-slope": "G", "seq-s": "s", "seq-theta": "theta", "seq-nu": "nu",
            "nu-power": "nu", "psi-power": "psi", "gap-power": "q", "sigma-h": "h",
            "delta-grid": "delta", "grid": "n grid_size", "paths": "n_paths",
-           "stride": "triple_stride", "lam-max": "lam_max f", "u-grid": "u"}
+           "stride": "triple_stride", "lam-max": "lam_max f", "u-grid": "u",
+           "path": "times values", "g-file": "times G", "nu-file": "p nu",
+           "psi-file": "grid psi", "table": "x f slopes", "matrix": "times q"}
 # flags that a name reads only away from its defaults, with the flags that make it read them
 CONTEXT = {"seq-nu": ["--preset=polynomial"]}
 REQUIRED = {"entropy": ["--epsilon=0.1"]}
@@ -131,11 +138,15 @@ def values_of(action) -> list[str]:
     return [",".join(parts[:i] + [v] + parts[i + 1:]) for i in range(len(parts)) for v in VALUES]
 
 
-def flags(words) -> list:
+def actions(words) -> list:
     parser = PARSER
     for w in words:
         parser = subparsers(parser)[w]
-    return [(words, a) for a in parser._actions if a.option_strings[0] != "-h" and numeric(a)]
+    return [a for a in parser._actions if a.option_strings[0] != "-h"]
+
+
+def flags(words) -> list:
+    return [(words, a) for a in actions(words) if numeric(a)]
 
 
 COMMANDS = [["bound", name] for name in subparsers(subparsers(PARSER)["bound"])]
@@ -222,6 +233,94 @@ def test_the_sweep_covers_every_numeric_flag():
             "--lam-max", "--points", "--g-slope", "--psi-power"} <= keys
     assert not keys & {"--config", "--out", "--mode", "--preset", "--g-file", "--nu-file",
                        "--psi-file", "--path", "--matrix", "--table"}
+
+
+def reads_a_table(action) -> bool:
+    key = action.option_strings[0]
+    return key not in ("--config", "--out") and "file" in key + (action.help or "")
+
+
+TABLE_SWEEP = [(w, a) for w in COMMANDS for a in actions(w) if reads_a_table(a)]
+# a table each file flag accepts; a --matrix file's header is its grid
+GOOD_TABLES = {
+    "path": "time,value\n0,0\n0.3,1\n0.6,2\n1,2\n",
+    "g-file": "t,G\n0,0\n0.5,1\n1,2\n",
+    "nu-file": "p,nu\n2,1\n4,1.5\n8,2\n",
+    "psi-file": "p,psi\n1,1\n2,1.5\n4,2\n",
+    "table": "x,f\n-1,1\n0,0\n1,1\n",
+    "matrix": "0,0.5,1\n0,0.5,1\n0.5,0,0.5\n1,0.5,0\n",
+}
+TABLE_FAULTS = ["nan", "inf", "-inf", "1e308", "1.7e308", "repeated", "unsorted", "one row",
+                "header only", "empty", "ragged"]
+# the faults that leave a value that is no number, a first column that does
+# not increase strictly, or no table
+REJECTED = {"nan", "repeated", "unsorted", "header only", "empty", "ragged"}
+
+
+def faulty_tables(key: str) -> dict[str, str]:
+    """Each fault of TABLE_FAULTS put into the flag's accepted table, label ->
+    text: a value (nan, +-inf) in each column's last row, a column scaled to that
+    largest magnitude, a first column with a repeated or a swapped pair,
+    one data row, the header alone, no text, and a row short of an entry.
+    A --matrix file's columns are its header grid and its entries, which
+    take a value in a symmetric pair."""
+    good = [line.split(",") for line in GOOD_TABLES[key].splitlines()]
+    n = len(good)
+    if key == "matrix":
+        columns = [[(0, c) for c in range(n - 1)],
+                   [(r, c) for r in range(1, n) for c in range(n - 1)]]
+        spots = [[(0, n - 2)], [(1, 1), (2, 0)]]
+    else:
+        columns = [[(r, c) for r in range(1, n)] for c in (0, 1)]
+        spots = [[(n - 1, c)] for c in (0, 1)]
+    text = lambda rows: "".join(",".join(row) + "\n" for row in rows)
+    tables = {"one row": text(good[:2]), "header only": text(good[:1]), "empty": "",
+              "ragged": text(row[:-1] if r == 2 else row for r, row in enumerate(good))}
+
+    def put(label, cells, texts):
+        table = [row[:] for row in good]
+        for (r, c), t in zip(cells, texts):
+            table[r][c] = t
+        tables[label] = text(table)
+
+    for j, (column, spot) in enumerate(zip(columns, spots)):
+        for fault in TABLE_FAULTS[:3]:
+            put(f"{fault} in column {j}", spot, [fault] * len(spot))
+        top = max(abs(float(good[r][c])) for r, c in column)
+        for fault in TABLE_FAULTS[3:5]:
+            put(f"{fault} in column {j}, scaled", column,
+                [repr(float(good[r][c]) * (float(fault) / top)) for r, c in column])
+    (a, b), first = columns[0][:2], [good[r][c] for r, c in columns[0][:2]]
+    put("repeated", [b], first[:1])
+    put("unsorted", [a, b], first[::-1])
+    return tables
+
+
+@pytest.mark.parametrize("words, action", TABLE_SWEEP,
+                         ids=[" ".join([*w, a.option_strings[0]]) for w, a in TABLE_SWEEP])
+def test_every_table_flag_keeps_the_contract(words, action, tmp_path):
+    key = action.option_strings[0][2:]
+    table = tmp_path / "table.csv"
+    argv = [*words, *REQUIRED.get(words[0], []), f"--{key}={table}"]
+    table.write_text(GOOD_TABLES[key])
+    assert breach(argv, key) is None and outcome(argv)[0] == 0
+    faults = {}
+    for label, text in faulty_tables(key).items():
+        table.write_text(text)
+        if fault := breach(argv, key, str(table)):
+            faults[label] = fault
+        elif label.split(" in column")[0] in REJECTED and outcome(argv)[0] != 2:
+            faults[label] = "accepted"
+    assert faults == {}
+
+
+def test_the_table_sweep_covers_every_file_flag():
+    # the 11 table files that the numeric sweep leaves out of the bound names
+    assert len([1 for w, _ in TABLE_SWEEP if w[0] == "bound"]) == 11
+    assert {(w[0], a.option_strings[0]) for w, a in TABLE_SWEEP if w[0] != "bound"} == {
+        ("kappa", "--path"), ("entropy", "--matrix"), ("conjugate", "--table")}
+    assert {a.option_strings[0] for w, a in TABLE_SWEEP if w[0] == "bound"} == {
+        "--g-file", "--nu-file", "--psi-file"}
 
 
 @pytest.mark.parametrize("args, out", [pytest.param(a, o, id=" ".join(a)) for a, o in PINNED])
