@@ -440,7 +440,8 @@ def entropy_series_bound(
 def _nu_table(nu, b: float, p_grid) -> tuple[np.ndarray, np.ndarray]:
     """Normalize the moment-function argument to (p grid, values) in [2, b).
     The orders must increase strictly and neither column may be nan; the
-    orders outside [2, b) and the infinite moments are left out."""
+    orders outside [2, b) and the moments of +inf are left out, and the
+    other moments must lie in [0, inf)."""
     _in_range("b", b, "(2, inf]")
     if hasattr(nu, "p_grid") and hasattr(nu, "values"):
         ps, vals = nu.p_grid, nu.values
@@ -453,7 +454,7 @@ def _nu_table(nu, b: float, p_grid) -> tuple[np.ndarray, np.ndarray]:
     else:
         ps, vals = nu
     ps, vals = _table("p", ps, "[-inf, inf]", values=("nu", vals, "[-inf, inf]"))
-    keep = (ps >= 2.0) & (ps < b) & np.isfinite(vals)
+    keep = (ps >= 2.0) & (ps < b) & (vals != np.inf)
     ps, vals = ps[keep], vals[keep]
     if ps.size == 0:
         raise ValueError("moment function nu has no finite values on [2, b)")

@@ -130,8 +130,9 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
 def read_two_columns(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column text table (comma or whitespace separated; blank
     lines and lines starting with '#' are skipped, and the first other line
-    may be a non-numeric header).  Any later non-numeric row raises
-    ``ValueError``."""
+    may be a non-numeric header).  Any later non-numeric row, and any data
+    row of more or fewer than two fields, raises a ``ValueError`` that names
+    the file."""
     a, b = [], []
     rows = 0
     for raw in Path(path).read_text().splitlines():
@@ -148,6 +149,8 @@ def read_two_columns(path) -> tuple[np.ndarray, np.ndarray]:
             if rows == 1:
                 continue  # header row
             raise ValueError(f"non-numeric data row {raw!r} in {path}") from None
+        if len(parts) > 2:
+            raise ValueError(f"expected two columns in {path}, got {raw!r}")
         a.append(x)
         b.append(y)
     if not a:

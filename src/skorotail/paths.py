@@ -262,11 +262,12 @@ def triple_min_sup(path: SampledPath) -> float:
     return float(triple_min_sup_matrix(path.values[None, :])[0])
 
 
-def triple_min_sup_matrix(values: np.ndarray) -> np.ndarray:
+def triple_min_sup_matrix(values: np.ndarray, *, _moves=None) -> np.ndarray:
     """Vectorized ``triple_min_sup`` over rows of a (m, n) value matrix: the
-    one window [0, n-1] of ``_window_maxima``."""
+    one window [0, n-1] of ``_window_maxima``.  ``_moves`` is the values'
+    ``_move_list`` when the caller holds it (default: built here)."""
     v = np.atleast_2d(np.asarray(values, dtype=float))
-    return _window_maxima(v, np.full(v.shape[1], v.shape[1] - 1))
+    return _window_maxima(v, np.full(v.shape[1], v.shape[1] - 1), _moves)
 
 
 def ps_module(path: SampledPath, delta: float) -> float:
@@ -278,9 +279,11 @@ def ps_module(path: SampledPath, delta: float) -> float:
     return float(ps_module_matrix(path.times, path.values[None, :], delta)[0])
 
 
-def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.ndarray:
+def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float, *,
+                     _moves=None) -> np.ndarray:
     """Vectorized ``ps_module`` over rows of a (m, n) value matrix on a
-    grid of [0,1] (checked as ``_unit_grid`` checks it).
+    grid of [0,1] (checked as ``_unit_grid`` checks it); ``_moves`` as for
+    ``triple_min_sup_matrix``.
 
     The admissible triples are exactly the triples inside the span windows
     [lo, cap(lo)], cap(lo) the last index t with times[t] - times[lo] <=
@@ -292,12 +295,34 @@ def ps_module_matrix(times: np.ndarray, values: np.ndarray, delta: float) -> np.
     # the brute force's difference predicate; subtraction is monotone, so
     # each row's admissible indices form a prefix and caps never decrease
     caps = (t[None, :] - t[:, None] <= delta).sum(axis=1) - 1
-    return _window_maxima(v, caps)
+    return _window_maxima(v, caps, _moves)
 
 
-def _window_maxima(v: np.ndarray, caps: np.ndarray) -> np.ndarray:
+def _move_list(v: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The part of ``_window_maxima`` that depends on the values ``v`` (m, n)
+    only: the mask of the dense rows, those that move at half their steps or
+    more, and the row-major jump list of the other rows, (rows, cols, prev,
+    nxt): row rows[i] moves from cols[i] to cols[i] + 1, and its previous and
+    next moves are at prev[i] and nxt[i] (-1 and n stand for none)."""
+    n = v.shape[1]
+    moves = v[:, 1:] != v[:, :-1]
+    dense = 2 * np.count_nonzero(moves, axis=1) >= n - 1
+    ids = np.flatnonzero(~dense)
+    rows, cols = np.nonzero(moves if ids.size == v.shape[0] else moves[ids])
+    rows = ids[rows]
+    # a row's moves are adjacent in the list
+    same = rows[1:] == rows[:-1]
+    prev, nxt = np.full(rows.size, -1), np.full(rows.size, n)
+    prev[1:] = np.where(same, cols[:-1], -1)
+    nxt[:-1] = np.where(same, cols[1:], n)
+    return dense, (rows, cols, prev, nxt)
+
+
+def _window_maxima(v: np.ndarray, caps: np.ndarray, moves=None) -> np.ndarray:
     """Per row of ``v``, the largest triple minimum inside any window
-    [lo, caps[lo]] (``caps`` nondecreasing, caps[lo] >= lo).
+    [lo, caps[lo]] (``caps`` nondecreasing, caps[lo] >= lo).  Only ``caps``
+    depends on the window; ``moves``, the values' ``_move_list``, is built
+    here unless the caller passes the one it holds for several calls.
 
     Windows sharing a cap nest inside the run's first one, and a window of
     under three points holds only zero triple minima, so the first windows
@@ -309,13 +334,11 @@ def _window_maxima(v: np.ndarray, caps: np.ndarray) -> np.ndarray:
     available CPU, and the row maxima are taken with one scatter, so the
     result is the same for any number of workers.
     """
-    m, n = v.shape
+    dense, jumps = _move_list(v) if moves is None else moves
     run_lo = np.searchsorted(caps, caps)  # first window sharing each cap
-    moves = v[:, 1:] != v[:, :-1]
-    dense = 2 * np.count_nonzero(moves, axis=1) >= n - 1
     blocks = [*_slice_blocks(v, np.flatnonzero(dense), caps, run_lo),
-              *_jump_blocks(v, moves, np.flatnonzero(~dense), caps, run_lo)]
-    best = np.zeros(m)
+              *_jump_blocks(v, jumps, caps, run_lo)]
+    best = np.zeros(v.shape[0])
     if not blocks:
         return best
     maxima = _pool_map(_block_maxima, blocks, _BLOCK_CELLS)
@@ -358,8 +381,8 @@ def _slice_blocks(v, ids, caps, run_lo):
                 yield ids[r : r + step], x[:, i : i + wins, r : r + step]
 
 
-def _jump_blocks(v, moves, ids, caps, run_lo):
-    """Blocks reading the rows ``ids`` from their jump list, at a move lo
+def _jump_blocks(v, jumps, caps, run_lo):
+    """Blocks reading the sparse rows from their jump list, at a move lo
     only: if the row does not move at lo (v[lo] == v[lo+1]), a triple from
     lo has the same value from lo+1 (or is 0), and the window at lo+1
     reaches at least as far.  Within a run of windows sharing a cap only the
@@ -372,16 +395,8 @@ def _jump_blocks(v, moves, ids, caps, run_lo):
     blocks of about ``_BLOCK_CELLS`` cells, each gathered by its worker into
     one (width, visits) array.
     """
-    if ids.size == 0:
-        return
     n = v.shape[1]
-    rows, cols = np.nonzero(moves if ids.size == v.shape[0] else moves[ids])
-    rows = ids[rows]
-    # a row's moves are adjacent in the list; -1 and n stand for none
-    same = rows[1:] == rows[:-1]
-    prev, nxt = np.full(rows.size, -1), np.full(rows.size, n)
-    prev[1:] = np.where(same, cols[:-1], -1)
-    nxt[:-1] = np.where(same, cols[1:], n)
+    rows, cols, prev, nxt = jumps
     first = np.flatnonzero((prev < run_lo[cols]) & (nxt < caps[cols]))
     if first.size == 0:
         return

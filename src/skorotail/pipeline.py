@@ -79,15 +79,22 @@ def estimate(fit: sim.PathBundle, checked: dict, config: sim.SimConfig,
              u_grid=None) -> Estimation:
     """Estimate nu and G on the ``fit`` paths, and tabulate the tails of each
     checked bundle (label suffix -> bundle) on ``u_grid`` (default:
-    ``config.u_points`` quantiles of their pooled global statistics)."""
+    ``config.u_points`` quantiles of their pooled global statistics).
+
+    It runs in two phases.  First every pass over the paths: each checked
+    bundle's global statistic and module at every span
+    (``PathBundle.statistics``), then nu and G.  Then the tails, whose first
+    estimate loads ``scipy.special``: the statistics' working memory is freed
+    by then and reused, not stacked on that import's."""
+    stats = {suffix: b.statistics(config.h_grid) for suffix, b in checked.items()}
     table = sim.estimate_triple_moments(fit, config.p_grid, stride=config.triple_stride)
     envelope = sim.fit_g_envelope(table.pair_times, table.pair_norms)
-    stats = {suffix: b.global_stats() for suffix, b in checked.items()}
     if u_grid is None:
-        u_grid = sim.quantile_u_grid(np.concatenate(list(stats.values())), config.u_points)
+        u_grid = sim.quantile_u_grid(np.concatenate([g for g, _ in stats.values()]),
+                                     config.u_points)
     tail = lambda s: sim.empirical_tail(s, u_grid, config.confidence)
-    tails = {suffix: (tail(stats[suffix]), {h: tail(b.module_stats(h)) for h in config.h_grid})
-             for suffix, b in checked.items()}
+    tails = {suffix: (tail(g), {h: tail(k) for h, k in kappa.items()})
+             for suffix, (g, kappa) in stats.items()}
     return Estimation(table, envelope, u_grid, tails)
 
 
@@ -157,8 +164,6 @@ def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=No
     seed stream.  The largest sum's marginal at each time in ``t_marks`` (in
     [0, 1], and not the same on every path) gets an Anderson-Darling test at
     level 1%."""
-    from scipy.stats import anderson  # loaded only by this command
-
     _in_range("t_marks", t_marks, "[0, 1]")
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"n must not repeat, got {list(n_list)}")
@@ -166,6 +171,8 @@ def clt(spec: sim.ProcessSpec, config: sim.SimConfig, n_list, t_marks, u_grid=No
     summands = sim.generate_paths(spec, config, rng=rng)
     bundles = {n: sim.partial_sum_paths(spec, n, config, rng=rng) for n in n_list}
     est = estimate(summands, {f"_n={n}": b for n, b in bundles.items()}, config, u_grid)
+    # loaded only by this command, after the statistics (see ``estimate``)
+    from scipy.stats import anderson
 
     n_big = max(n_list)
     vb = bundles[n_big]

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import TailCurve
-from .paths import (GFunction, _in_range, _table, _unit_grid, _worker_count,
+from .paths import (GFunction, _in_range, _move_list, _table, _unit_grid, _worker_count,
                     ps_module_matrix, triple_min_sup_matrix)
 
 __all__ = [
@@ -140,6 +140,14 @@ class PathBundle:
     def module_stats(self, h: float) -> np.ndarray:
         """Per-path span-constrained module at span h."""
         return ps_module_matrix(self.times, self.values, h)
+
+    def statistics(self, spans) -> tuple[np.ndarray, dict]:
+        """``global_stats()`` and {h: ``module_stats(h)``} for each h in
+        ``spans``, the same arrays, all read from one move list of the paths
+        (``paths._move_list``), built once here and dropped on return."""
+        moves = _move_list(self.values)
+        return (triple_min_sup_matrix(self.values, _moves=moves),
+                {h: ps_module_matrix(self.times, self.values, h, _moves=moves) for h in spans})
 
 
 def _generate(spec: ProcessSpec, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -101,6 +101,23 @@ from skorotail.cli import run
 assert run(['verify', {SMALL_RUN}, '--out', 'v']) == 0
 assert run(['simulate', {SMALL_RUN}, '--out', 's']) == 0
 """, ("scipy.stats", "scipy.optimize")),
+    # every pass over the paths runs before the first tail estimate loads
+    # scipy.special (pipeline.estimate), so their memory is not stacked on it;
+    # two passes per checked bundle: one bundle in verify and simulate, three in clt
+    **{f"statistics-before-tails-{cmd}": (f"""
+from skorotail import paths, simulate
+from skorotail.cli import run
+loaded = []
+def spy(fn):
+    def call(*args, **kwargs):
+        loaded.append('scipy.special' in sys.modules)
+        return fn(*args, **kwargs)
+    return call
+for name in ('ps_module_matrix', 'triple_min_sup_matrix'):
+    setattr(simulate, name, spy(getattr(paths, name)))
+assert run(['{cmd}', {SMALL_RUN}, '--out', 'out']) == 0
+assert loaded == [False] * {calls}, loaded
+""", ()) for cmd, calls in (("verify", 2), ("simulate", 2), ("clt", 6))},
 }
 
 

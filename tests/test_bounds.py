@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -350,6 +351,18 @@ class TestMomentBounds:
         with pytest.raises(ValueError):
             moment_global_bound(lambda p: np.full_like(p, np.inf), GFunction.linear(),
                                 np.array([10.0]))
+
+    def test_minus_infinite_nu_rejected(self):
+        # +inf is an infinite moment, left out; -inf is no moment at all
+        ps = np.array([2.0, 4.0, 8.0])
+        for nu in ((ps, np.array([1.0, -np.inf, 2.0])),
+                   lambda p: np.where(p == 4.0, -np.inf, 1.0)):
+            with pytest.raises(ValueError, match=re.escape("nu must lie in [0, inf), got -inf")):
+                moment_global_bound(nu, GFunction.linear(), np.array([10.0]), p_grid=ps)
+        skipped = moment_global_bound((ps, np.array([1.0, np.inf, 2.0])), GFunction.linear(),
+                                      np.array([10.0]))
+        assert np.array_equal(skipped.probs, moment_global_bound(
+            (ps[[0, 2]], np.array([1.0, 2.0])), GFunction.linear(), np.array([10.0])).probs)
 
     def test_invalid_h(self):
         with pytest.raises(ValueError):

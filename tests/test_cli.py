@@ -191,6 +191,13 @@ class TestBound:
         write_csv(ref, *curve.table())
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("name", ["moment-global", "moment-module", "clt"])
+    def test_nu_file_of_minus_infinity_exits_2(self, name, tmp_path, capsys):
+        (tmp_path / "nu.csv").write_text("2,1\n4,-inf\n8,2\n")
+        assert run(["bound", name, "--nu-file", str(tmp_path / "nu.csv")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and "nu must lie in [0, inf), got -inf" in printed.err
+
     def test_clt_reads_nu_file(self, tmp_path, capsys):
         ps, nus = np.array([2.0, 4.0, 8.0]), np.full(3, 100.0)
         write_csv(tmp_path / "nu.csv", ["p", "nu"], [ps, nus])
@@ -652,7 +659,7 @@ class TestSimulateVerify:
                   "--paths", "300", "--seed", "4", "--u-points", "5", "--h", "0.1",
                   "--beta-grid", "0.05,0.1", "--out", str(out)])
         assert rc == 0
-        betas, z0 = read_two_columns(out / "boundary.csv")
+        betas, z0, _ = np.loadtxt(out / "boundary.csv", delimiter=",", skiprows=1, unpack=True)
         assert list(betas) == [0.05, 0.1]
         assert np.all(np.diff(z0) >= 0)
         summary = json.loads((out / "summary.json").read_text())

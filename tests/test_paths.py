@@ -22,7 +22,7 @@ from skorotail.paths import (
     triple_min_sup,
     triple_min_sup_matrix,
 )
-from skorotail.simulate import MomentTable
+from skorotail.simulate import MomentTable, PathBundle, ProcessSpec, SimConfig, generate_paths
 
 TWO_JUMP = SampledPath(np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 1.0, 2.0, 2.0]))
 ONE_JUMP = SampledPath(np.array([0.0, 0.3, 1.0]), np.array([0.0, 1.0, 1.0]))
@@ -310,9 +310,14 @@ class TestJumpListKernels:
     """Both statistics read rows that move at under half their steps from
     their jump list and all other rows as slices, in blocks of windows that
     a thread pool shares out; every block size, worker count and bundle
-    size gives the brute force's values."""
+    size gives the brute force's values, and ``PathBundle.statistics``
+    gives them from one move list."""
 
     def cases(self):
+        """(times, values, spans): bundles of rows of every kind on uniform
+        and lattice grids, then simulated compound Poisson and Brownian
+        (every row dense) bundles, and constant paths in three rows, one and
+        none."""
         rng = np.random.default_rng(19)
         for n in (4, 9, 17, 30):
             uniform = np.linspace(0.0, 1.0, n)
@@ -327,6 +332,12 @@ class TestJumpListKernels:
                 deltas = [0.0, 1.0, 0.5 * gaps.min(), t[2] - t[0], t[-1] - t[n // 2],
                           float(rng.uniform(gaps.min(), 0.5))]
                 yield t, values, deltas
+        spans = [0.0, 0.05, 0.1, 0.5, 1.0]
+        for kind, m in (("compound_poisson", 24), ("brownian", 6)):
+            bundle = generate_paths(ProcessSpec(kind, grid_size=17), SimConfig(n_paths=m, seed=5))
+            yield bundle.times, bundle.values, spans
+        for m in (3, 1, 0):
+            yield np.linspace(0.0, 1.0, 9), np.full((m, 9), 1.5), spans
 
     def test_matches_brute_force(self, monkeypatch):
         counted = []
@@ -345,15 +356,23 @@ class TestJumpListKernels:
                     monkeypatch.setattr(paths, "_worker_count", lambda: workers)
                     counted.clear()
                     assert np.array_equal(triple_min_sup_matrix(values), glob)
-                    if cells == 3:
+                    if cells == 3 and any(glob):
                         assert len(counted) > 3  # the bundle splits into blocks
+                    both, modules = PathBundle(t, values).statistics(deltas)
+                    assert np.array_equal(both, glob)
                     for d in deltas:
                         got = ps_module_matrix(t, values, d)
                         assert np.array_equal(got, want[d]), (t, d, cells, workers)
-                        for i in (0, 1, 5, 7):  # m = 1: each kind of row alone
+                        assert np.array_equal(modules[d], want[d])
+                        # m = 1: each kind of row alone
+                        for i in [i for i in (0, 1, 5, 7) if i < len(values)]:
                             assert ps_module_matrix(t, values[i : i + 1], d) == want[d][i]
                         assert ps_module_matrix(t, values[:0], d).shape == (0,)
             assert triple_min_sup_matrix(values[:0]).shape == (0,)
+            # the one-off calls read the same bits
+            bundle = PathBundle(t, values)
+            assert np.array_equal(both, bundle.global_stats())
+            assert all(np.array_equal(modules[d], bundle.module_stats(d)) for d in deltas)
 
     def test_two_and_three_point_grids(self):
         for t in (np.array([0.0, 1.0]), np.array([0.0, 0.4, 1.0])):

@@ -251,17 +251,18 @@ GOOD_TABLES = {
     "matrix": "0,0.5,1\n0,0.5,1\n0.5,0,0.5\n1,0.5,0\n",
 }
 TABLE_FAULTS = ["nan", "inf", "-inf", "1e308", "1.7e308", "repeated", "unsorted", "one row",
-                "header only", "empty", "ragged"]
+                "header only", "empty", "ragged", "long"]
 # the faults that leave a value that is no number, a first column that does
-# not increase strictly, or no table
-REJECTED = {"nan", "repeated", "unsorted", "header only", "empty", "ragged"}
+# not increase strictly, a row of the wrong length, or no table
+REJECTED = {"nan", "repeated", "unsorted", "header only", "empty", "ragged", "long"}
 
 
 def faulty_tables(key: str) -> dict[str, str]:
     """Each fault of TABLE_FAULTS put into the flag's accepted table, label ->
     text: a value (nan, +-inf) in each column's last row, a column scaled to that
     largest magnitude, a first column with a repeated or a swapped pair,
-    one data row, the header alone, no text, and a row short of an entry.
+    one data row, the header alone, no text, a row short of an entry, and
+    one an entry too long.
     A --matrix file's columns are its header grid and its entries, which
     take a value in a symmetric pair."""
     good = [line.split(",") for line in GOOD_TABLES[key].splitlines()]
@@ -275,7 +276,8 @@ def faulty_tables(key: str) -> dict[str, str]:
         spots = [[(n - 1, c)] for c in (0, 1)]
     text = lambda rows: "".join(",".join(row) + "\n" for row in rows)
     tables = {"one row": text(good[:2]), "header only": text(good[:1]), "empty": "",
-              "ragged": text(row[:-1] if r == 2 else row for r, row in enumerate(good))}
+              "ragged": text(row[:-1] if r == 2 else row for r, row in enumerate(good)),
+              "long": text(row + row[-1:] if r == 2 else row for r, row in enumerate(good))}
 
     def put(label, cells, texts):
         table = [row[:] for row in good]
